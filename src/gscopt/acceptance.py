@@ -514,26 +514,10 @@ def criterion_9() -> CriterionResult:
 
 def _qn_error_trajectory(model, x0, xstar, eps=1e-9, max_iter=300):
     """Iterate errors ||x_k - x*|| of the default quasi-Newton run."""
-    params = model.params
-    x = x0.copy()
-    g = model.grad(x)
-    g0n = np.linalg.norm(g)
-    scale = max(np.linalg.norm(g), 1e-8) / max(1.0, float(np.linalg.norm(x)))
-    state = quasi_newton.BfgsState.identity(x.size, scale)
-    errs = [float(np.linalg.norm(x - xstar))]
-    for _ in range(max_iter):
-        if np.linalg.norm(g) <= eps * max(1.0, g0n):
-            break
-        d = -(state.b @ g)
-        lam_hat = math.sqrt(max(0.0, -float(g @ d)))
-        beta = params.m * float(np.linalg.norm(d))
-        tau_floor, _ = kernel.step_size(params.nu, params.m, lam_hat, beta)
-        tau = quasi_newton._floored_armijo(model, x, d, g, model.value(x), tau_floor, 1e-6)
-        x_new = x + tau * d
-        g_new = model.grad(x_new)
-        state = quasi_newton.bfgs_update(state, x_new - x, g_new - g)
-        x, g = x_new, g_new
-        errs.append(float(np.linalg.norm(x - xstar)))
+    errs = []
+    quasi_newton.minimize_qn(
+        model, x0, SolveOptions(eps=eps, max_iter=max_iter, record_time=False),
+        callback=lambda k, x, state: errs.append(float(np.linalg.norm(x - xstar))))
     return errs
 
 

@@ -8,7 +8,6 @@ identical configurations produce byte-identical trace files.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -170,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gscopt",
         description="Newton-type solvers for generalized self-concordant minimization",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="forwarded to BLAS via GSC_SOLVE_THREADS/OMP_NUM_THREADS")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_nu=True):
@@ -223,14 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads or os.environ.get("GSC_SOLVE_THREADS")
-    if threads:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(int(threads))
-        except ImportError:
-            os.environ.setdefault("OMP_NUM_THREADS", str(threads))
     try:
         return args.func(args)
     except (GscError, OSError, KeyError, ValueError) as exc:

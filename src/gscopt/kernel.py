@@ -209,7 +209,10 @@ def step_size(nu: float, m: float, lam: float, beta: float) -> StepSize:
     nu in (2,3]:  d_k = (nu/2 - 1) m^(nu-2) lam^(nu-2) beta^(3-nu),
                   tau = (1/d_k) [1 - (1 + ((4-nu)/(nu-2)) d_k)^(-(nu-2)/(4-nu))].
 
-    tau is always in (0, 1]; d_k <= 1e-14 returns the full step (limit).
+    tau is always in (0, 1]; r d_k <= 1e-14 with r = (4-nu)/(nu-2) returns
+    the full step (limit).  The bracket is evaluated as
+    -expm1(-log1p(r d_k)/r): as nu -> 2+, r grows without bound while
+    r d_k tends to beta, and 1 - (1 + r d_k)^(-1/r) cancels to nothing.
     A nonpositive lam means the iterate is stationary; the full step is
     returned as a harmless convention (callers test convergence first).
     """
@@ -225,10 +228,10 @@ def step_size(nu: float, m: float, lam: float, beta: float) -> StepSize:
             return StepSize(1.0, d_k)
         return StepSize(min(1.0, math.log1p(beta) / beta), d_k)
     d_k = (nu / 2.0 - 1.0) * m ** (nu - 2.0) * lam ** (nu - 2.0) * beta ** (3.0 - nu)
-    if d_k <= 1e-14:
-        return StepSize(1.0, d_k)
     r = (4.0 - nu) / (nu - 2.0)
-    tau = (1.0 - (1.0 + r * d_k) ** (-1.0 / r)) / d_k
+    if r * d_k <= 1e-14:
+        return StepSize(1.0, d_k)
+    tau = -math.expm1(-math.log1p(r * d_k) / r) / d_k
     return StepSize(min(1.0, tau), d_k)
 
 

@@ -4,6 +4,9 @@ The Hessian approximation H and its inverse B are both updated by the
 matching rank-two formulas; updates are skipped (never damped) when the
 curvature pairing <y, s> fails its guard, since for GSC objectives the
 pairing is positive in exact arithmetic and a failure indicates numerics.
+Each update is O(p^2): four BLAS rank-one updates (dger) applied in place,
+with no p x p temporary.  minimize_qn owns one H/B pair for the whole solve
+and reports each iterate to an optional callback(k, x, state).
 
 The step rule is repo policy rather than a claim from the analysis: the
 analytic GSC step computed with the surrogate decrement
@@ -18,6 +21,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import kernel
 from .errors import DomainError, NotPositiveDefiniteError, ParameterError
@@ -30,8 +34,6 @@ CURVATURE_GUARD = 1e-12
 class BfgsState:
     h: np.ndarray          # Hessian approximation
     b: np.ndarray          # its inverse
-    x_prev: np.ndarray | None = None
-    g_prev: np.ndarray | None = None
     n_skipped: int = 0
 
     @classmethod
@@ -39,27 +41,56 @@ class BfgsState:
         return cls(h=np.eye(p) * scale, b=np.eye(p) / scale)
 
 
-def bfgs_update(state: BfgsState, s, y) -> BfgsState:
-    """Rank-two update H' = H + y y'/<y,s> - (H s)(H s)'/<H s, s>.
+def _ger(a, alpha, x, y):
+    """a += alpha x y' in place, for a C-contiguous float64 matrix a."""
+    # a.T is the Fortran-ordered view BLAS updates in place: a.T += alpha y x'
+    blas.dger(alpha, y, x, a=a.T, overwrite_a=1)
 
-    The inverse is maintained by the matching Sherman-Morrison form.  When
-    <y, s> <= guard * ||y|| ||s|| the update is skipped and the state is
-    returned unchanged except for the skip counter.
+
+def _bfgs_update_inplace(h, b, s, y) -> bool:
+    """Apply the BFGS update to h and its inverse b in place; False if skipped.
+
+    H' = H + y y'/<y,s> - (H s)(H s)'/<H s, s> and, with rho = 1/<y,s>,
+    B' = B - rho (s (B y)' + (B y) s') + (rho^2 <y, B y> + rho) s s'
+    (Nocedal & Wright, eq. 6.17), which equals V B V' + rho s s' with
+    V = I - rho s y'.  Nothing changes when <y, s> <= guard ||y|| ||s|| or
+    <H s, s> <= 0.  h and b must be C-contiguous float64 arrays.
+    """
+    if not (h.flags.c_contiguous and b.flags.c_contiguous
+            and h.dtype == np.float64 and b.dtype == np.float64):
+        raise ParameterError("BFGS state arrays must be C-contiguous float64")
+    ys = float(y @ s)
+    if ys <= CURVATURE_GUARD * np.linalg.norm(y) * np.linalg.norm(s):
+        return False
+    hs = h @ s
+    shs = float(s @ hs)
+    if shs <= 0.0:
+        return False
+    rho = 1.0 / ys
+    by = b @ y
+    _ger(h, rho, y, y)
+    _ger(h, -1.0 / shs, hs, hs)
+    # s (c s - rho B y)' - rho (B y) s' with c = rho^2 <y, B y> + rho
+    c = rho * rho * float(y @ by) + rho
+    _ger(b, 1.0, s, c * s - rho * by)
+    _ger(b, -rho, by, s)
+    return True
+
+
+def bfgs_update(state: BfgsState, s, y) -> BfgsState:
+    """Functional BFGS update: a new state, the input state left untouched.
+
+    Copies H and B and applies _bfgs_update_inplace to the copies.  When
+    the curvature guard fails the state is returned unchanged except for
+    the skip counter.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    ys = float(y @ s)
-    if ys <= CURVATURE_GUARD * np.linalg.norm(y) * np.linalg.norm(s):
+    h = np.array(state.h, dtype=float, order="C")
+    b = np.array(state.b, dtype=float, order="C")
+    if not _bfgs_update_inplace(h, b, s, y):
         return replace(state, n_skipped=state.n_skipped + 1)
-    hs = state.h @ s
-    shs = float(s @ hs)
-    if shs <= 0.0:
-        return replace(state, n_skipped=state.n_skipped + 1)
-    h_new = state.h + np.outer(y, y) / ys - np.outer(hs, hs) / shs
-    rho = 1.0 / ys
-    v = np.eye(s.size) - rho * np.outer(s, y)
-    b_new = v @ state.b @ v.T + rho * np.outer(s, s)
-    return replace(state, h=h_new, b=b_new)
+    return replace(state, h=h, b=b)
 
 
 def _exact_quadratic_step(model, x, d, g):
@@ -69,7 +100,8 @@ def _exact_quadratic_step(model, x, d, g):
     return -float(g @ d) / curv
 
 
-def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None) -> SolveResult:
+def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
+                callback=None) -> SolveResult:
     """Quasi-Newton iteration x+ = x - tau B grad f with BFGS updates.
 
     h0 seeds the Hessian approximation (default: identity scaled by
@@ -79,6 +111,11 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None) -> SolveRe
     module docstring.  An "exact" rule (one-dimensional Newton step along
     the direction; exact on quadratics) is accepted as well.
     Terminates on ||grad f|| <= eps max(1, ||grad f(x0)||).
+
+    callback(k, x, state) is called once per iterate, before its step.  The
+    state's H and B are the solver's working arrays, updated in place after
+    the call returns: a consumer that keeps them must copy them.
+    extra["state"] holds the final state.
     """
     opts = opts or SolveOptions()
     params = resolve_params(model, opts.nu_choice)
@@ -87,26 +124,26 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None) -> SolveRe
     model.check_domain(x)
     p = x.size
 
+    t0 = time.perf_counter()
+    g = model.grad(x)
     if h0 is None:
-        g_start = model.grad(x)
-        scale = max(np.linalg.norm(g_start), 1e-8) / max(1.0, float(np.linalg.norm(x)))
+        scale = max(np.linalg.norm(g), 1e-8) / max(1.0, float(np.linalg.norm(x)))
         state = BfgsState.identity(p, scale)
     else:
         h0 = np.asarray(h0, dtype=float)
         state = BfgsState(h=h0.copy(), b=np.linalg.inv(h0))
-
-    t0 = time.perf_counter()
+    h, b = state.h, state.b
     trace: list[IterRecord] = []
     status = "max_iter"
-    g = model.grad(x)
     g0_norm = float(np.linalg.norm(g))
     f_x = model.value(x)
-    states = [state]
 
     for k in range(opts.max_iter + 1):
+        if callback is not None:
+            callback(k, x, state)
         gnorm = float(np.linalg.norm(g))
         cum = (time.perf_counter() - t0) if opts.record_time else 0.0
-        d = -(state.b @ g)
+        d = -(b @ g)
         lam_hat = math.sqrt(max(0.0, -float(g @ d)))
         beta = m * float(np.linalg.norm(d))
         tau_floor, d_k = kernel.step_size(nu, m, lam_hat, beta)
@@ -121,31 +158,31 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None) -> SolveRe
             break
         if lam_hat == 0.0:
             # B lost positive definiteness numerically; restart from identity
-            state = BfgsState.identity(p, 1.0)
-            states.append(state)
+            for a in (h, b):
+                a.fill(0.0)
+                a.flat[::p + 1] = 1.0
             continue
 
+        f_new = None
         if opts.step_rule == "exact":
             tau = _exact_quadratic_step(model, x, d, g)
         else:
-            tau = _floored_armijo(model, x, d, g, f_x, tau_floor, opts.armijo_c1)
+            tau, f_new = _floored_armijo(model, x, d, g, f_x, tau_floor, opts.armijo_c1)
         phase = "full" if tau >= 1.0 else "damped"
         trace.append(IterRecord(k, f_x, gnorm, lam_hat, beta, d_k, min(tau, 1.0), phase, cum))
 
         x_new = x + tau * d
         g_new = model.grad(x_new)
-        state = bfgs_update(
-            replace(state, x_prev=x, g_prev=g), x_new - x, g_new - g
-        )
-        states.append(state)
+        if not _bfgs_update_inplace(h, b, x_new - x, g_new - g):
+            state = replace(state, n_skipped=state.n_skipped + 1)
         x, g = x_new, g_new
-        f_x = model.value(x)
+        f_x = model.value(x) if f_new is None else f_new
 
     return SolveResult(
         x=x, trace=trace, status=status, params=params,
         iterations=max(len(trace) - 1, 0),
         grad_criterion_met=(status == "converged"),
-        extra={"state": state, "states": states, "skipped_updates": state.n_skipped},
+        extra={"state": state, "skipped_updates": state.n_skipped},
     )
 
 
@@ -154,7 +191,9 @@ def _floored_armijo(model, x, d, g, f0, tau_floor, c1):
 
     The floor is accepted if it still decreases f; otherwise halving
     continues below it (pure backtracking guard, keeps descent monotone
-    even when the surrogate decrement misjudges a direction).
+    even when the surrogate decrement misjudges a direction).  Returns
+    (tau, f(x + tau d)); the value is None when 80 halvings end without an
+    accepted evaluation.
     """
     slope = float(g @ d)
     if slope >= 0.0:
@@ -164,13 +203,13 @@ def _floored_armijo(model, x, d, g, f0, tau_floor, c1):
         try:
             f_try = model.value(x + tau * d)
             if f_try <= f0 + c1 * tau * slope:
-                return tau
+                return tau, f_try
             if tau <= tau_floor and f_try < f0:
-                return tau
+                return tau, f_try
         except DomainError:
             pass
         tau *= 0.5
-    return tau
+    return tau, None
 
 
 def dennis_more_ratio(h_k, hess_star, x_k, x_star) -> float:

@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -178,6 +179,7 @@ def test_descent_estimate_values():
     lam=st.floats(1e-6, 1e3),
     beta_scale=st.floats(1e-3, 1.0),
 )
+@example(nu=2.0000000000000004, m=1.0, lam=2.0, beta_scale=1.0)
 def test_step_size_in_unit_interval_and_descent_positive(nu, m, lam, beta_scale):
     beta = m * lam * beta_scale  # beta = M ||n||_2 <= M lam / sqrt(sigma): any positive works
     tau, d_k = kernel.step_size(nu, m, lam, beta)
@@ -211,12 +213,16 @@ def test_step_size_maximizes_model():
 
 @settings(max_examples=200, deadline=None)
 @given(m3=st.floats(1e-2, 1e4), lam=st.floats(1e-8, 1e2), frac=st.floats(1e-6, 1.0))
+@example(m3=1.0, lam=1e-8, frac=1.0)
 def test_step_ordering_when_beta_below_m3_lambda(m3, lam, frac):
-    # whenever beta <= M3 lam, the nu=2 step beats the nu=3 step
-    beta = frac * m3 * lam
-    tau2 = math.log1p(beta) / beta if beta > 1e-14 else 1.0
-    tau3 = 1.0 / (1.0 + 0.5 * m3 * lam)
-    assert tau2 > tau3
+    # whenever beta <= M3 lam, the nu=2 step beats the nu=3 step; the gap
+    # shrinks like beta^2 / 12, below double resolution for small beta, so
+    # it is evaluated in 60-digit arithmetic from the exact inputs
+    with mpmath.workdps(60):
+        beta = mpmath.mpf(frac) * mpmath.mpf(m3) * mpmath.mpf(lam)
+        tau2 = mpmath.log1p(beta) / beta
+        tau3 = 1 / (1 + mpmath.mpf(m3) * mpmath.mpf(lam) / 2)
+        assert tau2 > tau3
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """BFGS updates, the quasi-Newton loop, and Dennis-More diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,12 +60,68 @@ def test_curvature_guard_skips():
     assert np.allclose(out.h, st.h)
 
 
+def reference_update(h, b, s, y):
+    """The textbook O(p^3) forms: H + y y'/<y,s> - Hs (Hs)'/<Hs,s> and V B V' + rho s s'."""
+    rho = 1.0 / float(y @ s)
+    hs = h @ s
+    v = np.eye(s.size) - rho * np.outer(s, y)
+    return (h + np.outer(y, y) * rho - np.outer(hs, hs) / float(s @ hs),
+            v @ b @ v.T + rho * np.outer(s, s))
+
+
+@pytest.mark.parametrize("p", [6, 50])
+def test_update_matches_reference_formula_over_fuzz_run(p):
+    rng = np.random.default_rng(p)
+    st = BfgsState.identity(p, 2.0)
+    for _ in range(40):
+        base = rng.normal(size=(p, p)) / np.sqrt(p)
+        s = rng.normal(size=p)
+        y = (base @ base.T + 0.5 * np.eye(p)) @ s
+        h_ref, b_ref = reference_update(st.h, st.b, s, y)
+        st = bfgs_update(st, s, y)
+        assert st.n_skipped == 0
+        assert np.linalg.norm(st.h - h_ref) <= 1e-12 * np.linalg.norm(h_ref)
+        assert np.linalg.norm(st.b - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
+
+
+def test_update_leaves_input_state_unchanged():
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(8, 8))
+    h = base @ base.T + np.eye(8)
+    st = BfgsState(h=h, b=np.linalg.inv(h))
+    h_before, b_before = st.h.copy(), st.b.copy()
+    s = rng.normal(size=8)
+    new = bfgs_update(st, s, h @ s + 0.1 * s)
+    assert new.h is not st.h and new.b is not st.b
+    assert np.array_equal(st.h, h_before) and np.array_equal(st.b, b_before)
+
+
+def test_solver_memory_independent_of_iteration_count():
+    # one H/B pair for the whole solve: the peak stays a few p x p arrays
+    # even though retaining a state per iterate would cost 2 p^2 each
+    p = 300
+    a, labels = bench_io.gen_logistic(600, p, seed=3)
+    model = models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=1e-3)
+    x0 = np.zeros(p)
+    tracemalloc.start()
+    try:
+        res = minimize_qn(model, x0, SolveOptions(eps=1e-8, record_time=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "converged" and res.iterations >= 20
+    assert peak < 4 * p * p * 8
+
+
 def test_inverse_consistency_along_solver_run():
     model = logistic_toy()
-    res = minimize_qn(model, np.zeros(model.dim), SolveOptions(eps=1e-9, record_time=False))
+    states = []
+    res = minimize_qn(model, np.zeros(model.dim), SolveOptions(eps=1e-9, record_time=False),
+                      callback=lambda k, x, st: states.append((st.h.copy(), st.b.copy())))
     assert res.status == "converged"
-    for st in res.extra["states"]:
-        assert np.max(np.abs(st.h @ st.b - np.eye(model.dim))) <= 1e-8
+    assert len(states) == len(res.trace)
+    for h, b in states:
+        assert np.max(np.abs(h @ b - np.eye(model.dim))) <= 1e-8
 
 
 def test_quadratic_finite_termination_exact_linesearch():
@@ -120,16 +178,11 @@ def test_dennis_more_trend_along_run():
     x0 = np.zeros(model.dim)
     ref = minimize(model, x0, SolveOptions(eps=1e-12, record_time=False))
     xstar, h_star = ref.x, model.hessian(ref.x)
-    res = minimize_qn(model, x0, SolveOptions(eps=1e-10, record_time=False))
-    states = res.extra["states"]
-    ratios = []
-    x = x0.copy()
-    # replay iterates from the recorded taus to pair states with positions
-    for rec, st in zip(res.trace[:-1], states[:-1]):
-        if np.linalg.norm(x - xstar) > 1e-11:
-            ratios.append(dennis_more_ratio(st.h, h_star, x, xstar))
-        d = -(st.b @ model.grad(x))
-        x = x + rec.tau * d
+    seen = []
+    minimize_qn(model, x0, SolveOptions(eps=1e-10, record_time=False),
+                callback=lambda k, x, st: seen.append((x.copy(), st.h.copy())))
+    ratios = [dennis_more_ratio(h, h_star, x, xstar) for x, h in seen[:-1]
+              if np.linalg.norm(x - xstar) > 1e-11]
     assert ratios[-1] < ratios[0] / 10.0
 
 
