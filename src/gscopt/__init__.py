@@ -6,9 +6,9 @@ constants, multivariate model oracles, and three solver families: damped /
 two-phase Newton, proximal Newton for composite problems, and BFGS.
 """
 
-from .atoms import (LossAtom, atom_eval, atom_params, entropy, entropy_barrier,
-                    exponential, gsc_certificate, log_barrier, logistic,
-                    neg_power, numeric_conjugate, positive_power, smoothed_hinge,
+from .atoms import (LossAtom, atom_eval, entropy, entropy_barrier, exponential,
+                    gsc_certificate, log_barrier, logistic, neg_power,
+                    numeric_conjugate, positive_power, smoothed_hinge,
                     smoothed_l1)
 from .bench_io import (Dataset, fast_gradient, frank_wolfe, gen_logistic,
                        gen_portfolio, pg_bb, read_libsvm, read_trace, write_trace)
@@ -22,7 +22,7 @@ from .kernel import (GscParams, combine_sum, conjugate_params, d_nu,
 from .linops import (NewtonSystem, largest_eigenvalue, local_norm,
                      newton_direction, smallest_eigenvalue)
 from .models import (DwdModel, GlmModel, PortfolioModel, QuadraticModel,
-                     dwd_as_glm, glm_gsc_params, oracle)
+                     dwd_as_glm, glm_gsc_params)
 from .newton import (IterRecord, SolveOptions, SolveResult, existence_check,
                      linesearch_step, minimize)
 from .prox import ProxSpec, project_simplex, prox_apply, scaled_prox_subproblem

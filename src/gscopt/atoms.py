@@ -53,10 +53,6 @@ def atom_eval(atom: LossAtom, t, order: int = 0):
     return out
 
 
-def atom_params(atom: LossAtom) -> GscParams:
-    return atom.params
-
-
 # ---------------------------------------------------------------------------
 # Atom constructors
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .quasi_newton import minimize_qn
 
 _NU_TO_CHOICE = {"2": "force_2", "3": "force_3", "native": "native"}
 _STEP_TO_RULE = {"analytic": "analytic", "linesearch": "linesearch_floor",
-                 "full": "full", "auto": "auto"}
+                 "full": "full"}
 
 
 def _parse_synthetic(spec: str) -> dict:

@@ -9,9 +9,11 @@ full-step (quadratic) phase.
 
 Branch conventions: nu == 2 is the exponential regime, nu > 2 the
 (1 - tau)-power regime with domain tau < 1.  All four 0/0 formulas use a
-4-term Taylor series for |tau| < 1e-4 to avoid cancellation; elsewhere the
+4-term Taylor series for small tau to avoid cancellation; elsewhere the
 closed forms are evaluated through expm1/log1p so the relative error stays
-near machine precision even for small tau.
+near machine precision even for small tau.  The series coefficients grow
+like c^k with c = 2/(nu-2), so the switch tests c |tau| (see _use_series):
+near nu = 2+ a 4-term series in |tau| alone is far outside its range.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
 
-# Switch point between closed forms and their Taylor series.
+# Switch point between closed forms and their Taylor series, on the scaled
+# argument max(1, 2/(nu-2)) |tau|.
 SERIES_TOL = 1e-4
 
 # Quadratic-phase entry constants printed in the source analysis.  The
@@ -72,6 +75,16 @@ def _rising(c, k):
     return out
 
 
+def _use_series(nu, tau):
+    """True where the 4-term series beats the closed form: c |tau| < SERIES_TOL.
+
+    c = max(1, 2/(nu-2)) bounds the growth rate of the series coefficients
+    (c = 1 for nu = 2); the truncation error is then O((c tau)^4).
+    """
+    c = 1.0 if nu == 2.0 else max(1.0, 2.0 / (nu - 2.0))
+    return c * abs(tau) < SERIES_TOL
+
+
 def omega(nu: float, tau: float) -> float:
     """Function-value profile: f(y) - f(x) - <grad, y-x> lies in [omega(-d), omega(d)] ||y-x||_x^2.
 
@@ -79,7 +92,7 @@ def omega(nu: float, tau: float) -> float:
     """
     _require_nu(nu)
     _check_tau_domain(nu, tau)
-    if abs(tau) < SERIES_TOL:
+    if _use_series(nu, tau):
         # sum_k a_k tau^k / ((k+1)(k+2)) with a_k the omega_bar_bar coefficients
         if nu == 2.0:
             a = [1.0, 1.0, 0.5, 1.0 / 6.0]
@@ -108,7 +121,7 @@ def omega_bar(nu: float, tau: float) -> float:
     """
     _require_nu(nu)
     _check_tau_domain(nu, tau)
-    if abs(tau) < SERIES_TOL:
+    if _use_series(nu, tau):
         if nu == 2.0:
             a = [1.0, 1.0, 0.5, 1.0 / 6.0]
         else:
@@ -142,7 +155,7 @@ def kappa_bounds(nu: float, t: float) -> tuple[float, float]:
         raise DomainError(f"kappa_bounds requires t >= 0, got {t}")
     _check_tau_domain(nu, t, name="t")
     upper = omega_bar(nu, t)
-    if t < SERIES_TOL:
+    if _use_series(nu, t):
         if nu == 2.0:
             a = [1.0, -1.0, 0.5, -1.0 / 6.0]
         else:
@@ -172,7 +185,7 @@ def r_nu(nu: float, t: float) -> float:
     if nu == 2.0:
         return (1.5 + t / 3.0) * math.exp(t)
     r = (4.0 - nu) / (nu - 2.0)
-    if t < SERIES_TOL:
+    if _use_series(nu, t):
         # psi_r(t) = sum_k [prod_{j=1}^{k+1} (r+j)] t^k / (k+2)!
         return sum(_rising(r + 1.0, k + 1) * t**k / math.factorial(k + 2) for k in range(4))
     # 1 - (1+rt)(1-t)^r = -expm1(log1p(rt) + r log1p(-t)), cancellation-free

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import kernel
+from . import kernel, linops
 from .atoms import LossAtom, neg_power
 from .errors import DomainError, ParameterError
 from .kernel import GscParams
@@ -30,23 +30,6 @@ def _row_norms(a):
     if sp.issparse(a):
         return np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
     return np.linalg.norm(a, axis=1)
-
-
-def _power_iteration_lmax(matvec, p, tol=1e-3, max_iter=500):
-    """Largest eigenvalue of a symmetric PSD operator, deterministic start."""
-    v = np.ones(p) / math.sqrt(p)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ matvec(v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        v, lam = v_new, lam_new
-    return lam
 
 
 class GlmModel:
@@ -79,17 +62,24 @@ class GlmModel:
     def _z(self, x):
         return (self.a @ x) + self.b
 
-    def check_domain(self, x):
+    def _margins(self, x):
+        """z = A x + b, checked against the atom's domain."""
+        z = self._z(x)
         lo, hi = self.atom.domain
         if math.isinf(lo) and math.isinf(hi):
-            return
-        z = self._z(x)
+            return z
         bad = np.flatnonzero((z <= lo) | (z >= hi))
         if bad.size:
             raise DomainError(
                 f"row {bad[0]}: margin {z[bad[0]]} outside atom domain ({lo}, {hi})",
                 row=int(bad[0]),
             )
+        return z
+
+    def check_domain(self, x):
+        lo, hi = self.atom.domain
+        if not (math.isinf(lo) and math.isinf(hi)):
+            self._margins(x)
 
     def feasible(self, x):
         lo, hi = self.atom.domain
@@ -100,26 +90,23 @@ class GlmModel:
 
     # -- oracle ------------------------------------------------------------
     def value(self, x):
-        self.check_domain(x)
-        z = self._z(x)
+        z = self._margins(x)
         quad = 0.5 * float(x @ (self.q_diag * x)) + float(self.c @ x)
         return float(self.w @ self.atom._derivs[0](z)) + quad
 
     def grad(self, x):
-        self.check_domain(x)
-        z = self._z(x)
+        z = self._margins(x)
         g = self.a.T @ (self.w * self.atom._derivs[1](z))
         return np.asarray(g).ravel() + self.q_diag * x + self.c
 
     def _d2w(self, x):
-        return self.w * self.atom._derivs[2](self._z(x))
+        return self.w * self.atom._derivs[2](self._margins(x))
 
     def hessian(self, x):
         if self.dim > self.p_dense:
             raise ParameterError(
                 f"dense Hessian disabled for p={self.dim} > p_dense={self.p_dense}; use hvp"
             )
-        self.check_domain(x)
         d = self._d2w(x)
         if sp.issparse(self.a):
             h = (self.a.multiply(d[:, None])).T @ self.a
@@ -130,7 +117,6 @@ class GlmModel:
         return h
 
     def hvp(self, x, v):
-        self.check_domain(x)
         d = self._d2w(x)
         av = self.a @ v
         out = self.a.T @ (d * av)
@@ -154,9 +140,9 @@ class GlmModel:
         mu = self.lambda_min_q()
         if math.isinf(self.atom.d2_sup):
             return mu, math.inf
-        lmax = _power_iteration_lmax(
-            lambda v: np.asarray(self.a.T @ (self.w * (self.a @ v))).ravel(), self.dim,
-            tol=1e-8, max_iter=5000,
+        lmax = linops.largest_eigenvalue(
+            lambda v: np.asarray(self.a.T @ (self.w * (self.a @ v))).ravel(),
+            dim=self.dim, tol=1e-8, max_iter=5000,
         )
         return mu, self.atom.d2_sup * lmax * 1.001 + float(self.q_diag.max())
 
@@ -252,33 +238,34 @@ class PortfolioModel:
     def _z(self, x):
         return self.w_mat @ x
 
-    def check_domain(self, x):
+    def _margins(self, x):
+        """z = W x, checked to be positive."""
         z = self._z(x)
         bad = np.flatnonzero(z <= 0.0)
         if bad.size:
             raise DomainError(
                 f"row {bad[0]}: nonpositive portfolio return {z[bad[0]]}", row=int(bad[0])
             )
+        return z
+
+    def check_domain(self, x):
+        self._margins(x)
 
     def feasible(self, x):
         return bool(np.all(self._z(x) > 0.0))
 
     def value(self, x):
-        self.check_domain(x)
-        return -float(np.sum(np.log(self._z(x))))
+        return -float(np.sum(np.log(self._margins(x))))
 
     def grad(self, x):
-        self.check_domain(x)
-        return -(self.w_mat.T @ (1.0 / self._z(x)))
+        return -(self.w_mat.T @ (1.0 / self._margins(x)))
 
     def hessian(self, x):
-        self.check_domain(x)
-        inv = 1.0 / self._z(x)
+        inv = 1.0 / self._margins(x)
         return self.w_mat.T @ (inv[:, None] ** 2 * self.w_mat)
 
     def hvp(self, x, v):
-        self.check_domain(x)
-        inv2 = self._z(x) ** -2
+        inv2 = self._margins(x) ** -2
         return self.w_mat.T @ (inv2 * (self.w_mat @ v))
 
     @property
@@ -326,22 +313,6 @@ def dwd_as_glm(model: DwdModel, p_dense=P_DENSE_DEFAULT) -> GlmModel:
     q_diag = np.concatenate([np.full(p, g1), [g2], np.full(n, g3)])
     c_ext = np.concatenate([np.zeros(p + 1), np.asarray(model.c, dtype=float).ravel()])
     return GlmModel(a_ext, neg_power(model.q), q_diag=q_diag, c=c_ext, p_dense=p_dense)
-
-
-def oracle(model, x, request: str, v=None):
-    """Uniform oracle dispatch: request in {value, gradient, hessian, hvp}."""
-    x = np.asarray(x, dtype=float)
-    if request == "value":
-        return model.value(x)
-    if request == "gradient":
-        return model.grad(x)
-    if request == "hessian":
-        return model.hessian(x)
-    if request == "hvp":
-        if v is None:
-            raise ParameterError("hvp request needs a direction v")
-        return model.hvp(x, np.asarray(v, dtype=float))
-    raise ParameterError(f"unknown oracle request {request!r}")
 
 
 def third_directional(model, x, v, u, h=None):

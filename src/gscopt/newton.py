@@ -27,7 +27,7 @@ MAX_HALVINGS = 60
 @dataclass
 class SolveOptions:
     nu_choice: str = "native"          # native | force_2 | force_3
-    step_rule: str = "analytic"        # analytic | linesearch_floor | full | auto
+    step_rule: str = "analytic"        # analytic | linesearch_floor | full | exact (BFGS only)
     eps: float = 1e-8
     max_iter: int = 500
     phase2: str = "heuristic_tau"      # heuristic_tau | strict_theorem | off
@@ -43,7 +43,7 @@ class SolveOptions:
             raise ParameterError("eps must be positive")
         if not (0.0 < self.armijo_c1 < 1.0):
             raise ParameterError("armijo_c1 must lie in (0, 1)")
-        if self.step_rule not in ("analytic", "linesearch_floor", "full", "auto", "exact"):
+        if self.step_rule not in ("analytic", "linesearch_floor", "full", "exact"):
             raise ParameterError(f"unknown step_rule {self.step_rule!r}")
         if self.phase2 not in ("heuristic_tau", "strict_theorem", "off"):
             raise ParameterError(f"unknown phase2 mode {self.phase2!r}")
@@ -139,82 +139,62 @@ def _feasible(model, x):
     return check(x)
 
 
-def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:
-    """Newton iteration with analytic damped steps and an optional full-step phase.
+def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
+                   objective, solver: str, relative_stop: bool):
+    """The damped/full-step loop behind minimize and minimize_composite.
 
-    Terminates when the decrement satisfies lambda_k <= eps max(1, lambda_0)
-    or at max_iter; the gradient-norm criterion
-    ||grad f|| <= eps max(1, ||grad f(x0)||) is tracked separately.
+    direction(x, grad, H) -> (n, lam) supplies the step and its decrement:
+    the Newton system, or the scaled-prox subproblem.  H is the dense
+    Hessian, or an hvp closure when the model has none or inner_method is
+    "cg".  objective is what the trace records (f, or f + g); solver picks
+    the phase-2 constants ("newton" | "prox_newton"); the loop stops at
+    lam <= eps max(1, lam_0) when relative_stop, else at lam <= eps.
+    Oracle order: value at the start; per iterate grad, hessian | hvp...,
+    then per step taken feasible... and value; one grad after the loop.
+    Returns the result and that closing gradient.
     """
-    opts = opts or SolveOptions()
-    if opts.step_rule == "exact":
-        raise ParameterError("step_rule 'exact' is only meaningful for minimize_qn")
-    params = resolve_params(model, opts.nu_choice)
     nu, m = params.nu, params.m
-    x = np.asarray(x0, dtype=float).copy()
-    model.check_domain(x)
-
     threshold = None
     if opts.phase2 == "strict_theorem":
-        threshold = kernel.phase2_threshold(nu, "newton")
+        threshold = kernel.phase2_threshold(nu, solver)
 
     t0 = time.perf_counter()
     trace: list[IterRecord] = []
     nfval = 0
-    g0_norm = None
-    lam0 = None
-    warm = None
+    stop = None
     in_full_phase = False
     status = "max_iter"
-    f_x = model.value(x)
+    f_x = objective(x)
 
     for k in range(opts.max_iter + 1):
         g = model.grad(x)
         gnorm = float(np.linalg.norm(g))
-        if g0_norm is None:
-            g0_norm = gnorm
-
         if model.has_dense_hessian and opts.inner_method != "cg":
             h = model.hessian(x)
         else:
             h = lambda v, _x=x.copy(): model.hvp(_x, v)
-        direction = linops.newton_direction(
-            linops.NewtonSystem(h, g),
-            method=opts.inner_method,
-            tol=opts.inner_tol,
-            max_iter=opts.inner_max_iter,
-            warm_start=warm,
-        )
-        n, lam = direction.n, direction.lam
-        warm = n
-        if lam0 is None:
-            lam0 = lam
+        n, lam = direction(x, g, h)
+        if stop is None:
+            stop = opts.eps * max(1.0, lam) if relative_stop else opts.eps
 
         beta = m * float(np.linalg.norm(n))
         tau_an, d_k = kernel.step_size(nu, m, lam, beta)
         cum = (time.perf_counter() - t0) if opts.record_time else 0.0
+        head = (k, f_x, gnorm, lam, beta, d_k)
 
-        if lam <= opts.eps * max(1.0, lam0):
-            trace.append(IterRecord(k, f_x, gnorm, lam, beta, d_k, 1.0,
-                                    "full" if in_full_phase else "damped", cum))
-            status = "converged"
-            break
-        if k == opts.max_iter:
-            trace.append(IterRecord(k, f_x, gnorm, lam, beta, d_k, 1.0,
-                                    "full" if in_full_phase else "damped", cum))
-            status = "max_iter"
+        if lam <= stop or k == opts.max_iter:
+            trace.append(IterRecord(*head, 1.0, "full" if in_full_phase else "damped", cum))
+            status = "converged" if lam <= stop else "max_iter"
             break
 
         # phase-2 entry
         if not in_full_phase and opts.phase2 == "strict_theorem":
             sigma = None
             if nu < 3.0:
-                est = linops.smallest_eigenvalue(h, dim=x.size) if callable(h) \
-                    else linops.smallest_eigenvalue(h)
+                est = linops.smallest_eigenvalue(h, dim=x.size)
                 sigma = est.value if est.converged else None
             try:
-                if lam < threshold.entry_lambda_max(m, sigma):
-                    in_full_phase = True
+                in_full_phase = lam < threshold.entry_lambda_max(m, sigma)
             except ParameterError:
                 pass
         if not in_full_phase and opts.phase2 == "heuristic_tau" \
@@ -226,7 +206,7 @@ def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:
         elif opts.step_rule == "linesearch_floor":
             ls = linesearch_step(model, x, n, tau_an, opts.armijo_c1, f0=f_x, g0=g)
             tau, nfval = ls.tau, nfval + ls.nfval
-        else:  # analytic / auto
+        else:  # analytic
             tau = tau_an
 
         # numerical domain guard: theory keeps analytic steps feasible, but
@@ -236,21 +216,49 @@ def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:
                 break
             tau *= 0.5
         else:
-            trace.append(IterRecord(k, f_x, gnorm, lam, beta, d_k, tau, "damped", cum))
+            trace.append(IterRecord(*head, tau, "damped", cum))
             status = "domain_error"
             break
 
-        phase = "full" if tau == 1.0 else "damped"
-        trace.append(IterRecord(k, f_x, gnorm, lam, beta, d_k, tau, phase, cum))
+        trace.append(IterRecord(*head, tau, "full" if tau == 1.0 else "damped", cum))
         x = x + tau * n
-        f_x = model.value(x)
+        f_x = objective(x)
         nfval += 1
 
-    grad_ok = float(np.linalg.norm(model.grad(x))) <= opts.eps * max(1.0, g0_norm)
-    return SolveResult(
-        x=x, trace=trace, status=status, params=params,
-        iterations=max(len(trace) - 1, 0), grad_criterion_met=grad_ok, nfval=nfval,
-    )
+    result = SolveResult(x=x, trace=trace, status=status, params=params,
+                         iterations=max(len(trace) - 1, 0), nfval=nfval)
+    return result, model.grad(x)
+
+
+def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:
+    """Newton iteration with analytic damped steps and an optional full-step phase.
+
+    Terminates when the decrement satisfies lambda_k <= eps max(1, lambda_0)
+    or at max_iter; the gradient-norm criterion
+    ||grad f|| <= eps max(1, ||grad f(x0)||) is tracked separately.
+    """
+    opts = opts or SolveOptions()
+    if opts.step_rule == "exact":
+        raise ParameterError("step_rule 'exact' is only meaningful for minimize_qn")
+    params = resolve_params(model, opts.nu_choice)
+    x = np.asarray(x0, dtype=float).copy()
+    model.check_domain(x)
+    warm = None
+
+    def direction(x, g, h):
+        nonlocal warm
+        d = linops.newton_direction(
+            linops.NewtonSystem(h, g), method=opts.inner_method, tol=opts.inner_tol,
+            max_iter=opts.inner_max_iter, warm_start=warm,
+        )
+        warm = d.n
+        return d.n, d.lam
+
+    result, g = _damped_newton(model, x, opts, params, direction, model.value,
+                               "newton", relative_stop=True)
+    g0_norm = result.trace[0].grad_norm
+    result.grad_criterion_met = float(np.linalg.norm(g)) <= opts.eps * max(1.0, g0_norm)
+    return result
 
 
 @dataclass
@@ -286,7 +294,6 @@ def existence_check(model, x) -> ExistenceCheck:
         return ExistenceCheck(True, lam, math.inf)
     if nu == 3.0:
         return ExistenceCheck(lam < 2.0 / m, lam, 2.0 / m)
-    est = linops.smallest_eigenvalue(h, dim=x.size) if callable(h) else linops.smallest_eigenvalue(h)
-    sigma = est.value
+    sigma = linops.smallest_eigenvalue(h, dim=x.size).value
     rhs = 2.0 * sigma ** ((3.0 - nu) / 2.0) / ((4.0 - nu) * m)
     return ExistenceCheck(lam < rhs, lam, rhs, sigma)

@@ -1,9 +1,9 @@
 """Proximal Newton method for composite objectives F = f + g with GSC smooth part.
 
 Each outer iteration solves the scaled-prox subproblem at the current
-Hessian, measures the proximal Newton decrement in the local metric, and
-takes the same analytic damped step as the smooth solver; full steps enter
-per the proximal-Newton phase-2 constants.  The damped update
+Hessian and measures the proximal Newton decrement in the local metric;
+the smooth solver's damped/full-step loop (newton._damped_newton) takes
+the step, with the proximal-Newton phase-2 constants.  The damped update
 x+ = (1 - tau) x + tau z keeps iterates feasible whenever x and z are,
 and a halving guard covers the remaining boundary cases.
 """
@@ -11,15 +11,13 @@ and a halving guard covers the remaining boundary cases.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel, linops
+from . import linops
 from .errors import DomainError, ParameterError
-from .newton import (IterRecord, MAX_HALVINGS, SolveOptions, SolveResult,
-                     _feasible, resolve_params)
+from .newton import SolveOptions, SolveResult, _damped_newton, resolve_params
 from .prox import ProxSpec, prox_residual, scaled_prox_subproblem
 
 
@@ -45,42 +43,24 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
     Terminates at lambda_k <= eps (proximal Newton decrement) or max_iter.
     The inner subproblem tolerance follows min(0.1, lambda_{k-1}^2) with a
     1e-12 floor, so early iterations are cheap and the quadratic tail is
-    not polluted by inexact inner solves.
+    not polluted by inexact inner solves.  Step rules: "analytic" or "full".
     """
     opts = opts or SolveOptions()
+    if opts.step_rule not in ("analytic", "full"):
+        raise ParameterError(f"step_rule {opts.step_rule!r} is not supported by minimize_composite")
     model, gspec = problem.model, problem.g
     params = resolve_params(model, opts.nu_choice)
-    nu, m = params.nu, params.m
-    x = problem.x0.copy()
+    lam_prev, l_h = math.inf, None
 
-    threshold = None
-    if opts.phase2 == "strict_theorem":
-        threshold = kernel.phase2_threshold(nu, "prox_newton")
-
-    t0 = time.perf_counter()
-    trace: list[IterRecord] = []
-    in_full_phase = False
-    status = "max_iter"
-    lam_prev = math.inf
-    f_x = problem.objective(x)
-    l_h = None
-
-    for k in range(opts.max_iter + 1):
-        grad = model.grad(x)
-        gnorm = float(np.linalg.norm(grad))
-        if model.has_dense_hessian:
-            h = model.hessian(x)
-        else:
-            h = lambda v, _x=x.copy(): model.hvp(_x, v)
+    def direction(x, grad, h):
+        nonlocal lam_prev, l_h
         l_h = linops.largest_eigenvalue(h, dim=x.size)
-
         if gspec.kind == "zero":
             # the subproblem is exactly the Newton system; solve it directly
-            direction = linops.newton_direction(
+            n = linops.newton_direction(
                 linops.NewtonSystem(h, grad), method=opts.inner_method,
                 tol=opts.inner_tol, max_iter=opts.inner_max_iter,
-            )
-            n = direction.n
+            ).n
             lam = linops.local_norm(h, n)
         else:
             inner_tol = max(1e-12, min(0.1, lam_prev * lam_prev))
@@ -95,60 +75,14 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
                 z = scaled_prox_subproblem(h, grad, x, gspec, tol=inner_tol, l_h=l_h)
                 n = z - x
                 lam = linops.local_norm(h, n)
-        beta = m * float(np.linalg.norm(n))
-        tau_an, d_k = kernel.step_size(nu, m, lam, beta)
-        cum = (time.perf_counter() - t0) if opts.record_time else 0.0
-
-        if lam <= opts.eps:
-            trace.append(IterRecord(k, f_x, gnorm, lam, beta, d_k, 1.0,
-                                    "full" if in_full_phase else "damped", cum))
-            status = "converged"
-            break
-        if k == opts.max_iter:
-            trace.append(IterRecord(k, f_x, gnorm, lam, beta, d_k, 1.0,
-                                    "full" if in_full_phase else "damped", cum))
-            status = "max_iter"
-            break
-
-        if not in_full_phase and opts.phase2 == "strict_theorem":
-            sigma = None
-            if nu < 3.0:
-                est = linops.smallest_eigenvalue(h, dim=x.size) if callable(h) \
-                    else linops.smallest_eigenvalue(h)
-                sigma = est.value if est.converged else None
-            try:
-                if lam < threshold.entry_lambda_max(m, sigma):
-                    in_full_phase = True
-            except ParameterError:
-                pass
-        if not in_full_phase and opts.phase2 == "heuristic_tau" \
-                and opts.step_rule != "full" and tau_an >= opts.phase2_tau_threshold:
-            in_full_phase = True
-
-        tau = 1.0 if (in_full_phase or opts.step_rule == "full") else tau_an
-
-        for _ in range(MAX_HALVINGS):
-            if _feasible(model, x + tau * n):
-                break
-            tau *= 0.5
-        else:
-            trace.append(IterRecord(k, f_x, gnorm, lam, beta, d_k, tau, "damped", cum))
-            status = "domain_error"
-            break
-
-        phase = "full" if tau == 1.0 else "damped"
-        trace.append(IterRecord(k, f_x, gnorm, lam, beta, d_k, tau, phase, cum))
-        x = x + tau * n
-        f_x = problem.objective(x)
         lam_prev = lam
+        return n, lam
 
+    result, grad = _damped_newton(model, problem.x0.copy(), opts, params, direction,
+                                  problem.objective, "prox_newton", relative_stop=False)
     # optimality certificate: composite gradient mapping at step 1/L
     cert = math.nan
     if l_h and l_h > 0.0:
-        s = 1.0 / l_h
-        cert = prox_residual(gspec, x, model.grad(x), s)
-    return SolveResult(
-        x=x, trace=trace, status=status, params=params,
-        iterations=max(len(trace) - 1, 0),
-        extra={"prox_certificate": cert},
-    )
+        cert = prox_residual(gspec, result.x, grad, 1.0 / l_h)
+    result.extra["prox_certificate"] = cert
+    return result

@@ -105,11 +105,11 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     """Quasi-Newton iteration x+ = x - tau B grad f with BFGS updates.
 
     h0 seeds the Hessian approximation (default: identity scaled by
-    ||grad f(x0)|| / max(1, ||x0||)).  step_rule "full" takes tau computed
-    by the analytic rule with the surrogate decrement; "linesearch_floor"
-    and "analytic"/"auto" run the floored Armijo search described in the
-    module docstring.  An "exact" rule (one-dimensional Newton step along
-    the direction; exact on quadratics) is accepted as well.
+    ||grad f(x0)|| / max(1, ||x0||)).  Every step_rule except "exact",
+    "full" included, runs the floored Armijo search described in the module
+    docstring, with the analytic step of the surrogate decrement as floor.
+    "exact" takes the one-dimensional Newton step along the direction
+    (exact on quadratics).
     Terminates on ||grad f|| <= eps max(1, ||grad f(x0)||).
 
     callback(k, x, state) is called once per iterate, before its step.  The

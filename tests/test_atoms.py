@@ -36,7 +36,7 @@ def test_neg_power_values():
     assert atoms.atom_eval(npw, 2.0, 0) == 0.5
     assert atoms.atom_eval(npw, 2.0, 2) == 0.25
     assert atoms.atom_eval(npw, 2.0, 3) == -0.375
-    p = atoms.atom_params(npw)
+    p = npw.params
     assert p.m == pytest.approx(3.0 / 2.0 ** (1.0 / 3.0), rel=1e-14)  # ~2.38110
     assert p.nu == pytest.approx(8.0 / 3.0)
 

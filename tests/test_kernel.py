@@ -119,16 +119,48 @@ def test_monotone_and_nonnegative(nu):
 @pytest.mark.parametrize("nu", NUS)
 def test_series_switch_agreement(nu):
     eps = 1e-11
+    # the switch sits at c |tau| = SERIES_TOL, c = max(1, 2/(nu-2)) (1 for nu = 2)
+    t_sw = kernel.SERIES_TOL / (1.0 if nu == 2.0 else max(1.0, 2.0 / (nu - 2.0)))
     for fn in (kernel.omega, kernel.omega_bar):
         for sign in (1.0, -1.0):
-            above = fn(nu, sign * (1e-4 + eps))
-            below = fn(nu, sign * (1e-4 - eps))
+            above = fn(nu, sign * (t_sw + eps))
+            below = fn(nu, sign * (t_sw - eps))
             assert abs(above - below) <= 1e-10 * (1.0 + abs(above))
-    lo_a, hi_a = kernel.kappa_bounds(nu, 1e-4 + eps)
-    lo_b, hi_b = kernel.kappa_bounds(nu, 1e-4 - eps)
+    lo_a, hi_a = kernel.kappa_bounds(nu, t_sw + eps)
+    lo_b, hi_b = kernel.kappa_bounds(nu, t_sw - eps)
     assert abs(lo_a - lo_b) <= 1e-10 and abs(hi_a - hi_b) <= 1e-10
     if nu <= 3.0:
-        assert abs(kernel.r_nu(nu, 1e-4 + eps) - kernel.r_nu(nu, 1e-4 - eps)) <= 1e-9
+        assert abs(kernel.r_nu(nu, t_sw + eps) - kernel.r_nu(nu, t_sw - eps)) <= 1e-9
+
+
+def _mp_profiles(nu, t):
+    """60-digit omega, omega_bar, lower kappa bound and r_nu, nu in (2, 3), c != 1, 2."""
+    with mpmath.workdps(60):
+        nu, t = mpmath.mpf(nu), mpmath.mpf(t)
+        c = 2 / (nu - 2)
+        om = (((1 - t) ** (2 - c) - 1) / ((c - 2) * t) - 1) / ((c - 1) * t)
+        ob = ((1 - t) ** (1 - c) - 1) / ((c - 1) * t)
+        lo = (1 - (1 - t) ** (c + 1)) / ((c + 1) * t)
+        r = c - 1
+        rn = (1 - (1 + r * t) * (1 - t) ** r) / (r * t**2 * (1 - t) ** r)
+        return [float(v) for v in (om, ob, lo, rn)]
+
+
+@pytest.mark.parametrize("nu,t", [
+    (2.0001, 9e-5), (2.0001, -9e-5), (2.0001, 1e-6), (2.0001, 2e-8),
+    (2.0000000000000004, 2.44e-16), (2.0000000000000004, -2.44e-16),
+    (2.0000000000000004, 2e-20),
+    (2.001, 9e-5), (2.001, -9e-5), (2.001, 1e-6), (2.001, 2e-8),
+])
+def test_small_tau_near_nu_two_matches_mpmath(nu, t):
+    # series coefficients grow like (2/(nu-2))^k: near nu = 2+ the series
+    # must give way to the closed forms already at tiny |tau|
+    om, ob, lo, rn = _mp_profiles(nu, t)
+    assert kernel.omega(nu, t) == pytest.approx(om, rel=1e-12)
+    assert kernel.omega_bar(nu, t) == pytest.approx(ob, rel=1e-12)
+    if t > 0.0:
+        assert kernel.kappa_bounds(nu, t)[0] == pytest.approx(lo, rel=1e-12)
+        assert kernel.r_nu(nu, t) == pytest.approx(rn, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -32,20 +32,6 @@ def test_glm_hand_values():
     assert np.allclose(gm.hvp(x, np.zeros(2)), 0.0)
 
 
-def test_oracle_dispatch():
-    gm = unit_row_logistic()
-    x = np.zeros(gm.dim)
-    assert models.oracle(gm, x, "value") == pytest.approx(gm.value(x))
-    assert np.allclose(models.oracle(gm, x, "gradient"), gm.grad(x))
-    assert np.allclose(models.oracle(gm, x, "hessian"), gm.hessian(x))
-    v = np.ones(gm.dim)
-    assert np.allclose(models.oracle(gm, x, "hvp", v=v), gm.hvp(x, v))
-    with pytest.raises(ParameterError):
-        models.oracle(gm, x, "hvp")
-    with pytest.raises(ParameterError):
-        models.oracle(gm, x, "jacobian")
-
-
 @pytest.mark.parametrize("make", [
     lambda: unit_row_logistic(),
     lambda: models.PortfolioModel(bench_io.gen_portfolio(30, 6, seed=3)),

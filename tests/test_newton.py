@@ -152,6 +152,11 @@ def test_nu_choice_resolution_errors():
         models.GlmModel(np.eye(3), atoms.entropy(), b=np.full(3, 2.0))
 
 
+def test_auto_step_rule_removed():
+    with pytest.raises(ParameterError):
+        SolveOptions(step_rule="auto")
+
+
 def test_grad_criterion_reported():
     model = reg_logistic(n=300, p=20)
     res = minimize(model, np.zeros(model.dim), SolveOptions(eps=1e-8, record_time=False))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gscopt import atoms, bench_io, linops, models
-from gscopt.errors import DomainError
+from gscopt.errors import DomainError, ParameterError
 from gscopt.newton import SolveOptions, minimize
 from gscopt.prox import ProxSpec, project_simplex, prox_apply, prox_residual
 from gscopt.prox_newton import CompositeProblem, minimize_composite
@@ -139,3 +139,27 @@ def test_box_constrained_glm():
     assert np.all(res.x >= -0.2 - 1e-12) and np.all(res.x <= 0.2 + 1e-12)
     # some coordinate ends up clamped for this instance
     assert np.any(np.isclose(np.abs(res.x), 0.2, atol=1e-9))
+
+@pytest.mark.parametrize("rule", ["linesearch_floor", "exact"])
+def test_unsupported_step_rules_raise(rule):
+    port = portfolio_toy()
+    prob = CompositeProblem(port, ProxSpec("simplex"), np.full(port.dim, 1.0 / port.dim))
+    with pytest.raises(ParameterError):
+        minimize_composite(prob, SolveOptions(step_rule=rule, record_time=False))
+
+
+class _HvpOnlyPortfolio(models.PortfolioModel):
+    def hessian(self, x):
+        raise AssertionError("inner_method='cg' must build H from hvp")
+
+
+def test_cg_inner_method_uses_hvp():
+    w = bench_io.gen_portfolio(50, 10, seed=7)
+    x0 = np.full(10, 0.1)
+    opts = dict(eps=1e-9, record_time=False)
+    ref = minimize_composite(CompositeProblem(models.PortfolioModel(w), ProxSpec("simplex"), x0),
+                             SolveOptions(**opts))
+    res = minimize_composite(CompositeProblem(_HvpOnlyPortfolio(w), ProxSpec("simplex"), x0),
+                             SolveOptions(inner_method="cg", **opts))
+    assert res.status == "converged" and res.iterations == ref.iterations
+    assert res.trace[-1].f == pytest.approx(ref.trace[-1].f, rel=1e-12)
