@@ -14,6 +14,8 @@ closed forms are evaluated through expm1/log1p so the relative error stays
 near machine precision even for small tau.  The series coefficients grow
 like c^k with c = 2/(nu-2), so the switch tests c |tau| (see _use_series):
 near nu = 2+ a 4-term series in |tau| alone is far outside its range.
+Where e^tau, (1 - tau)^k or tau^2 alone leaves the float range, the value
+is taken in log space, and a value beyond the float range is math.inf.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .errors import DomainError, ParameterError
 # Switch point between closed forms and their Taylor series, on the scaled
 # argument max(1, 2/(nu-2)) |tau|.
 SERIES_TOL = 1e-4
+
+# log of the largest float: math.exp overflows above it
+_LOG_MAX = math.log(1.7976931348623157e308)
 
 # Quadratic-phase entry constants printed in the source analysis.  The
 # solvers use these values; phase2_threshold additionally exposes the root
@@ -75,6 +80,22 @@ def _rising(c, k):
     return out
 
 
+def _exp(t):
+    """math.exp, with math.inf where the result exceeds the float range."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
+def _over_square(num, tau):
+    """num / tau**2, also where tau**2 alone leaves the float range (|tau| > 1e154)."""
+    try:
+        return num / tau**2
+    except OverflowError:
+        return num / tau / tau
+
+
 def _use_series(nu, tau):
     """True where the 4-term series beats the closed form: c |tau| < SERIES_TOL.
 
@@ -101,15 +122,25 @@ def omega(nu: float, tau: float) -> float:
             a = [_rising(c, k) / math.factorial(k) for k in range(4)]
         return sum(a[k] * tau**k / ((k + 1) * (k + 2)) for k in range(4))
     if nu == 2.0:
-        return (math.expm1(tau) - tau) / tau**2
+        if tau > _LOG_MAX:
+            # e^tau / tau^2 in log space: e^tau alone leaves the float range
+            return _exp(tau - 2.0 * math.log(tau))
+        return _over_square(math.expm1(tau) - tau, tau)
     if nu == 3.0:
-        return -(tau + math.log1p(-tau)) / tau**2
+        return _over_square(-(tau + math.log1p(-tau)), tau)
     if nu == 4.0:
-        return ((1.0 - tau) * math.log1p(-tau) + tau) / tau**2
+        return _over_square((1.0 - tau) * math.log1p(-tau) + tau, tau)
     # generic nu in (2,3) u (3,4) u (4,inf): ((nu-2)/(nu-4)) (1/tau) [1 - w],
     # w = ((nu-2)/(2(nu-3) tau)) (1 - (1-tau)^(2(nu-3)/(nu-2)))
     kappa_exp = 2.0 * (nu - 3.0) / (nu - 2.0)
-    v = -math.expm1(kappa_exp * math.log1p(-tau))
+    t = kappa_exp * math.log1p(-tau)
+    if t > _LOG_MAX:
+        # (1-tau)^kappa_exp leaves the float range (nu < 3 with tau near 1, or
+        # nu > 4 with tau near -inf): take the w term in log space,
+        # (nu-2)^2 / (2 (nu-3)(nu-4)) (1-tau)^kappa_exp / tau^2
+        c = (nu - 2.0) ** 2 / (2.0 * (nu - 3.0) * (nu - 4.0))
+        return (nu - 2.0) / (nu - 4.0) / tau + _exp(t + math.log(c) - 2.0 * math.log(abs(tau)))
+    v = -math.expm1(t)
     w = (nu - 2.0) * v / (2.0 * (nu - 3.0) * tau)
     return (nu - 2.0) / (nu - 4.0) * (1.0 - w) / tau
 
@@ -129,11 +160,17 @@ def omega_bar(nu: float, tau: float) -> float:
             a = [_rising(c, k) / math.factorial(k) for k in range(4)]
         return sum(a[k] * tau**k / (k + 1) for k in range(4))
     if nu == 2.0:
+        if tau > _LOG_MAX:
+            return _exp(tau - math.log(tau))
         return math.expm1(tau) / tau
     if nu == 4.0:
         return -math.log1p(-tau) / tau
     e = (nu - 4.0) / (nu - 2.0)
-    return (nu - 2.0) / (nu - 4.0) * (-math.expm1(e * math.log1p(-tau))) / tau
+    t = e * math.log1p(-tau)
+    if t > _LOG_MAX:
+        # nu < 4, tau near 1: (nu-2)/(4-nu) (1-tau)^e / tau in log space
+        return _exp(t + math.log((nu - 2.0) / ((4.0 - nu) * tau)))
+    return (nu - 2.0) / (nu - 4.0) * (-math.expm1(t)) / tau
 
 
 def omega_bar_bar(nu: float, tau: float) -> float:
@@ -141,8 +178,8 @@ def omega_bar_bar(nu: float, tau: float) -> float:
     _require_nu(nu)
     _check_tau_domain(nu, tau)
     if nu == 2.0:
-        return math.exp(tau)
-    return math.exp(-(2.0 / (nu - 2.0)) * math.log1p(-tau))
+        return _exp(tau)
+    return _exp(-(2.0 / (nu - 2.0)) * math.log1p(-tau))
 
 
 def kappa_bounds(nu: float, t: float) -> tuple[float, float]:
@@ -189,8 +226,12 @@ def r_nu(nu: float, t: float) -> float:
         # psi_r(t) = sum_k [prod_{j=1}^{k+1} (r+j)] t^k / (k+2)!
         return sum(_rising(r + 1.0, k + 1) * t**k / math.factorial(k + 2) for k in range(4))
     # 1 - (1+rt)(1-t)^r = -expm1(log1p(rt) + r log1p(-t)), cancellation-free
-    num = -math.expm1(math.log1p(r * t) + r * math.log1p(-t))
-    den = r * t**2 * math.exp(r * math.log1p(-t))
+    rl = r * math.log1p(-t)
+    num = -math.expm1(math.log1p(r * t) + rl)
+    if rl < -_LOG_MAX:
+        # (1-t)^r underflows: divide by it in log space
+        return num * _exp(-rl - math.log(r * t * t))
+    den = r * t**2 * math.exp(rl)
     return num / den
 
 

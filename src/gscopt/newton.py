@@ -41,6 +41,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.eps <= 0.0:
             raise ParameterError("eps must be positive")
+        if self.max_iter < 0:
+            raise ParameterError(f"max_iter must be nonnegative, got {self.max_iter}")
         if not (0.0 < self.armijo_c1 < 1.0):
             raise ParameterError("armijo_c1 must lie in (0, 1)")
         if self.step_rule not in ("analytic", "linesearch_floor", "full", "exact"):

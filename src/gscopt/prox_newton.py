@@ -43,7 +43,9 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
     Terminates at lambda_k <= eps (proximal Newton decrement) or max_iter.
     The inner subproblem tolerance follows min(0.1, lambda_{k-1}^2) with a
     1e-12 floor, so early iterations are cheap and the quadratic tail is
-    not polluted by inexact inner solves.  Step rules: "analytic" or "full".
+    not polluted by inexact inner solves (the FISTA path; the active-set
+    path for a dense H with a simplex or box g is exact at any tolerance).
+    Step rules: "analytic" or "full".
     """
     opts = opts or SolveOptions()
     if opts.step_rule not in ("analytic", "full"):

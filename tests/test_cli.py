@@ -13,6 +13,14 @@ def test_kernels_output(capsys):
     assert "1.71828182846" in out    # omega_bar(2, 1) = e - 1
 
 
+def test_kernels_overflow_prints_inf(capsys):
+    # (1 - 0.3)^(-2/0.0001) exceeds the float range
+    assert main(["kernels", "--nu", "2.0001", "--tau", "0.3"]) == 0
+    out = capsys.readouterr().out
+    assert "omega(2.0001, 0.3)         = inf" in out
+    assert "r_nu(2.0001, 0.3)          = inf" in out
+
+
 def test_fit_logistic_synthetic(tmp_path, capsys):
     out_path = str(tmp_path / "trace.csv")
     code = main(["fit-logistic", "--synthetic", "n=400,p=30", "--nu", "2",
@@ -53,6 +61,11 @@ def test_portfolio_prox_newton(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "sum=1.000000000000" in out
+
+
+def test_portfolio_prox_newton_200x20(capsys):
+    assert main(["portfolio", "--synthetic", "n=200,p=20"]) == 0
+    assert "status=converged" in capsys.readouterr().out
 
 
 def test_portfolio_first_order_solvers(capsys):

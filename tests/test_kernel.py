@@ -163,6 +163,46 @@ def test_small_tau_near_nu_two_matches_mpmath(nu, t):
         assert kernel.r_nu(nu, t) == pytest.approx(rn, rel=1e-12)
 
 
+def test_overflow_returns_inf():
+    # the closed forms leave the float range: e^800, and (1 - 0.3)^(-2/0.0001)
+    for nu, tau in [(2.0, 800.0), (2.0001, 0.3)]:
+        assert kernel.omega(nu, tau) == math.inf
+        assert kernel.omega_bar(nu, tau) == math.inf
+        assert kernel.omega_bar_bar(nu, tau) == math.inf
+        assert kernel.kappa_bounds(nu, tau)[1] == math.inf
+    assert kernel.kappa_bounds(2.0001, 0.3)[0] == pytest.approx(1.0 / 6000.5, rel=1e-4)
+    assert kernel.r_nu(2.0001, 0.3) == math.inf
+
+
+def _mp_omegas(nu, t):
+    """60-digit omega and omega_bar for any nu >= 2 from their closed forms."""
+    with mpmath.workdps(60):
+        nu, t = mpmath.mpf(nu), mpmath.mpf(t)
+        if nu == 2:
+            return float((mpmath.expm1(t) - t) / t**2), float(mpmath.expm1(t) / t)
+        if nu == 3:
+            om = -(t + mpmath.log1p(-t)) / t**2
+        else:
+            v = -mpmath.expm1(2 * (nu - 3) / (nu - 2) * mpmath.log1p(-t))
+            om = (nu - 2) / (nu - 4) * (1 - (nu - 2) * v / (2 * (nu - 3) * t)) / t
+        ob = (nu - 2) / (nu - 4) * -mpmath.expm1((nu - 4) / (nu - 2) * mpmath.log1p(-t)) / t
+        return float(om), float(ob)
+
+
+@pytest.mark.parametrize("nu,t", [
+    (2.0, 710.0), (2.0, 720.0), (2.0, -1e200), (3.0, -1e200),
+    (2.0001, 0.03), (2.01, 0.973), (5.0, -1e300), (10.0, -1e200),
+])
+def test_values_past_intermediate_overflow_match_mpmath(nu, t):
+    # e^t, (1 - t)^k or t^2 alone leaves the float range while the value is
+    # a float: it is evaluated in log space, not returned as inf or raised
+    om, ob = _mp_omegas(nu, t)
+    assert kernel.omega(nu, t) == pytest.approx(om, rel=1e-12)
+    assert kernel.omega_bar(nu, t) == pytest.approx(ob, rel=1e-12)
+    if 2.0 < nu <= 3.0 and 0.0 < t < 1.0:
+        assert kernel.r_nu(nu, t) == pytest.approx(_mp_profiles(nu, t)[3], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # d_nu, step size, descent estimate
 # ---------------------------------------------------------------------------

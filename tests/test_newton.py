@@ -157,6 +157,14 @@ def test_auto_step_rule_removed():
         SolveOptions(step_rule="auto")
 
 
+def test_negative_max_iter_rejected():
+    with pytest.raises(ParameterError):
+        SolveOptions(max_iter=-1)
+    res = minimize(models.QuadraticModel(np.eye(2), np.ones(2)), np.zeros(2),
+                   SolveOptions(max_iter=0, record_time=False))
+    assert res.status == "max_iter" and res.iterations == 0
+
+
 def test_grad_criterion_reported():
     model = reg_logistic(n=300, p=20)
     res = minimize(model, np.zeros(model.dim), SolveOptions(eps=1e-8, record_time=False))

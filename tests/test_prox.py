@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gscopt import linops
+from gscopt import linops, prox
 from gscopt.errors import ParameterError
 from gscopt.prox import (ProxSpec, project_simplex, prox_apply, prox_residual,
                          scaled_prox_subproblem)
@@ -158,3 +158,82 @@ def test_scaled_prox_nonexpansive_in_h_norm():
         lhs = math.sqrt((pu - pv) @ h @ (pu - pv))
         rhs = math.sqrt((u - v) @ np.linalg.solve(h, u - v))
         assert lhs <= rhs + 1e-8
+
+
+ACTIVE_SET_SPECS = [ProxSpec("simplex"), ProxSpec("box", lo=-0.3, hi=0.4),
+                    ProxSpec("box", lo=-math.inf, hi=0.1), ProxSpec("box", lo=-0.1, hi=math.inf),
+                    ProxSpec("box", lo=0.25, hi=0.25)]
+
+
+def _pd(rng, p):
+    base = rng.normal(size=(p, p))
+    return base @ base.T / p + np.eye(p)
+
+
+def _bound_multipliers(spec, h, grad, x, z):
+    """KKT multipliers of the bounds at z; nu is the simplex sum multiplier."""
+    gz = grad + h @ (z - x)
+    if spec.kind == "simplex":
+        at_lo, at_hi = z <= 0.0, np.zeros(z.size, dtype=bool)
+        nu = -float(np.mean(gz[~at_lo]))
+    else:
+        at_lo, at_hi = z <= spec.lo, z >= spec.hi
+        nu = 0.0
+    keep = at_lo ^ at_hi          # lo == hi fixes a coordinate: its multiplier is free
+    return np.where(at_lo, gz + nu, -(gz + nu))[keep], gz + nu
+
+
+@pytest.mark.parametrize("p", [1, 2, 6, 40])
+@pytest.mark.parametrize("spec", ACTIVE_SET_SPECS, ids=lambda s: f"{s.kind}[{s.lo},{s.hi}]")
+def test_active_set_matches_fista(p, spec):
+    # a dense H takes the active-set path; the same H as an operator runs FISTA
+    rng = np.random.default_rng(p)
+    for trial in range(6):
+        h = _pd(rng, p)
+        x = rng.normal(size=p)
+        grad = rng.normal(size=p) * (3.0 if trial % 2 else 0.3)
+        z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-12)
+        z_ref = scaled_prox_subproblem(lambda v, h=h: h @ v, grad, x, spec, tol=1e-12)
+        assert np.max(np.abs(z - z_ref)) <= 1e-9
+        assert spec.feasible(z)
+        mult, _ = _bound_multipliers(spec, h, grad, x, z)
+        assert np.all(mult >= 0.0)
+
+
+@pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:2], ids=["simplex", "box"])
+def test_active_set_vertex_and_interior_optima(spec):
+    rng = np.random.default_rng(11)
+    p = 6
+    h = _pd(rng, p)
+    x = np.full(p, 1.0 / p)
+    l_h = linops.largest_eigenvalue(h, dim=p)
+    # interior: grad puts the unconstrained minimizer strictly inside the set
+    inner = np.linspace(0.1, 0.2, p)
+    inner = inner / inner.sum() if spec.kind == "simplex" else inner - 0.15
+    z = scaled_prox_subproblem(h, -h @ (inner - x), x, spec, tol=1e-12)
+    assert prox._active_set_qp(h, -h @ (inner - x), x, spec, 1.0 / l_h) is not None
+    assert np.max(np.abs(z - inner)) <= 1e-12
+    # vertex: a steep gradient pushes every coordinate to a bound
+    grad = 1e3 * np.arange(p, dtype=float) - 2.5e3
+    z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-12)
+    if spec.kind == "simplex":
+        assert np.array_equal(z, np.eye(p)[0])
+    else:
+        assert np.array_equal(z, np.where(grad > 0.0, spec.lo, spec.hi))
+    mult, _ = _bound_multipliers(spec, h, grad, x, z)
+    assert mult.size == (p - 1 if spec.kind == "simplex" else p) and np.all(mult > 0.0)
+
+
+@pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:2], ids=["simplex", "box"])
+def test_rank_deficient_h_falls_back_to_fista(spec):
+    rng = np.random.default_rng(12)
+    p = 8
+    base = rng.normal(size=(p, 3))
+    h = base @ base.T
+    x = np.full(p, 1.0 / p)
+    grad = rng.normal(size=p)
+    l_h = linops.largest_eigenvalue(h, dim=p)
+    assert prox._active_set_qp(h, grad, x, spec, 1.0 / l_h) is None
+    z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-9, l_h=l_h)
+    assert spec.feasible(z)
+    assert prox_residual(spec, z, grad + h @ (z - x), 1.0 / l_h) <= 1e-9

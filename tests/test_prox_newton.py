@@ -163,3 +163,17 @@ def test_cg_inner_method_uses_hvp():
                              SolveOptions(inner_method="cg", **opts))
     assert res.status == "converged" and res.iterations == ref.iterations
     assert res.trace[-1].f == pytest.approx(ref.trace[-1].f, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,p", [(200, 20), (1000, 100)])
+def test_portfolio_beyond_toy_size_matches_pg_bb(n, p):
+    # FISTA stalled above its 1e-12 target on these; the active-set inner
+    # solve finishes exactly
+    port = models.PortfolioModel(bench_io.gen_portfolio(n, p, seed=0))
+    x0 = np.full(p, 1.0 / p)
+    res = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), x0),
+                             SolveOptions(record_time=False))
+    assert res.status == "converged"
+    x_ref, _ = bench_io.pg_bb(port, ProxSpec("simplex"), x0, eps=1e-10)
+    ref = port.value(x_ref)
+    assert abs(port.value(res.x) - ref) <= 1e-9 * max(1.0, abs(ref))
