@@ -46,11 +46,6 @@ def logistic_toy(n=200, p=20, seed=11, gamma=1e-5):
     return models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=gamma)
 
 
-def logistic_synthetic(n=2000, p=100, seed=42, gamma=1e-5):
-    a, labels = bench_io.gen_logistic(n, p, seed=seed)
-    return models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=gamma)
-
-
 def portfolio_toy(n=50, p=10, seed=7):
     return models.PortfolioModel(bench_io.gen_portfolio(n, p, seed=seed))
 
@@ -194,12 +189,11 @@ def bound_suite_violations(model, n_pairs=200, seed=123, d_max=0.9, slack=1e-8,
     m, nu = model.params.m, model.params.nu
     p = model.dim
     violations = 0
-    feasible = getattr(model, "feasible", lambda _: True)
     for _ in range(n_pairs):
         if base_point is not None:
             # jitter around the base point, staying inside the domain
             x = base_point + 0.05 * spread * rng.normal(size=p)
-            while not feasible(x):
+            while not models.is_feasible(model, x):
                 x = base_point + 0.05 * spread * rng.normal(size=p)
         else:
             x = spread * rng.normal(size=p)
@@ -262,7 +256,7 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Analytic descent, step ordering tau2 > tau3, and iteration contrast."""
     t0 = time.perf_counter()
-    model = logistic_synthetic()
+    model = logistic_toy(n=2000, p=100, seed=42)
     x0 = np.zeros(model.dim)
     opts2 = SolveOptions(nu_choice="force_2", eps=1e-8, phase2="off", record_time=False)
     opts3 = SolveOptions(nu_choice="force_3", eps=1e-8, phase2="off", max_iter=2000,
@@ -542,7 +536,7 @@ def criterion_10() -> CriterionResult:
             beta = model.params.m * float(np.linalg.norm(n))
             floor_tau, _ = kernel.step_size(2.0, model.params.m, direction.lam, beta)
             floor = floor_tau if use_floor else 0.0
-            ls = linesearch_step(model, x, n, floor, 1e-6)
+            ls = linesearch_step(model, x, n, floor)
             nfval_total += ls.nfval
             if use_floor and ls.tau < floor_tau - 1e-15:
                 problems.append(f"tau {ls.tau} below floor {floor_tau}")
@@ -584,7 +578,7 @@ def criterion_12() -> CriterionResult:
     problems = []
 
     def logistic_trace():
-        model = logistic_synthetic(n=400, p=40)
+        model = logistic_toy(n=400, p=40, seed=42)
         res = minimize(model, np.zeros(model.dim),
                        SolveOptions(nu_choice="force_2", record_time=False))
         return bench_io.trace_to_csv(res.trace)

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError
+from .models import is_feasible
 from .newton import IterRecord
 from .prox import ProxSpec, prox_apply
 
@@ -217,7 +218,7 @@ def pg_bb(model, prox_spec: ProxSpec, x0, eps: float = 1e-6, max_iter: int = 100
     hist = []
     for k in range(max_iter):
         x_new = prox_apply(prox_spec, x - step * g, step)
-        if not getattr(model, "feasible", lambda _: True)(x_new):
+        if not is_feasible(model, x_new):
             step *= 0.5
             continue
         hist.append((k, model.value(x_new), float(np.linalg.norm(x_new - x))))
@@ -272,7 +273,7 @@ def _segment_linesearch(model, x, d, iters=60):
         return 0.0
     t_hi = 1.0
     # keep strictly feasible for barrier-type objectives
-    while t_hi > 1e-16 and not getattr(model, "feasible", lambda _: True)(x + t_hi * d):
+    while t_hi > 1e-16 and not is_feasible(model, x + t_hi * d):
         t_hi *= 0.5
     if dphi(t_hi) <= 0.0:
         return t_hi

@@ -106,6 +106,14 @@ def _use_series(nu, tau):
     return c * abs(tau) < SERIES_TOL
 
 
+def _series_coeffs(nu: float) -> list[float]:
+    """First four Taylor coefficients a_k of omega_bar_bar(nu, tau) = sum_k a_k tau^k."""
+    if nu == 2.0:
+        return [1.0, 1.0, 0.5, 1.0 / 6.0]
+    c = 2.0 / (nu - 2.0)
+    return [_rising(c, k) / math.factorial(k) for k in range(4)]
+
+
 def omega(nu: float, tau: float) -> float:
     """Function-value profile: f(y) - f(x) - <grad, y-x> lies in [omega(-d), omega(d)] ||y-x||_x^2.
 
@@ -115,12 +123,7 @@ def omega(nu: float, tau: float) -> float:
     _check_tau_domain(nu, tau)
     if _use_series(nu, tau):
         # sum_k a_k tau^k / ((k+1)(k+2)) with a_k the omega_bar_bar coefficients
-        if nu == 2.0:
-            a = [1.0, 1.0, 0.5, 1.0 / 6.0]
-        else:
-            c = 2.0 / (nu - 2.0)
-            a = [_rising(c, k) / math.factorial(k) for k in range(4)]
-        return sum(a[k] * tau**k / ((k + 1) * (k + 2)) for k in range(4))
+        return sum(a * tau**k / ((k + 1) * (k + 2)) for k, a in enumerate(_series_coeffs(nu)))
     if nu == 2.0:
         if tau > _LOG_MAX:
             # e^tau / tau^2 in log space: e^tau alone leaves the float range
@@ -153,12 +156,7 @@ def omega_bar(nu: float, tau: float) -> float:
     _require_nu(nu)
     _check_tau_domain(nu, tau)
     if _use_series(nu, tau):
-        if nu == 2.0:
-            a = [1.0, 1.0, 0.5, 1.0 / 6.0]
-        else:
-            c = 2.0 / (nu - 2.0)
-            a = [_rising(c, k) / math.factorial(k) for k in range(4)]
-        return sum(a[k] * tau**k / (k + 1) for k in range(4))
+        return sum(a * tau**k / (k + 1) for k, a in enumerate(_series_coeffs(nu)))
     if nu == 2.0:
         if tau > _LOG_MAX:
             return _exp(tau - math.log(tau))

@@ -6,8 +6,10 @@ All models expose the same oracle surface:
     value(x), grad(x), hessian(x), hvp(x, v), dim, params,
     check_domain(x)  (raises DomainError with the violating row)
 
-The dense Hessian is assembled only for dim <= p_dense (default 2000);
-larger problems are served through hvp (conjugate-gradient path).
+and optionally feasible(x) -> bool (is_feasible treats a model without it
+as feasible everywhere).  The dense Hessian is assembled only for
+dim <= p_dense (default 2000); larger problems are served through hvp
+(conjugate-gradient path).
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .errors import DomainError, ParameterError
 from .kernel import GscParams
 
 P_DENSE_DEFAULT = 2000
+
+
+def is_feasible(model, x) -> bool:
+    """model.feasible(x), or True for a model without a feasible method."""
+    return getattr(model, "feasible", lambda _: True)(x)
 
 
 def _row_norms(a):
@@ -162,13 +169,13 @@ def glm_gsc_params(model: GlmModel, target_nu="native") -> GscParams:
         raise ParameterError(
             f"finite-sum construction requires atom nu in [2, 3], got {nu}"
         )
-    if target_nu in ("native", None):
+    if target_nu == "native":
         parts = [
             (kernel.transform_affine(model.atom.params, rn), wi)
             for rn, wi in zip(model.row_norms, model.w)
         ]
         return kernel.combine_sum(parts)
-    if target_nu in (2, 2.0, "2"):
+    if target_nu == 2:
         native = glm_gsc_params(model, "native")
         if native.nu == 2.0:
             return native
@@ -178,7 +185,7 @@ def glm_gsc_params(model: GlmModel, target_nu="native") -> GscParams:
                 f"cannot force nu=2: atom {model.atom.kind} has unbounded curvature"
             )
         return kernel.reparam(native, "lipschitz_gradient", lips)
-    if target_nu in (3, 3.0, "3"):
+    if target_nu == 3:
         if nu == 3.0:
             return glm_gsc_params(model, "native")
         lam_min = model.lambda_min_q()

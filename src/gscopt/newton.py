@@ -2,9 +2,12 @@
 
 The damped phase uses the closed-form step size from the (M, nu) certificate,
 which guarantees a computable decrease without any line search.  Phase 2
-switches to full steps, either heuristically (analytic step close to 1) or
-by checking the theorem entry radius with a smallest-eigenvalue estimate.
-A floor-augmented Armijo line search is available as an alternative step rule.
+switches to full steps, either heuristically (analytic step at least
+PHASE2_TAU_THRESHOLD) or by checking the theorem entry radius with a
+smallest-eigenvalue estimate.  A floor-augmented Armijo line search
+(sufficient-decrease constant ARMIJO_C1) is available as an alternative step
+rule.  The model's p_dense alone picks the Newton system's form: the dense
+Hessian (Cholesky) up to p_dense columns, an hvp operator (CG) beyond.
 """
 
 from __future__ import annotations
@@ -19,9 +22,13 @@ import numpy as np
 from . import kernel, linops
 from .errors import DomainError, ParameterError
 from .kernel import GscParams
-from .models import GlmModel, glm_gsc_params
+from .models import GlmModel, glm_gsc_params, is_feasible
 
 MAX_HALVINGS = 60
+#: Armijo sufficient-decrease constant of newton's and quasi_newton's line searches
+ARMIJO_C1 = 1e-6
+#: the heuristic phase-2 entry: full steps once the analytic step reaches this
+PHASE2_TAU_THRESHOLD = 0.9
 
 
 @dataclass
@@ -31,11 +38,6 @@ class SolveOptions:
     eps: float = 1e-8
     max_iter: int = 500
     phase2: str = "heuristic_tau"      # heuristic_tau | strict_theorem | off
-    phase2_tau_threshold: float = 0.9
-    armijo_c1: float = 1e-6
-    inner_method: str = "auto"         # auto | cholesky | cg
-    inner_tol: float = 1e-10
-    inner_max_iter: int | None = None
     record_time: bool = True
 
     def __post_init__(self):
@@ -43,8 +45,6 @@ class SolveOptions:
             raise ParameterError("eps must be positive")
         if self.max_iter < 0:
             raise ParameterError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise ParameterError("armijo_c1 must lie in (0, 1)")
         if self.step_rule not in ("analytic", "linesearch_floor", "full", "exact"):
             raise ParameterError(f"unknown step_rule {self.step_rule!r}")
         if self.phase2 not in ("heuristic_tau", "strict_theorem", "off"):
@@ -104,7 +104,7 @@ class LinesearchResult(NamedTuple):
     nfval: int
 
 
-def linesearch_step(model, x, n, tau_floor: float, c1: float = 1e-6,
+def linesearch_step(model, x, n, tau_floor: float, c1: float = ARMIJO_C1,
                     f0: float | None = None, g0=None) -> LinesearchResult:
     """Halving Armijo search over tau in [tau_floor, 1].
 
@@ -134,11 +134,12 @@ def linesearch_step(model, x, n, tau_floor: float, c1: float = 1e-6,
     return LinesearchResult(max(tau, tau_floor), nfval)
 
 
-def _feasible(model, x):
-    check = getattr(model, "feasible", None)
-    if check is None:
-        return True
-    return check(x)
+def _hessian(model, x):
+    """The dense Hessian at x when the model has one (dim <= p_dense), else an hvp closure."""
+    if model.has_dense_hessian:
+        return model.hessian(x)
+    x = x.copy()
+    return lambda v: model.hvp(x, v)
 
 
 def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
@@ -147,9 +148,9 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
 
     direction(x, grad, H) -> (n, lam) supplies the step and its decrement:
     the Newton system, or the scaled-prox subproblem.  H is the dense
-    Hessian, or an hvp closure when the model has none or inner_method is
-    "cg".  objective is what the trace records (f, or f + g); solver picks
-    the phase-2 constants ("newton" | "prox_newton"); the loop stops at
+    Hessian, or an hvp closure when the model has none (_hessian).
+    objective is what the trace records (f, or f + g); solver picks the
+    phase-2 constants ("newton" | "prox_newton"); the loop stops at
     lam <= eps max(1, lam_0) when relative_stop, else at lam <= eps.
     Oracle order: value at the start; per iterate grad, hessian | hvp...,
     then per step taken feasible... and value; one grad after the loop.
@@ -171,10 +172,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
     for k in range(opts.max_iter + 1):
         g = model.grad(x)
         gnorm = float(np.linalg.norm(g))
-        if model.has_dense_hessian and opts.inner_method != "cg":
-            h = model.hessian(x)
-        else:
-            h = lambda v, _x=x.copy(): model.hvp(_x, v)
+        h = _hessian(model, x)
         n, lam = direction(x, g, h)
         if stop is None:
             stop = opts.eps * max(1.0, lam) if relative_stop else opts.eps
@@ -200,13 +198,13 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
             except ParameterError:
                 pass
         if not in_full_phase and opts.phase2 == "heuristic_tau" \
-                and opts.step_rule != "full" and tau_an >= opts.phase2_tau_threshold:
+                and opts.step_rule != "full" and tau_an >= PHASE2_TAU_THRESHOLD:
             in_full_phase = True
 
         if in_full_phase or opts.step_rule == "full":
             tau = 1.0
         elif opts.step_rule == "linesearch_floor":
-            ls = linesearch_step(model, x, n, tau_an, opts.armijo_c1, f0=f_x, g0=g)
+            ls = linesearch_step(model, x, n, tau_an, f0=f_x, g0=g)
             tau, nfval = ls.tau, nfval + ls.nfval
         else:  # analytic
             tau = tau_an
@@ -214,7 +212,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
         # numerical domain guard: theory keeps analytic steps feasible, but
         # full steps on bounded domains may exit; halve until inside
         for _ in range(MAX_HALVINGS):
-            if _feasible(model, x + tau * n):
+            if is_feasible(model, x + tau * n):
                 break
             tau *= 0.5
         else:
@@ -249,10 +247,7 @@ def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:
 
     def direction(x, g, h):
         nonlocal warm
-        d = linops.newton_direction(
-            linops.NewtonSystem(h, g), method=opts.inner_method, tol=opts.inner_tol,
-            max_iter=opts.inner_max_iter, warm_start=warm,
-        )
+        d = linops.newton_direction(linops.NewtonSystem(h, g), warm_start=warm)
         warm = d.n
         return d.n, d.lam
 
@@ -283,10 +278,7 @@ def existence_check(model, x) -> ExistenceCheck:
     params = model.params
     nu, m = params.nu, params.m
     g = model.grad(x)
-    if model.has_dense_hessian:
-        h = model.hessian(x)
-    else:
-        h = lambda v: model.hvp(x, v)
+    h = _hessian(model, x)
     try:
         direction = linops.newton_direction(linops.NewtonSystem(h, g))
     except linops.NotPositiveDefiniteError:

@@ -24,6 +24,8 @@ from .errors import ParameterError, SubproblemError
 from .linops import _as_matvec, largest_eigenvalue
 
 EPS = np.finfo(float).eps
+#: iteration cap of the accelerated prox-gradient inner loop
+FISTA_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -93,15 +95,15 @@ def prox_residual(g: ProxSpec, z, grad_z, step: float) -> float:
 
 
 def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
-                           max_inner: int = 20000, l_h: float | None = None) -> np.ndarray:
+                           l_h: float | None = None) -> np.ndarray:
     """argmin_z <grad, z-x> + 1/2 (z-x)' H (z-x) + g(z).
 
     A dense H with a simplex or box g takes the primal active-set method
     (_active_set_qp), which ends at the exact minimizer in finitely many
     steps.  Every other input (an operator H, g = l1 or zero, or a free
     block of H that is not numerically positive definite) takes accelerated
-    prox-gradient with function-value restart (_fista, at most max_inner
-    iterations).
+    prox-gradient with function-value restart (_fista, at most
+    FISTA_MAX_ITER iterations).
 
     The result is checked by the composite gradient-mapping residual at
     step 1/L.  FISTA stops once it is below tol.  The active-set point is
@@ -132,7 +134,7 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
             raise SubproblemError(
                 f"active-set subproblem solution has residual {res:.3e} (target {target:.1e})",
                 residual=res)
-    return _fista(_as_matvec(h), grad, x, g, tol, max_inner, s)
+    return _fista(_as_matvec(h), grad, x, g, tol, s)
 
 
 def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
@@ -209,7 +211,7 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
         residual=res)
 
 
-def _fista(matvec, grad, x, g: ProxSpec, tol: float, max_inner: int, s: float) -> np.ndarray:
+def _fista(matvec, grad, x, g: ProxSpec, tol: float, s: float) -> np.ndarray:
     """Accelerated prox-gradient at step s until the gradient-mapping residual is <= tol.
 
     Restarts the momentum whenever the objective increases.
@@ -226,7 +228,7 @@ def _fista(matvec, grad, x, g: ProxSpec, tol: float, max_inner: int, s: float) -
     y = z.copy()
     t_m = 1.0
     f_prev = q_val(z)
-    for it in range(max_inner):
+    for it in range(FISTA_MAX_ITER):
         gz = q_grad(z)
         res = prox_residual(g, z, gz, s)
         if res <= tol:

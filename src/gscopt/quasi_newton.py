@@ -25,7 +25,7 @@ from scipy.linalg import blas
 
 from . import kernel
 from .errors import DomainError, NotPositiveDefiniteError, ParameterError
-from .newton import IterRecord, SolveOptions, SolveResult, resolve_params
+from .newton import ARMIJO_C1, IterRecord, SolveOptions, SolveResult, resolve_params
 
 CURVATURE_GUARD = 1e-12
 
@@ -167,7 +167,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
         if opts.step_rule == "exact":
             tau = _exact_quadratic_step(model, x, d, g)
         else:
-            tau, f_new = _floored_armijo(model, x, d, g, f_x, tau_floor, opts.armijo_c1)
+            tau, f_new = _floored_armijo(model, x, d, g, f_x, tau_floor)
         phase = "full" if tau >= 1.0 else "damped"
         trace.append(IterRecord(k, f_x, gnorm, lam_hat, beta, d_k, min(tau, 1.0), phase, cum))
 
@@ -186,7 +186,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     )
 
 
-def _floored_armijo(model, x, d, g, f0, tau_floor, c1):
+def _floored_armijo(model, x, d, g, f0, tau_floor):
     """Armijo halving from min(1, 2 tau_floor) with the analytic step as floor.
 
     The floor is accepted if it still decreases f; otherwise halving
@@ -202,7 +202,7 @@ def _floored_armijo(model, x, d, g, f0, tau_floor, c1):
     for _ in range(80):
         try:
             f_try = model.value(x + tau * d)
-            if f_try <= f0 + c1 * tau * slope:
+            if f_try <= f0 + ARMIJO_C1 * tau * slope:
                 return tau, f_try
             if tau <= tau_floor and f_try < f0:
                 return tau, f_try

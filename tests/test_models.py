@@ -114,6 +114,9 @@ def test_glm_gsc_params_native_and_forced():
     # atoms with nu outside [2, 3] are rejected by the finite-sum construction
     with pytest.raises(ParameterError):
         models.glm_gsc_params(models.GlmModel(gm.a, atoms.entropy(), b=np.full(gm.n, 5.0)), "native")
+    for target in (None, "2", "3"):
+        with pytest.raises(ParameterError):
+            models.glm_gsc_params(gm, target)
 
 
 def test_dwd_as_glm_construction():

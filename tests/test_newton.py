@@ -1,5 +1,6 @@
 """Damped/two-phase Newton: contracts, invariants, and reference cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,18 @@ def test_nu_choice_resolution_errors():
 def test_auto_step_rule_removed():
     with pytest.raises(ParameterError):
         SolveOptions(step_rule="auto")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("inner_method", "cg"), ("inner_tol", 1e-10), ("inner_max_iter", 100),
+    ("armijo_c1", 1e-6), ("phase2_tau_threshold", 0.9),
+])
+def test_removed_options_rejected(field, value):
+    # these are module constants now; p_dense picks Cholesky or CG
+    with pytest.raises(TypeError):
+        SolveOptions(**{field: value})
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == [
+        "nu_choice", "step_rule", "eps", "max_iter", "phase2", "record_time"]
 
 
 def test_negative_max_iter_rejected():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gscopt import atoms, bench_io, linops, models
+from gscopt import atoms, bench_io, linops, models, prox_newton
 from gscopt.errors import DomainError, ParameterError
 from gscopt.newton import SolveOptions, minimize
 from gscopt.prox import ProxSpec, project_simplex, prox_apply, prox_residual
@@ -150,19 +150,33 @@ def test_unsupported_step_rules_raise(rule):
 
 class _HvpOnlyPortfolio(models.PortfolioModel):
     def hessian(self, x):
-        raise AssertionError("inner_method='cg' must build H from hvp")
+        raise AssertionError("p_dense=0 must build H from hvp")
 
 
 def test_cg_inner_method_uses_hvp():
     w = bench_io.gen_portfolio(50, 10, seed=7)
     x0 = np.full(10, 0.1)
-    opts = dict(eps=1e-9, record_time=False)
+    opts = SolveOptions(eps=1e-9, record_time=False)
     ref = minimize_composite(CompositeProblem(models.PortfolioModel(w), ProxSpec("simplex"), x0),
-                             SolveOptions(**opts))
-    res = minimize_composite(CompositeProblem(_HvpOnlyPortfolio(w), ProxSpec("simplex"), x0),
-                             SolveOptions(inner_method="cg", **opts))
+                             opts)
+    res = minimize_composite(CompositeProblem(_HvpOnlyPortfolio(w, p_dense=0),
+                                              ProxSpec("simplex"), x0), opts)
     assert res.status == "converged" and res.iterations == ref.iterations
     assert res.trace[-1].f == pytest.approx(ref.trace[-1].f, rel=1e-12)
+
+
+def test_exact_subproblem_is_not_resolved(monkeypatch):
+    # every active-set solve of this instance has a residual below 1e-12, so
+    # a tighter re-solve could only return the same z
+    calls = []
+    solve = prox_newton.scaled_prox_subproblem
+    monkeypatch.setattr(prox_newton, "scaled_prox_subproblem",
+                        lambda *a, **k: calls.append(k["tol"]) or solve(*a, **k))
+    port = models.PortfolioModel(bench_io.gen_portfolio(1000, 5, seed=10))
+    res = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), np.full(5, 0.2)),
+                             SolveOptions(record_time=False))
+    assert res.status == "converged"
+    assert len(calls) == len(res.trace)
 
 
 @pytest.mark.parametrize("n,p", [(200, 20), (1000, 100)])
