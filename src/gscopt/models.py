@@ -170,11 +170,9 @@ def glm_gsc_params(model: GlmModel, target_nu="native") -> GscParams:
             f"finite-sum construction requires atom nu in [2, 3], got {nu}"
         )
     if target_nu == "native":
-        parts = [
-            (kernel.transform_affine(model.atom.params, rn), wi)
-            for rn, wi in zip(model.row_norms, model.w)
-        ]
-        return kernel.combine_sum(parts)
+        m_phi = model.atom.params.m
+        return GscParams(max(wi ** (1.0 - nu / 2.0) * (m_phi * rn ** (3.0 - nu))
+                             for rn, wi in zip(model.row_norms.tolist(), model.w.tolist())), nu)
     if target_nu == 2:
         native = glm_gsc_params(model, "native")
         if native.nu == 2.0:
@@ -192,10 +190,8 @@ def glm_gsc_params(model: GlmModel, target_nu="native") -> GscParams:
         if lam_min <= 0.0:
             raise ParameterError("forcing nu=3 needs lam_min(Q) > 0 or a nu=3 atom")
         scaled = (model.w * model.n) ** (1.0 - nu / 2.0) * model.atom.params.m
-        m_hat = lam_min ** ((nu - 3.0) / 2.0) * float(
-            np.max(scaled * model.row_norms ** (3.0 - nu))
-        )
-        return GscParams(m_hat, 3.0)
+        m_hat = float(np.max(scaled * model.row_norms ** (3.0 - nu)))
+        return GscParams(lam_min ** ((nu - 3.0) / 2.0) * m_hat, 3.0)
     raise ParameterError(f"unknown target_nu {target_nu!r}")
 
 

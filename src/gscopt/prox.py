@@ -6,10 +6,10 @@ quadratic model Q(z) + g(z) of a composite objective, which is the inner
 solve of the proximal Newton method.  A dense H with a simplex or box g is
 solved exactly by a primal active-set method with one Cholesky factorization
 of the free block per step: accelerated prox-gradient converges slowly on an
-ill-conditioned H and stalls at the rounding floor of its own residual.  An
-operator H, an l1 g, or an H whose free block is not numerically positive
-definite runs the accelerated proximal-gradient loop (function-value
-restart).
+ill-conditioned H.  An operator H, an l1 g, or an H whose free block is not
+numerically positive definite runs the accelerated proximal-gradient loop
+(function-value restart).  One rule, _acceptance, decides for both paths
+and for the proximal Newton re-solve whether a point solves the subproblem.
 """
 
 from __future__ import annotations
@@ -105,14 +105,10 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
     prox-gradient with function-value restart (_fista, at most
     FISTA_MAX_ITER iterations).
 
-    The result is checked by the composite gradient-mapping residual at
-    step 1/L.  FISTA stops once it is below tol.  The active-set point is
-    accepted below max(tol, 8 p eps (L ||z||_1 + ||grad Q(z)||_1 + ||grad||_1)):
-    at the exact minimizer the residual is the rounding of z - (z - grad Q(z)/L)
-    and of grad Q(z), which can exceed a small absolute tol when L and the
-    gradients are large.  Either path raises SubproblemError when its check
-    fails.  For g = zero the result matches the Newton system solve; for
-    H = I it is a single exact prox step.
+    Both paths answer to one acceptance rule (_acceptance, the gradient-mapping
+    residual at step 1/L against max(tol, its rounding floor)) and raise
+    SubproblemError when their point fails it.  For g = zero the result
+    matches the Newton system solve; for H = I it is a single exact prox step.
     """
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -120,21 +116,35 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
         l_h = largest_eigenvalue(h, dim=x.size)
     if l_h <= 0.0:
         raise ParameterError("subproblem needs a positive curvature bound")
-    s = 1.0 / l_h
     if not callable(h) and g.kind in ("simplex", "box"):
         hmat = np.asarray(h, dtype=float)
-        z = _active_set_qp(hmat, grad, x, g, s)
+        z = _active_set_qp(hmat, grad, x, g, 1.0 / l_h)
         if z is not None:
-            gz = grad + hmat @ (z - x)
-            res = prox_residual(g, z, gz, s)
-            target = max(tol, 8.0 * x.size * EPS * (
-                l_h * np.abs(z).sum() + np.abs(gz).sum() + np.abs(grad).sum()))
+            res, target = _acceptance(g, z, grad + hmat @ (z - x), grad, l_h, tol)
             if res <= target:
                 return z
             raise SubproblemError(
                 f"active-set subproblem solution has residual {res:.3e} (target {target:.1e})",
                 residual=res)
-    return _fista(_as_matvec(h), grad, x, g, tol, s)
+    return _fista(_as_matvec(h), grad, x, g, tol, l_h)
+
+
+def _acceptance(g: ProxSpec, z, gz, grad, l_h: float, tol: float) -> tuple[float, float]:
+    """(residual, target): z solves the subproblem to tol when residual <= target.
+
+    residual is the gradient mapping of z at step 1/L (gz = grad Q(z)).  The
+    target's second term is the rounding of z - (z - gz/L) and of gz at the
+    exact minimizer, which can exceed a small tol when L and gz are large.
+    """
+    res = prox_residual(g, z, gz, 1.0 / l_h)
+    return res, max(tol, 8.0 * z.size * EPS * (
+        l_h * np.abs(z).sum() + np.abs(gz).sum() + np.abs(grad).sum()))
+
+
+def subproblem_solved(h, grad, x, g: ProxSpec, z, tol: float, l_h: float) -> bool:
+    """Whether z passes scaled_prox_subproblem's acceptance test at tol."""
+    res, target = _acceptance(g, z, grad + _as_matvec(h)(z - x), grad, l_h, tol)
+    return res <= target
 
 
 def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
@@ -211,43 +221,39 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
         residual=res)
 
 
-def _fista(matvec, grad, x, g: ProxSpec, tol: float, s: float) -> np.ndarray:
-    """Accelerated prox-gradient at step s until the gradient-mapping residual is <= tol.
+def _fista(matvec, grad, x, g: ProxSpec, tol: float, l_h: float) -> np.ndarray:
+    """Accelerated prox-gradient at step 1/L until _acceptance accepts the iterate.
 
-    Restarts the momentum whenever the objective increases.
+    Restarts the momentum whenever the objective increases.  Each point
+    carries (z, grad Q(z), Q(z) + g(z)) from one H-product; the momentum
+    point y reuses its point's gradient when it has no momentum.
     """
+    s = 1.0 / l_h
 
-    def q_grad(z):
-        return grad + matvec(z - x)
-
-    def q_val(z):
+    def point(z):
         dz = z - x
-        return float(grad @ dz) + 0.5 * float(dz @ matvec(dz)) + g.value(z)
+        hdz = matvec(dz)
+        return z, grad + hdz, float(grad @ dz) + 0.5 * float(dz @ hdz) + g.value(z)
 
-    z = prox_apply(g, x - s * grad, s)
-    y = z.copy()
+    z, gz, f = point(prox_apply(g, x - s * grad, s))
+    y, gy = z.copy(), gz
     t_m = 1.0
-    f_prev = q_val(z)
-    for it in range(FISTA_MAX_ITER):
-        gz = q_grad(z)
-        res = prox_residual(g, z, gz, s)
-        if res <= tol:
+    for it in range(FISTA_MAX_ITER + 1):
+        res, target = _acceptance(g, z, gz, grad, l_h, tol)
+        if res <= target:
             return z
-        z_new = prox_apply(g, y - s * q_grad(y), s)
+        if it == FISTA_MAX_ITER:
+            raise SubproblemError(
+                f"prox subproblem stalled at residual {res:.3e} (target {target:.1e})",
+                residual=res)
+        if gy is None:
+            gy = grad + matvec(y - x)
+        z_new, gz_new, f_new = point(prox_apply(g, y - s * gy, s))
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
-        y = z_new + ((t_m - 1.0) / t_new) * (z_new - z)
-        f_new = q_val(z_new)
-        if f_new > f_prev:
+        y, gy = z_new + ((t_m - 1.0) / t_new) * (z_new - z), None
+        if f_new > f:
             # restart: drop momentum and retake a plain prox-gradient step
             t_new = 1.0
-            z_new = prox_apply(g, z - s * q_grad(z), s)
-            y = z_new.copy()
-            f_new = q_val(z_new)
-        z, t_m, f_prev = z_new, t_new, f_new
-    res = prox_residual(g, z, q_grad(z), s)
-    if res <= tol:
-        return z
-    raise SubproblemError(
-        f"prox subproblem stalled at residual {res:.3e} (target {tol:.1e})",
-        residual=res,
-    )
+            z_new, gz_new, f_new = point(prox_apply(g, z - s * gz, s))
+            y, gy = z_new.copy(), gz_new
+        z, gz, f, t_m = z_new, gz_new, f_new, t_new

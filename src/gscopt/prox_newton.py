@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .linops import _as_matvec
 from .errors import DomainError, ParameterError
 from .newton import SolveOptions, SolveResult, _damped_newton, resolve_params
-from .prox import ProxSpec, prox_residual, scaled_prox_subproblem
+from .prox import ProxSpec, prox_residual, scaled_prox_subproblem, subproblem_solved
 
 
 @dataclass
@@ -46,8 +45,9 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
     1e-12 floor, so early iterations are cheap and the quadratic tail is
     not polluted by inexact inner solves (the FISTA path; the active-set
     path for a dense H with a simplex or box g is exact at any tolerance).
-    A tighter re-solve is skipped when the current z already meets it.
-    Step rules: "analytic" or "full".
+    A tighter re-solve is skipped when the current z already passes the
+    subproblem's own acceptance rule at the tighter tolerance
+    (prox.subproblem_solved).  Step rules: "analytic" or "full".
     """
     opts = opts or SolveOptions()
     if opts.step_rule not in ("analytic", "full"):
@@ -66,21 +66,19 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
         else:
             inner_tol = max(1e-12, min(0.1, lam_prev * lam_prev))
             z = scaled_prox_subproblem(h, grad, x, gspec, tol=inner_tol, l_h=l_h)
-            n = z - x
-            lam = linops.local_norm(h, n)
+            lam = linops.local_norm(h, z - x)
             # the schedule lags one iteration; when the measured decrement is
             # already below the inner accuracy, re-solve tighter so the
             # quadratic tail is not noise-limited
             while inner_tol > 1e-12 and inner_tol > 0.1 * lam * lam:
                 inner_tol = max(1e-12, 0.01 * lam * lam)
-                # a z that meets the tighter tol is what the re-solve returns:
-                # FISTA's iterates do not depend on tol, the active-set point
-                # not at all, and the residual is the one both paths check
-                if prox_residual(gspec, z, grad + _as_matvec(h)(z - x), 1.0 / l_h) <= inner_tol:
-                    break
-                z = scaled_prox_subproblem(h, grad, x, gspec, tol=inner_tol, l_h=l_h)
-                n = z - x
-                lam = linops.local_norm(h, n)
+                # a z that passes at the tighter tol is what the re-solve returns
+                # (FISTA's iterates do not depend on tol, the active-set point not
+                # at all); with lam unchanged the loop then ends
+                if not subproblem_solved(h, grad, x, gspec, z, inner_tol, l_h):
+                    z = scaled_prox_subproblem(h, grad, x, gspec, tol=inner_tol, l_h=l_h)
+                    lam = linops.local_norm(h, z - x)
+            n = z - x
         lam_prev = lam
         return n, lam
 
