@@ -224,9 +224,8 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
 def _fista(matvec, grad, x, g: ProxSpec, tol: float, l_h: float) -> np.ndarray:
     """Accelerated prox-gradient at step 1/L until _acceptance accepts the iterate.
 
-    Restarts the momentum whenever the objective increases.  Each point
-    carries (z, grad Q(z), Q(z) + g(z)) from one H-product; the momentum
-    point y reuses its point's gradient when it has no momentum.
+    Restarts the momentum whenever the objective increases.  A point carries
+    (z, grad Q(z), Q(z) + g(z)) from one H-product; a y without momentum reuses it.
     """
     s = 1.0 / l_h
 

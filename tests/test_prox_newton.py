@@ -155,35 +155,36 @@ class _HvpOnlyPortfolio(models.PortfolioModel):
         raise AssertionError("p_dense=0 must build H from hvp")
 
 
-@pytest.mark.parametrize("n,p,seed", [(50, 10, 7), (200, 20, 0)])
-def test_cg_inner_method_uses_hvp(n, p, seed):
+def test_cg_inner_method_uses_hvp():
     # on 200x20 FISTA meets the 1e-12 tol only through the rounding floor of
     # the acceptance rule the active-set path uses
-    w = bench_io.gen_portfolio(n, p, seed=seed)
-    x0 = np.full(p, 1.0 / p)
-    opts = SolveOptions(eps=1e-9, record_time=False)
-    ref = minimize_composite(CompositeProblem(models.PortfolioModel(w), ProxSpec("simplex"), x0),
-                             opts)
-    res = minimize_composite(CompositeProblem(_HvpOnlyPortfolio(w, p_dense=0),
-                                              ProxSpec("simplex"), x0), opts)
-    assert res.status == "converged" and res.iterations == ref.iterations
-    assert res.trace[-1].f == pytest.approx(ref.trace[-1].f, rel=1e-12)
+    for n, p, seed in [(50, 10, 7), (200, 20, 0)]:
+        w = bench_io.gen_portfolio(n, p, seed=seed)
+        x0 = np.full(p, 1.0 / p)
+        opts = SolveOptions(eps=1e-9, record_time=False)
+        ref = minimize_composite(
+            CompositeProblem(models.PortfolioModel(w), ProxSpec("simplex"), x0), opts)
+        res = minimize_composite(CompositeProblem(_HvpOnlyPortfolio(w, p_dense=0),
+                                                  ProxSpec("simplex"), x0), opts)
+        assert res.status == "converged" and res.iterations == ref.iterations
+        assert res.trace[-1].f == pytest.approx(ref.trace[-1].f, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", [10, 0])
-def test_exact_subproblem_is_not_resolved(monkeypatch, seed):
+def test_exact_subproblem_is_not_resolved(monkeypatch):
     # an active-set z passes the acceptance rule at any tighter tol, so a
-    # re-solve could only return the same z; at seed 0 one residual (1.1e-12)
-    # lies above the 1e-12 tol but below the rounding floor
+    # re-solve could only return the same z; at seed 0 one residual lies
+    # above the 1e-12 tol but below the rounding floor
     calls = []
     solve = prox_newton.scaled_prox_subproblem
     monkeypatch.setattr(prox_newton, "scaled_prox_subproblem",
                         lambda *a, **k: calls.append(k["tol"]) or solve(*a, **k))
-    port = models.PortfolioModel(bench_io.gen_portfolio(1000, 5, seed=seed))
-    res = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), np.full(5, 0.2)),
-                             SolveOptions(record_time=False))
-    assert res.status == "converged"
-    assert len(calls) == len(res.trace)
+    for seed in (10, 0):
+        calls.clear()
+        port = models.PortfolioModel(bench_io.gen_portfolio(1000, 5, seed=seed))
+        res = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), np.full(5, 0.2)),
+                                 SolveOptions(record_time=False))
+        assert res.status == "converged"
+        assert len(calls) == len(res.trace), seed
 
 
 @pytest.mark.parametrize("n,p", [(200, 20), (1000, 100)])
