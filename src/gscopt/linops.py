@@ -162,7 +162,8 @@ def largest_eigenvalue(h, dim: int | None = None, tol: float = 1e-3, max_iter: i
         if callable(h):
             raise ParameterError("operator input needs dim")
         dim = np.asarray(h).shape[0]
-    v = np.ones(dim) / math.sqrt(dim)
+    # unlike all-ones, 1 + frac(0.618 i) is not orthogonal to top eigenvectors like [1, -1]
+    v = 1.0 + np.modf(0.5 * (math.sqrt(5.0) - 1.0) * np.arange(dim))[0]
     lam = 0.0
     for _ in range(max_iter):
         w = matvec(v)

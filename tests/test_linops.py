@@ -113,3 +113,7 @@ def test_largest_eigenvalue():
     assert linops.largest_eigenvalue(h, tol=1e-8) == pytest.approx(11.0, rel=1e-4)
     assert linops.largest_eigenvalue(lambda v: h @ v, dim=5, tol=1e-8) == pytest.approx(
         11.0, rel=1e-4)
+    # the top eigenvector [1, -1] is orthogonal to the all-ones vector
+    h = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    assert linops.largest_eigenvalue(h) == pytest.approx(3.0, rel=1e-3)
+    assert linops.largest_eigenvalue(lambda v: h @ v, dim=2) == pytest.approx(3.0, rel=1e-3)

@@ -185,5 +185,10 @@ def test_smoothness_bounds():
     assert mu == pytest.approx(1e-5)
     hess_eigs = np.linalg.eigvalsh(gm.hessian(np.zeros(gm.dim)))
     assert lips >= hess_eigs[-1] * (1.0 - 1e-3)
+    # A' W A = [[2, -2], [-2, 2]]: its top eigenvector is orthogonal to all-ones,
+    # and L must not undershoot phi''_max * 4 + q
+    anti = models.GlmModel(np.array([[1.0, -1.0], [-1.0, 1.0], [2.0, -2.0]]),
+                           atoms.logistic(), q_diag=1e-3)
+    assert anti.smoothness_bounds()[1] >= 0.25 * 4.0 + 1e-3
     bar = models.GlmModel(gm.a, atoms.log_barrier(), b=np.full(gm.n, 10.0))
     assert math.isinf(bar.smoothness_bounds()[1])
