@@ -190,8 +190,10 @@ def glm_gsc_params(model: GlmModel, target_nu="native") -> GscParams:
         if lam_min <= 0.0:
             raise ParameterError("forcing nu=3 needs lam_min(Q) > 0 or a nu=3 atom")
         scaled = (model.w * model.n) ** (1.0 - nu / 2.0) * model.atom.params.m
-        m_hat = float(np.max(scaled * model.row_norms ** (3.0 - nu)))
-        return GscParams(lam_min ** ((nu - 3.0) / 2.0) * m_hat, 3.0)
+        m_hat = lam_min ** ((nu - 3.0) / 2.0) * float(
+            np.max(scaled * model.row_norms ** (3.0 - nu))
+        )
+        return GscParams(m_hat, 3.0)
     raise ParameterError(f"unknown target_nu {target_nu!r}")
 
 

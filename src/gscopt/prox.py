@@ -130,12 +130,8 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
 
 
 def _acceptance(g: ProxSpec, z, gz, grad, l_h: float, tol: float) -> tuple[float, float]:
-    """(residual, target): z solves the subproblem to tol when residual <= target.
-
-    residual is the gradient mapping of z at step 1/L (gz = grad Q(z)).  The
-    target's second term is the rounding of z - (z - gz/L) and of gz at the
-    exact minimizer, which can exceed a small tol when L and gz are large.
-    """
+    """Gradient mapping of z at step 1/L (gz = grad Q(z)) and the bound it must meet:
+    tol, or the rounding of z - (z - gz/L) and of gz at the exact minimizer if larger."""
     res = prox_residual(g, z, gz, 1.0 / l_h)
     return res, max(tol, 8.0 * z.size * EPS * (
         l_h * np.abs(z).sum() + np.abs(gz).sum() + np.abs(grad).sum()))
@@ -235,7 +231,7 @@ def _fista(matvec, grad, x, g: ProxSpec, tol: float, l_h: float) -> np.ndarray:
         return z, grad + hdz, float(grad @ dz) + 0.5 * float(dz @ hdz) + g.value(z)
 
     z, gz, f = point(prox_apply(g, x - s * grad, s))
-    y, gy = z.copy(), gz
+    y, gy = z, gz
     t_m = 1.0
     for it in range(FISTA_MAX_ITER + 1):
         res, target = _acceptance(g, z, gz, grad, l_h, tol)
@@ -254,5 +250,5 @@ def _fista(matvec, grad, x, g: ProxSpec, tol: float, l_h: float) -> np.ndarray:
             # restart: drop momentum and retake a plain prox-gradient step
             t_new = 1.0
             z_new, gz_new, f_new = point(prox_apply(g, z - s * gz, s))
-            y, gy = z_new.copy(), gz_new
+            y, gy = z_new, gz_new
         z, gz, f, t_m = z_new, gz_new, f_new, t_new
