@@ -98,7 +98,6 @@ def cmd_fit_logistic(args) -> int:
 
 def cmd_fit_dwd(args) -> int:
     a, labels = _load_classification(args)
-    a = a.toarray() if hasattr(a, "toarray") else a
     n = a.shape[0]
     g1, g2, g3 = (float(s) for s in args.gammas.split(","))
     dwd = models.DwdModel(a=a, y=labels, c=np.full(n, args.slack_cost), q=args.q,

@@ -1,4 +1,11 @@
-"""Linear-algebra services: Newton-system solves, local norms, extreme eigenvalues."""
+"""Linear-algebra services: Newton-system solves, local norms, extreme eigenvalues.
+
+A Hessian reaches this module as a dense matrix, an hvp closure, or a
+SlackHessian: the Hessian of a GLM over a slack-column design [B, I_n],
+whose n x n slack block is diagonal.  A SlackHessian is solved by
+eliminating that block, so only the Schur complement on B's columns is
+ever factored.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
@@ -16,16 +24,105 @@ from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
 CG_CURVATURE_TOL = 1e-14
 
 
+def weighted_gram(a, w, q_diag) -> np.ndarray:
+    """A' diag(w) A + diag(q_diag) as a dense array, for a dense or sparse A."""
+    if sp.issparse(a):
+        h = (a.multiply(w[:, None])).T @ a
+        h = np.asarray(h.todense())
+    else:
+        h = a.T @ (w[:, None] * a)
+    h[np.diag_indices_from(h)] += q_diag
+    return h
+
+
+class SlackHessian:
+    """H = [[B' D B + diag(q_block), B' D], [D B, diag(d + q_slack)]] with D = diag(d).
+
+    The Hessian of a GLM over the design [B, I_n] with weighted curvatures
+    d = w phi''(z) and the diagonal regularizer diag(q_block, q_slack).
+    B (n x m) may be dense or sparse; H is formed only by np.asarray.
+    """
+
+    def __init__(self, block, d, q_block, q_slack):
+        self.block = block
+        self.d = d
+        self.q_block = q_block
+        self.q_slack = q_slack
+        self.m = block.shape[1]
+        self.shape = (self.m + d.size,) * 2
+
+    def __matmul__(self, v):
+        v1, v2 = v[:self.m], v[self.m:]
+        t = self.d * (self.block @ v1 + v2)
+        return np.concatenate([self.block.T @ t + self.q_block * v1, t + self.q_slack * v2])
+
+    def __array__(self, dtype=None, copy=None):
+        b = self.block.toarray() if sp.issparse(self.block) else self.block
+        out = np.diag(np.concatenate([self.q_block, self.d + self.q_slack]))
+        out[:self.m, :self.m] = weighted_gram(b, self.d, self.q_block)
+        out[:self.m, self.m:] = b.T * self.d
+        out[self.m:, :self.m] = out[:self.m, self.m:].T
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def solver(self) -> Callable[[np.ndarray], np.ndarray]:
+        """rhs -> H^-1 rhs by eliminating the slack block.
+
+        One Cholesky factorization of the Schur complement
+        S = B' diag(d q_slack / (d + q_slack)) B + diag(q_block), written in
+        that form because B' D B - B' D^2 / (d + q_slack) B cancels.  H is
+        positive definite exactly when d + q_slack > 0 and S is.
+        """
+        s_diag = self.d + self.q_slack
+        if not np.all(s_diag > 0.0):
+            raise NotPositiveDefiniteError("slack block of the Hessian is not positive")
+        cho = _cho_factor(weighted_gram(self.block, self.d * self.q_slack / s_diag,
+                                        self.q_block))
+        b, d, m = self.block, self.d, self.m
+
+        def solve(rhs):
+            r1, r2 = rhs[:m], rhs[m:]
+            x1 = scipy.linalg.cho_solve(cho, r1 - b.T @ (d * r2 / s_diag))
+            return np.concatenate([x1, (r2 - d * (b @ x1)) / s_diag])
+        return solve
+
+
 def _as_matvec(h) -> Callable[[np.ndarray], np.ndarray]:
     if callable(h):
         return h
+    if isinstance(h, SlackHessian):
+        return h.__matmul__
     hmat = np.asarray(h, dtype=float)
     return lambda v: hmat @ v
 
 
+def _cho_factor(hmat):
+    try:
+        return scipy.linalg.cho_factor(hmat, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
+
+
+def _factor(h) -> Callable[[np.ndarray], np.ndarray]:
+    """rhs -> H^-1 rhs for a symmetric PD matrix or SlackHessian, factored once.
+
+    A dense H takes one Cholesky factorization, a SlackHessian one of its
+    Schur complement (SlackHessian.solver).  Raises NotPositiveDefiniteError
+    when the factorization fails.
+    """
+    if isinstance(h, SlackHessian):
+        return h.solver()
+    cho = _cho_factor(np.asarray(h, dtype=float))
+    return lambda rhs: scipy.linalg.cho_solve(cho, rhs)
+
+
+def _start_vector(dim: int) -> np.ndarray:
+    # unlike all-ones, 1 + frac(0.618 i) is not orthogonal to eigenvectors like [1, -1]
+    return 1.0 + np.modf(0.5 * (math.sqrt(5.0) - 1.0) * np.arange(dim))[0]
+
+
 @dataclass
 class NewtonSystem:
-    """H n = -g with H a symmetric PD matrix or an hvp closure."""
+    """H n = -g with H a symmetric PD matrix, a SlackHessian or an hvp closure."""
 
     h: object
     g: np.ndarray
@@ -41,8 +138,12 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
                      max_iter: int | None = None, warm_start: np.ndarray | None = None) -> NewtonDirection:
     """Solve H n = -g and return (n, lambda) with lambda = sqrt(max(0, -g' n)).
 
-    method "cholesky" needs a dense H; "cg" works with any operator and stops
-    at ||H n + g|| <= tol ||g||; "auto" picks Cholesky when H is a matrix.
+    method "cholesky" needs a dense H or a SlackHessian, which it solves by
+    block elimination: one Cholesky factorization of the (m x m) Schur
+    complement, then the diagonal slack block, in O(n m^2 + m^3) time and
+    O(n m) memory (_factor).  "cg" works with any operator and stops at
+    ||H n + g|| <= tol ||g||; "auto" picks Cholesky unless H is an hvp
+    closure.
     """
     g = np.asarray(sys.g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -53,11 +154,7 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
     if method == "cholesky":
         if callable(sys.h):
             raise ParameterError("cholesky method needs a dense Hessian")
-        try:
-            cho = scipy.linalg.cho_factor(np.asarray(sys.h, dtype=float), lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
-        n = scipy.linalg.cho_solve(cho, -g)
+        n = _factor(sys.h)(-g)
         return NewtonDirection(n, math.sqrt(max(0.0, -float(g @ n))), 1)
 
     if method != "cg":
@@ -117,9 +214,10 @@ class EigenEstimate(NamedTuple):
 def smallest_eigenvalue(h, tol: float = 1e-6, max_iter: int = 500, dim: int | None = None) -> EigenEstimate:
     """lambda_min of a symmetric PSD operator.
 
-    Dense input: inverse power iteration on the Cholesky factorization.
-    Operator input: Lanczos (scipy eigsh).  Non-convergence returns the last
-    estimate with converged=False instead of raising.
+    Dense or SlackHessian input: inverse power iteration on its
+    factorization (_factor), started off all-ones (_start_vector).
+    Operator input: Lanczos (scipy eigsh).  Non-convergence returns the
+    last estimate with converged=False instead of raising.
     """
     if callable(h):
         if dim is None:
@@ -135,20 +233,18 @@ def smallest_eigenvalue(h, tol: float = 1e-6, max_iter: int = 500, dim: int | No
             est = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else math.nan
             return EigenEstimate(est, False, max_iter)
 
-    hmat = np.asarray(h, dtype=float)
-    p = hmat.shape[0]
-    if p == 1:
-        return EigenEstimate(float(hmat[0, 0]), True, 0)
-    try:
-        cho = scipy.linalg.cho_factor(hmat, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"matrix is not PD: {exc}") from exc
-    v = np.ones(p) / math.sqrt(p)
-    lam = float(v @ (hmat @ v))
+    if not isinstance(h, SlackHessian):
+        h = np.asarray(h, dtype=float)
+        if h.shape[0] == 1:
+            return EigenEstimate(float(h[0, 0]), True, 0)
+    solve, matvec = _factor(h), _as_matvec(h)
+    v = _start_vector(h.shape[0])
+    v /= np.linalg.norm(v)
+    lam = float(v @ matvec(v))
     for it in range(max_iter):
-        w = scipy.linalg.cho_solve(cho, v)
+        w = solve(v)
         w /= np.linalg.norm(w)
-        lam_new = float(w @ (hmat @ w))
+        lam_new = float(w @ matvec(w))
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return EigenEstimate(lam_new, True, it + 1)
         v, lam = w, lam_new
@@ -156,22 +252,25 @@ def smallest_eigenvalue(h, tol: float = 1e-6, max_iter: int = 500, dim: int | No
 
 
 def largest_eigenvalue(h, dim: int | None = None, tol: float = 1e-3, max_iter: int = 1000) -> float:
-    """Power-iteration estimate of lambda_max for a symmetric PSD operator."""
+    """Power-iteration estimate of lambda_max for a symmetric PSD operator.
+
+    One operator product per iteration: the Rayleigh quotient's product is
+    the next iteration's power step.
+    """
     matvec = _as_matvec(h)
     if dim is None:
         if callable(h):
             raise ParameterError("operator input needs dim")
-        dim = np.asarray(h).shape[0]
-    # unlike all-ones, 1 + frac(0.618 i) is not orthogonal to top eigenvectors like [1, -1]
-    v = 1.0 + np.modf(0.5 * (math.sqrt(5.0) - 1.0) * np.arange(dim))[0]
+        dim = h.shape[0] if isinstance(h, SlackHessian) else np.asarray(h).shape[0]
+    w = matvec(_start_vector(dim))
     lam = 0.0
     for _ in range(max_iter):
-        w = matvec(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        lam_new = float(v @ matvec(v))
+        w = matvec(v)
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new

@@ -7,9 +7,11 @@ All models expose the same oracle surface:
     check_domain(x)  (raises DomainError with the violating row)
 
 and optionally feasible(x) -> bool (is_feasible treats a model without it
-as feasible everywhere).  The dense Hessian is assembled only for
-dim <= p_dense (default 2000); larger problems are served through hvp
-(conjugate-gradient path).
+as feasible everywhere).  The Hessian is formed only when the matrix a
+Newton solve factors has at most p_dense (default 2000) rows: all of it
+for a dense or sparse design, B's columns for a SlackDesign [B, I_n],
+whose Hessian is a linops.SlackHessian.  Larger problems are served
+through hvp (conjugate-gradient path).
 """
 
 from __future__ import annotations
@@ -34,9 +36,55 @@ def is_feasible(model, x) -> bool:
 
 
 def _row_norms(a):
+    if isinstance(a, SlackDesign):
+        return np.sqrt(_row_sq_norms(a.block) + 1.0)
     if sp.issparse(a):
-        return np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
+        return np.sqrt(_row_sq_norms(a))
     return np.linalg.norm(a, axis=1)
+
+
+def _row_sq_norms(a):
+    if sp.issparse(a):
+        return np.asarray(a.multiply(a).sum(axis=1)).ravel()
+    return np.einsum("ij,ij->i", a, a)
+
+
+class SlackDesign:
+    """The design [B, I_n] of a GLM whose last n variables are one slack per row.
+
+    Kept in factored form, so products cost O(nnz(B) + n) and a sparse B
+    stays sparse; GlmModel.hessian returns a linops.SlackHessian, solved by
+    eliminating the diagonal slack block.  np.asarray gives the dense
+    n x (m + n) matrix.
+    """
+
+    def __init__(self, block):
+        self.block = block if sp.issparse(block) else np.asarray(block, dtype=float)
+        n, m = self.block.shape
+        self.shape = (n, m + n)
+
+    def __matmul__(self, x):
+        m = self.block.shape[1]
+        return self.block @ x[:m] + x[m:]
+
+    @property
+    def T(self):
+        return _SlackDesignT(self.block)
+
+    def __array__(self, dtype=None, copy=None):
+        b = self.block.toarray() if sp.issparse(self.block) else self.block
+        out = np.hstack([b, np.eye(self.shape[0])])
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+class _SlackDesignT:
+    """[B, I_n]' as an operator: u -> (B' u, u)."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def __matmul__(self, u):
+        return np.concatenate([self.block.T @ u, u])
 
 
 class GlmModel:
@@ -44,8 +92,12 @@ class GlmModel:
 
     def __init__(self, a, atom: LossAtom, b=None, weights=None, q_diag=0.0, c=None,
                  p_dense=P_DENSE_DEFAULT):
-        self.a = a if sp.issparse(a) else np.asarray(a, dtype=float)
+        if not (sp.issparse(a) or isinstance(a, SlackDesign)):
+            a = np.asarray(a, dtype=float)
+        self.a = a
         self.n, self.dim = self.a.shape
+        #: order of the matrix a Newton solve factors (B's columns for a SlackDesign)
+        self.factor_dim = a.block.shape[1] if isinstance(a, SlackDesign) else self.dim
         self.atom = atom
         self.b = np.zeros(self.n) if b is None else np.asarray(b, dtype=float)
         if weights is None:
@@ -110,18 +162,15 @@ class GlmModel:
         return self.w * self.atom._derivs[2](self._margins(x))
 
     def hessian(self, x):
-        if self.dim > self.p_dense:
+        if not self.has_dense_hessian:
             raise ParameterError(
-                f"dense Hessian disabled for p={self.dim} > p_dense={self.p_dense}; use hvp"
+                f"dense Hessian disabled for p={self.factor_dim} > p_dense={self.p_dense}; use hvp"
             )
         d = self._d2w(x)
-        if sp.issparse(self.a):
-            h = (self.a.multiply(d[:, None])).T @ self.a
-            h = np.asarray(h.todense())
-        else:
-            h = self.a.T @ (d[:, None] * self.a)
-        h[np.diag_indices_from(h)] += self.q_diag
-        return h
+        if isinstance(self.a, SlackDesign):
+            m = self.factor_dim
+            return linops.SlackHessian(self.a.block, d, self.q_diag[:m], self.q_diag[m:])
+        return linops.weighted_gram(self.a, d, self.q_diag)
 
     def hvp(self, x, v):
         d = self._d2w(x)
@@ -131,7 +180,7 @@ class GlmModel:
 
     @property
     def has_dense_hessian(self):
-        return self.dim <= self.p_dense
+        return self.factor_dim <= self.p_dense
 
     # -- structure helpers ---------------------------------------------------
     def lambda_min_q(self):
@@ -303,21 +352,25 @@ def dwd_as_glm(model: DwdModel, p_dense=P_DENSE_DEFAULT) -> GlmModel:
 
     Rows become (a_i', y_i, e_i'), the loss atom is t^(-q)/weighted by 1/n,
     Q = diag(g1 1_p, g2, g3 1_n) and the linear slack cost sits on the xi
-    block.  The native parameters reproduce the closed-form constant
+    block.  The design is the SlackDesign [B, I_n] with B = [A y], kept
+    factored (a sparse A stays sparse), so each Newton step factors only
+    the (p+1) x (p+1) Schur complement of the slack block: O(n p^2 + p^3)
+    time and O(n p) memory, and p_dense is compared with p + 1.  The
+    native parameters reproduce the closed-form constant
     M = (q+2)/(q(q+1))^(1/(q+2)) n^(1/(q+2)) max_i ||(a_i', y_i, e_i')||^(q/(q+2)).
     """
     y = np.asarray(model.y, dtype=float).ravel()
     n = y.size
     g1, g2, g3 = model.gammas
     if sp.issparse(model.a):
-        a_ext = sp.hstack([model.a, y[:, None], sp.identity(n, format="csr")], format="csr")
+        block = sp.hstack([model.a, y[:, None]], format="csr")
     else:
-        a = np.asarray(model.a, dtype=float)
-        a_ext = np.hstack([a, y[:, None], np.eye(n)])
-    p = a_ext.shape[1] - 1 - n
+        block = np.hstack([np.asarray(model.a, dtype=float), y[:, None]])
+    p = block.shape[1] - 1
     q_diag = np.concatenate([np.full(p, g1), [g2], np.full(n, g3)])
     c_ext = np.concatenate([np.zeros(p + 1), np.asarray(model.c, dtype=float).ravel()])
-    return GlmModel(a_ext, neg_power(model.q), q_diag=q_diag, c=c_ext, p_dense=p_dense)
+    return GlmModel(SlackDesign(block), neg_power(model.q), q_diag=q_diag, c=c_ext,
+                    p_dense=p_dense)
 
 
 def third_directional(model, x, v, u, h=None):

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from gscopt import bench_io
+from gscopt import bench_io, models
 from gscopt.cli import main
+from gscopt.newton import SolveOptions, minimize
 
 
 def test_kernels_output(capsys):
@@ -80,6 +81,28 @@ def test_fit_dwd(capsys):
                  "--gammas", "1e-5,1e-5,1e-7", "--deterministic"])
     assert code == 0
     assert "status=converged" in capsys.readouterr().out
+
+
+def test_fit_dwd_sparse_file_matches_dense(tmp_path):
+    # --data keeps the LIBSVM rows sparse; the solve matches the same rows passed dense
+    path, out = tmp_path / "dwd.txt", str(tmp_path / "trace.json")
+    rng = np.random.default_rng(9)
+    lines = []
+    for _ in range(60):
+        cols = np.sort(rng.choice(8, size=3, replace=False))
+        vals = rng.normal(size=3)
+        lab = "+1" if vals.sum() > 0 else "-1"
+        lines.append(lab + "".join(f" {j + 1}:{float(v)!r}" for j, v in zip(cols, vals)))
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["fit-dwd", "--data", str(path), "--deterministic", "--out", out]) == 0
+    trace = bench_io.read_trace(out, "json")
+    ds = bench_io.read_libsvm(str(path), normalize=True)
+    dense = models.dwd_as_glm(models.DwdModel(a=ds.a.toarray(), y=ds.labels, c=np.zeros(60),
+                                              q=1.0, gammas=(1e-5, 1e-5, 1e-7)))
+    res = minimize(dense, np.concatenate([np.zeros(9), np.ones(60)]),
+                   SolveOptions(record_time=False))
+    assert len(trace) - 1 == res.iterations > 0
+    assert abs(trace[-1].f - res.trace[-1].f) <= 1e-12 * abs(res.trace[-1].f)
 
 
 def test_exit_codes(capsys, tmp_path):

@@ -4,10 +4,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gscopt import linops
 from gscopt.errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
-from gscopt.linops import NewtonSystem, newton_direction
+from gscopt.linops import NewtonSystem, SlackHessian, newton_direction
+
+
+def slack_hessian(n=30, m=4, seed=6, sparse=False, q_block=1e-3):
+    """A random SlackHessian with curvatures d in (0.1, 2) and small diagonal regularizers."""
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(n, m))
+    if sparse:
+        block = sp.csr_matrix(np.where(np.abs(block) > 0.7, block, 0.0))
+    return SlackHessian(block, 0.1 + 1.9 * rng.random(n), np.full(m, q_block),
+                        np.full(n, 1e-4))
 
 
 def test_hand_solves():
@@ -117,3 +128,75 @@ def test_largest_eigenvalue():
     h = np.array([[2.0, -1.0], [-1.0, 2.0]])
     assert linops.largest_eigenvalue(h) == pytest.approx(3.0, rel=1e-3)
     assert linops.largest_eigenvalue(lambda v: h @ v, dim=2) == pytest.approx(3.0, rel=1e-3)
+
+
+def test_smallest_eigenvalue_off_all_ones():
+    # the smallest eigenvector [1, -1] is orthogonal to the all-ones vector
+    h = np.array([[2.0, 1.0], [1.0, 2.0]])
+    # the same matrix as a SlackHessian: B = [[1]], d = [1], q_block = q_slack = [1]
+    structured = SlackHessian(np.ones((1, 1)), np.ones(1), np.ones(1), np.ones(1))
+    assert np.array_equal(np.asarray(structured), h)
+    for op in (h, structured):
+        est = linops.smallest_eigenvalue(op, tol=1e-10)
+        assert est.converged
+        assert est.value == pytest.approx(1.0, rel=1e-6)
+
+
+def test_largest_eigenvalue_one_product_per_iteration():
+    diag = 1.0 + np.arange(50.0)
+    calls = [0]
+
+    def matvec(v):
+        calls[0] += 1
+        return diag * v
+
+    # reference: the power iteration with a separate Rayleigh product
+    v = 1.0 + np.modf(0.5 * (math.sqrt(5.0) - 1.0) * np.arange(50))[0]
+    lam, iterations = 0.0, 0
+    for iterations in range(1, 1001):
+        w = diag * v
+        v = w / np.linalg.norm(w)
+        lam_new = float(v @ (diag * v))
+        if abs(lam_new - lam) <= 1e-3 * max(1.0, abs(lam_new)):
+            break
+        lam = lam_new
+    assert linops.largest_eigenvalue(matvec, dim=50) == lam_new
+    assert calls[0] == iterations + 1
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_slack_hessian_operations_match_dense(sparse):
+    h = slack_hessian(sparse=sparse)
+    hmat = np.asarray(h)
+    assert hmat.shape == h.shape == (34, 34)
+    assert np.allclose(hmat, hmat.T, rtol=0.0, atol=1e-14 * np.abs(hmat).max())
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=34)
+    assert np.allclose(h @ v, hmat @ v, rtol=0.0, atol=1e-13 * np.abs(hmat @ v).max())
+    assert linops.local_norm(h, v) == pytest.approx(math.sqrt(v @ hmat @ v), rel=1e-13)
+    assert linops.largest_eigenvalue(h, tol=1e-10) == pytest.approx(
+        np.linalg.eigvalsh(hmat)[-1], rel=1e-6)
+    g = rng.normal(size=34)
+    for method in ("auto", "cholesky"):
+        n, lam, _ = newton_direction(NewtonSystem(h, g), method=method)
+        assert np.linalg.norm(hmat @ n + g) <= 1e-10 * np.linalg.norm(g)
+        assert lam == pytest.approx(newton_direction(NewtonSystem(hmat, g)).lam, rel=1e-12)
+    cg = newton_direction(NewtonSystem(h, g), method="cg")
+    assert np.linalg.norm(hmat @ cg.n + g) <= 1e-8 * np.linalg.norm(g)
+
+
+def test_slack_hessian_not_positive_definite():
+    # a negative q_block makes the Schur complement, and so H, indefinite
+    h = slack_hessian(q_block=-50.0)
+    assert np.linalg.eigvalsh(np.asarray(h))[0] < 0.0
+    g = np.ones(h.shape[0])
+    with pytest.raises(NotPositiveDefiniteError):
+        newton_direction(NewtonSystem(h, g))
+    with pytest.raises(NotPositiveDefiniteError):
+        newton_direction(NewtonSystem(h, g), method="cholesky")
+    with pytest.raises(NotPositiveDefiniteError):
+        linops.smallest_eigenvalue(h)
+    # a nonpositive slack diagonal d + q_slack
+    bad = SlackHessian(np.ones((2, 1)), np.array([1.0, 0.0]), np.ones(1), np.zeros(2))
+    with pytest.raises(NotPositiveDefiniteError):
+        newton_direction(NewtonSystem(bad, np.ones(3)))

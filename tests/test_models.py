@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gscopt import atoms, bench_io, models
+from gscopt import atoms, bench_io, linops, models
 from gscopt.acceptance import bound_suite_violations
 from gscopt.errors import DomainError, ParameterError
 
@@ -145,6 +145,56 @@ def test_dwd_matches_closed_form_constant():
         want = mphi * 12.0 ** (1.0 / (q + 2.0)) * np.max(glm.row_norms ** (q / (q + 2.0)))
         assert got.m == pytest.approx(want, rel=1e-12)
         assert got.nu == pytest.approx(2.0 * (q + 3.0) / (q + 2.0))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_dwd_slack_hessian_matches_dense(sparse, q):
+    a, labels = bench_io.gen_logistic(40, 6, seed=12)
+    if sparse:
+        a = sp.csr_matrix(np.where(np.abs(a) > 0.3, a, 0.0))
+    glm = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(40, 0.01), q=q,
+                                            gammas=(1e-4, 1e-3, 1e-5)))
+    assert isinstance(glm.a, models.SlackDesign) and sp.issparse(glm.a.block) == sparse
+    # the same GLM over the dense extended design [A y I_n]
+    dense = models.GlmModel(np.asarray(glm.a), glm.atom, q_diag=glm.q_diag, c=glm.c)
+    assert np.asarray(glm.a).shape == glm.a.shape == (40, 47)
+    assert np.allclose(glm.row_norms, dense.row_norms, rtol=1e-15, atol=0.0)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        # xi in [1, 2] dominates |a_i' w + y_i mu|: an interior point
+        x = np.concatenate([0.05 * rng.normal(size=7), 1.0 + rng.random(40)])
+        u = rng.normal(size=40)
+        assert np.allclose(glm.a @ x, dense.a @ x, rtol=1e-14)
+        assert np.allclose(glm.a.T @ u, dense.a.T @ u, rtol=1e-14)
+        g = glm.grad(x)
+        assert glm.value(x) == pytest.approx(dense.value(x), rel=1e-14)
+        assert np.allclose(g, dense.grad(x), rtol=1e-13, atol=1e-16)
+        h = glm.hessian(x)
+        assert isinstance(h, linops.SlackHessian)
+        hmat = np.asarray(h)
+        scale = np.abs(hmat).max()
+        assert np.abs(hmat - dense.hessian(x)).max() <= 1e-14 * scale
+        v = rng.normal(size=glm.dim)
+        assert np.abs(h @ v - glm.hvp(x, v)).max() <= 1e-13 * np.abs(hmat @ v).max()
+        n, lam, _ = linops.newton_direction(linops.NewtonSystem(h, g))
+        assert np.linalg.norm(hmat @ n + g) <= 1e-10 * np.linalg.norm(g)
+        ref = linops.newton_direction(linops.NewtonSystem(hmat, g), method="cholesky")
+        assert lam == pytest.approx(ref.lam, rel=1e-12)
+
+
+def test_dwd_newton_matrix_is_the_block_schur_complement():
+    # n = 30 slack rows do not count against p_dense, the p + 1 = 4 block columns do
+    a, labels = bench_io.gen_logistic(30, 3, seed=14)
+    dwd = models.DwdModel(a=a, y=labels, c=np.zeros(30), q=1.0, gammas=(1e-4, 1e-4, 1e-5))
+    x = np.concatenate([np.zeros(4), np.ones(30)])
+    glm = models.dwd_as_glm(dwd, p_dense=4)
+    assert glm.dim == 34 and glm.factor_dim == 4 and glm.has_dense_hessian
+    assert isinstance(glm.hessian(x), linops.SlackHessian)
+    small = models.dwd_as_glm(dwd, p_dense=3)
+    assert not small.has_dense_hessian
+    with pytest.raises(ParameterError):
+        small.hessian(x)
 
 
 def test_bound_suite_logistic_and_portfolio():

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from gscopt import atoms, bench_io, kernel, models
+from gscopt import atoms, bench_io, kernel, linops, models
 from gscopt.errors import DomainError, ParameterError
 from gscopt.newton import (SolveOptions, existence_check, linesearch_step,
                            minimize, resolve_params)
@@ -133,6 +134,26 @@ def test_strict_theorem_phase2():
                                 eps=1e-9, record_time=False))
     assert res.status == "converged"
     assert any(r.phase == "full" for r in res.trace)
+
+
+def test_dwd_above_p_dense_solves_in_bounded_memory():
+    # dim = p + 1 + n = 5011 > p_dense: the Newton step eliminates the slack
+    # block instead of forming the n x (p + 1 + n) design or running CG
+    n, p = 5000, 10
+    a, labels = bench_io.gen_logistic(n, p, seed=3)
+    tracemalloc.start()
+    try:
+        glm = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.zeros(n), q=1.0,
+                                                gammas=(1e-5, 1e-5, 1e-7)))
+        x0 = np.concatenate([np.zeros(p + 1), np.ones(n)])
+        res = minimize(glm, x0, SolveOptions(record_time=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert glm.dim > glm.p_dense and glm.has_dense_hessian
+    assert isinstance(glm.hessian(res.x), linops.SlackHessian)
+    assert res.status == "converged" and res.grad_criterion_met
+    assert peak < 40 * n * (p + 2) * 8
 
 
 def test_x0_outside_domain_raises():

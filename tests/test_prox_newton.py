@@ -142,6 +142,26 @@ def test_box_constrained_glm():
     # some coordinate ends up clamped for this instance
     assert np.any(np.isclose(np.abs(res.x), 0.2, atol=1e-9))
 
+
+def test_dwd_slack_hessian_composite():
+    # the DWD Hessian is a linops.SlackHessian: g = zero solves it by elimination,
+    # the box's active-set subproblem takes its dense form
+    a, labels = bench_io.gen_logistic(40, 5, seed=8)
+    model = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(40, 0.01), q=1.0,
+                                              gammas=(1e-4, 1e-4, 1e-5)))
+    x0 = np.concatenate([np.zeros(6), np.ones(40)])
+    opts = SolveOptions(eps=1e-9, record_time=False)
+    rn = minimize(model, x0, opts)
+    rz = minimize_composite(CompositeProblem(model, ProxSpec("zero"), x0), opts)
+    assert rz.status == "converged" and rz.iterations == rn.iterations
+    assert rz.trace[-1].f == pytest.approx(rn.trace[-1].f, rel=1e-12)
+    spec = ProxSpec("box", lo=-5.0, hi=5.0)
+    rb = minimize_composite(CompositeProblem(model, spec, x0), opts)
+    assert rb.status == "converged" and spec.feasible(rb.x) and model.feasible(rb.x)
+    assert np.any(np.isclose(rb.x, 5.0, atol=1e-9))
+    assert rb.extra["prox_certificate"] <= 1e-6
+
+
 @pytest.mark.parametrize("rule", ["linesearch_floor", "exact"])
 def test_unsupported_step_rules_raise(rule):
     port = portfolio_toy()
