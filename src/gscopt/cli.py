@@ -86,10 +86,10 @@ def cmd_fit_logistic(args) -> int:
         res = minimize_qn(model, x0, _solver_options(args, args.nu))
     elif args.solver == "fgm":
         mu, lips = model.smoothness_bounds()
-        x, hist = bench_io.fast_gradient(model, x0, mu, lips, eps=args.eps)
-        print(f"status={'converged' if hist and hist[-1][2] <= args.eps else 'max_iter'}  "
-              f"iters={len(hist)}  f={model.value(x):.9e}")
-        return 0
+        x, hist = bench_io.fast_gradient(model, x0, mu, lips, eps=args.eps, max_iter=args.max_iter)
+        status = "converged" if hist and hist[-1][2] <= args.eps else "max_iter"
+        print(f"status={status}  iters={len(hist)}  f={model.value(x):.9e}")
+        return 0 if status == "converged" else 2
     else:
         raise GscError(f"--solver {args.solver} is not valid for fit-logistic")
     margins = (rows @ res.x)
@@ -130,9 +130,10 @@ def cmd_portfolio(args) -> int:
     else:
         t0 = time.perf_counter()
         if args.solver == "pg-bb":
-            x, hist = bench_io.pg_bb(model, ProxSpec("simplex"), x0, eps=args.eps)
+            x, hist = bench_io.pg_bb(model, ProxSpec("simplex"), x0, eps=args.eps,
+                                     max_iter=args.max_iter)
         elif args.solver in ("fw", "fw-ls"):
-            x, hist = bench_io.frank_wolfe(model, x0, eps=args.eps,
+            x, hist = bench_io.frank_wolfe(model, x0, eps=args.eps, max_iter=args.max_iter,
                                            linesearch=args.solver == "fw-ls")
         else:
             raise GscError(f"--solver {args.solver} is not valid for portfolio")

@@ -35,6 +35,15 @@ def is_feasible(model, x) -> bool:
     return getattr(model, "feasible", lambda _: True)(x)
 
 
+def _vector(v, size: int, name: str, default: float) -> np.ndarray:
+    """v (None gives the default, a scalar repeats) as a float vector of length size."""
+    v = np.asarray(default if v is None else v, dtype=float)
+    v = np.full(size, float(v)) if v.ndim == 0 else v.copy()
+    if v.shape != (size,):
+        raise ParameterError(f"{name} must be a scalar or a vector of length {size}")
+    return v
+
+
 def _row_norms(a):
     if isinstance(a, SlackDesign):
         return np.sqrt(_row_sq_norms(a.block) + 1.0)
@@ -99,20 +108,14 @@ class GlmModel:
         #: order of the matrix a Newton solve factors (B's columns for a SlackDesign)
         self.factor_dim = a.block.shape[1] if isinstance(a, SlackDesign) else self.dim
         self.atom = atom
-        self.b = np.zeros(self.n) if b is None else np.asarray(b, dtype=float)
-        if weights is None:
-            self.w = np.full(self.n, 1.0 / self.n)
-        else:
-            self.w = np.asarray(weights, dtype=float)
-            if np.any(self.w <= 0.0):
-                raise ParameterError("GLM weights must be positive")
-        q = np.asarray(q_diag, dtype=float)
-        self.q_diag = np.full(self.dim, float(q)) if q.ndim == 0 else q.copy()
-        if self.q_diag.shape != (self.dim,):
-            raise ParameterError("q_diag must be a scalar or a vector of length p")
+        self.b = _vector(b, self.n, "b", 0.0)
+        self.w = _vector(weights, self.n, "weights", 1.0 / self.n)
+        if np.any(self.w <= 0.0):
+            raise ParameterError("GLM weights must be positive")
+        self.q_diag = _vector(q_diag, self.dim, "q_diag", 0.0)
         if np.any(self.q_diag < 0.0):
             raise ParameterError("q_diag must be nonnegative")
-        self.c = np.zeros(self.dim) if c is None else np.asarray(c, dtype=float)
+        self.c = _vector(c, self.dim, "c", 0.0)
         self.p_dense = p_dense
         self.row_norms = _row_norms(self.a)
         self.params = glm_gsc_params(self, "native")

@@ -8,8 +8,8 @@ solved exactly by a primal active-set method with one Cholesky factorization
 of the free block per step: accelerated prox-gradient converges slowly on an
 ill-conditioned H.  An operator H, an l1 g, or an H whose free block is not
 numerically positive definite runs the accelerated proximal-gradient loop
-(function-value restart).  One rule, _acceptance, decides for both paths
-and for the proximal Newton re-solve whether a point solves the subproblem.
+(function-value restart).  One rule, _acceptance at an accuracy that follows
+the step, decides for both paths whether a point solves the subproblem.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParameterError, SubproblemError
-from .linops import _as_matvec, largest_eigenvalue
+from .linops import _as_matvec, largest_eigenvalue, local_norm
 
 EPS = np.finfo(float).eps
 #: iteration cap of the accelerated prox-gradient inner loop
 FISTA_MAX_ITER = 20000
+#: smallest accuracy a subproblem is asked for (the proximal Newton tolerances' floor)
+TOL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,12 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
     prox-gradient with function-value restart (_fista, at most
     FISTA_MAX_ITER iterations).
 
-    Both paths answer to one acceptance rule (_acceptance, the gradient-mapping
-    residual at step 1/L against max(tol, its rounding floor)) and raise
-    SubproblemError when their point fails it.  For g = zero the result
-    matches the Newton system solve; for H = I it is a single exact prox step.
+    Both paths answer to one rule, _acceptance at an accuracy t from tol:
+    while a z that passes has t > max(TOL_FLOOR, 0.1 lambda^2), lambda =
+    ||z - x||_H, t becomes max(TOL_FLOOR, 0.01 lambda^2) and z is tested
+    again.  FISTA goes on from a z that fails; the active-set path raises
+    SubproblemError.  For g = zero the result matches the Newton system
+    solve; for H = I it is a single exact prox step.
     """
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -116,17 +120,30 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
         l_h = largest_eigenvalue(h, dim=x.size)
     if l_h <= 0.0:
         raise ParameterError("subproblem needs a positive curvature bound")
+    t = tol
+
+    def check(z, gz):
+        """(residual, target) of z at the current accuracy, tightened while z passes."""
+        nonlocal t
+        res, target = _acceptance(g, z, gz, grad, l_h, t)
+        if res <= target:
+            lam = local_norm(h, z - x)
+            while res <= target and t > TOL_FLOOR and t > 0.1 * lam * lam:
+                t = max(TOL_FLOOR, 0.01 * lam * lam)
+                res, target = _acceptance(g, z, gz, grad, l_h, t)
+        return res, target
+
     if not callable(h) and g.kind in ("simplex", "box"):
         hmat = np.asarray(h, dtype=float)
         z = _active_set_qp(hmat, grad, x, g, 1.0 / l_h)
         if z is not None:
-            res, target = _acceptance(g, z, grad + hmat @ (z - x), grad, l_h, tol)
+            res, target = check(z, grad + hmat @ (z - x))
             if res <= target:
                 return z
             raise SubproblemError(
                 f"active-set subproblem solution has residual {res:.3e} (target {target:.1e})",
                 residual=res)
-    return _fista(_as_matvec(h), grad, x, g, tol, l_h)
+    return _fista(_as_matvec(h), grad, x, g, l_h, check)
 
 
 def _acceptance(g: ProxSpec, z, gz, grad, l_h: float, tol: float) -> tuple[float, float]:
@@ -135,12 +152,6 @@ def _acceptance(g: ProxSpec, z, gz, grad, l_h: float, tol: float) -> tuple[float
     res = prox_residual(g, z, gz, 1.0 / l_h)
     return res, max(tol, 8.0 * z.size * EPS * (
         l_h * np.abs(z).sum() + np.abs(gz).sum() + np.abs(grad).sum()))
-
-
-def subproblem_solved(h, grad, x, g: ProxSpec, z, tol: float, l_h: float) -> bool:
-    """Whether z passes scaled_prox_subproblem's acceptance test at tol."""
-    res, target = _acceptance(g, z, grad + _as_matvec(h)(z - x), grad, l_h, tol)
-    return res <= target
 
 
 def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
@@ -217,8 +228,8 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
         residual=res)
 
 
-def _fista(matvec, grad, x, g: ProxSpec, tol: float, l_h: float) -> np.ndarray:
-    """Accelerated prox-gradient at step 1/L until _acceptance accepts the iterate.
+def _fista(matvec, grad, x, g: ProxSpec, l_h: float, check) -> np.ndarray:
+    """Accelerated prox-gradient at step 1/L until check(z, gz) gives residual <= target.
 
     Restarts the momentum whenever the objective increases.  A point carries
     (z, grad Q(z), Q(z) + g(z)) from one H-product; a y without momentum reuses it.
@@ -234,7 +245,7 @@ def _fista(matvec, grad, x, g: ProxSpec, tol: float, l_h: float) -> np.ndarray:
     y, gy = z, gz
     t_m = 1.0
     for it in range(FISTA_MAX_ITER + 1):
-        res, target = _acceptance(g, z, gz, grad, l_h, tol)
+        res, target = check(z, gz)
         if res <= target:
             return z
         if it == FISTA_MAX_ITER:

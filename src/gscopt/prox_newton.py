@@ -18,7 +18,7 @@ import numpy as np
 from . import linops
 from .errors import DomainError, ParameterError
 from .newton import SolveOptions, SolveResult, _damped_newton, resolve_params
-from .prox import ProxSpec, prox_residual, scaled_prox_subproblem, subproblem_solved
+from .prox import TOL_FLOOR, ProxSpec, prox_residual, scaled_prox_subproblem
 
 
 @dataclass
@@ -41,13 +41,11 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
     """Damped/full-step proximal Newton iteration on F = f + g.
 
     Terminates at lambda_k <= eps (proximal Newton decrement) or max_iter.
-    The inner subproblem tolerance follows min(0.1, lambda_{k-1}^2) with a
-    1e-12 floor, so early iterations are cheap and the quadratic tail is
-    not polluted by inexact inner solves (the FISTA path; the active-set
-    path for a dense H with a simplex or box g is exact at any tolerance).
-    A tighter re-solve is skipped when the current z already passes the
-    subproblem's own acceptance rule at the tighter tolerance
-    (prox.subproblem_solved).  Step rules: "analytic" or "full".
+    Each iteration makes one subproblem call at the lagging tolerance
+    max(prox.TOL_FLOOR, min(0.1, lambda_{k-1}^2)), which the subproblem
+    tightens to 0.01 lambda_k^2 when its step is smaller than the lag allows:
+    early iterations are cheap and the quadratic tail is not polluted by
+    inexact inner solves.  Step rules: "analytic" or "full".
     """
     opts = opts or SolveOptions()
     if opts.step_rule not in ("analytic", "full"):
@@ -62,24 +60,10 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
         if gspec.kind == "zero":
             # the subproblem is exactly the Newton system; solve it directly
             n = linops.newton_direction(linops.NewtonSystem(h, grad)).n
-            lam = linops.local_norm(h, n)
         else:
-            inner_tol = max(1e-12, min(0.1, lam_prev * lam_prev))
-            z = scaled_prox_subproblem(h, grad, x, gspec, tol=inner_tol, l_h=l_h)
-            lam = linops.local_norm(h, z - x)
-            # the schedule lags one iteration; when the measured decrement is
-            # already below the inner accuracy, re-solve tighter so the
-            # quadratic tail is not noise-limited
-            while inner_tol > 1e-12 and inner_tol > 0.1 * lam * lam:
-                inner_tol = max(1e-12, 0.01 * lam * lam)
-                # a z that passes at the tighter tol is what the re-solve returns
-                # (FISTA's iterates do not depend on tol, the active-set point not
-                # at all); with lam unchanged the loop then ends
-                if not subproblem_solved(h, grad, x, gspec, z, inner_tol, l_h):
-                    z = scaled_prox_subproblem(h, grad, x, gspec, tol=inner_tol, l_h=l_h)
-                    lam = linops.local_norm(h, z - x)
-            n = z - x
-        lam_prev = lam
+            inner_tol = max(TOL_FLOOR, min(0.1, lam_prev * lam_prev))
+            n = scaled_prox_subproblem(h, grad, x, gspec, tol=inner_tol, l_h=l_h) - x
+        lam_prev = lam = linops.local_norm(h, n)
         return n, lam
 
     result, grad = _damped_newton(model, problem.x0.copy(), opts, params, direction,

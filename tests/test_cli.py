@@ -113,6 +113,10 @@ def test_exit_codes(capsys, tmp_path):
     code = main(["fit-logistic", "--synthetic", "n=200,p=15", "--nu", "3",
                  "--max-iter", "2", "--deterministic"])
     assert code == 2
+    capsys.readouterr()
+    code = main(["fit-logistic", "--synthetic", "n=200,p=20", "--solver", "fgm",
+                 "--max-iter", "3"])
+    assert code == 2 and "status=max_iter  iters=3  " in capsys.readouterr().out
 
 
 def test_bench_subset(capsys):

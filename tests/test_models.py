@@ -32,6 +32,22 @@ def test_glm_hand_values():
     assert np.allclose(gm.hvp(x, np.zeros(2)), 0.0)
 
 
+@pytest.mark.parametrize("field,size", [("b", 3), ("weights", 3), ("c", 2)])
+def test_glm_rejects_misshaped_vectors(field, size):
+    # b and weights have one entry per row of A (3 x 2), c one per coordinate
+    a = np.ones((3, 2))
+    gm = models.GlmModel(a, atoms.logistic(), **{field: np.ones(size)})
+    assert math.isfinite(gm.value(np.zeros(2)))
+    for bad in (np.ones(size + 1), np.ones((size, 1))):
+        with pytest.raises(ParameterError, match=f"^{field} must"):
+            models.GlmModel(a, atoms.logistic(), **{field: bad})
+    if field == "c":
+        # a DWD slack cost of the wrong length reaches the check through dwd_as_glm
+        with pytest.raises(ParameterError, match="^c must"):
+            models.dwd_as_glm(models.DwdModel(a=np.eye(2), y=np.ones(2), c=np.zeros(3),
+                                              q=1.0, gammas=(1e-5, 1e-5, 1e-7)))
+
+
 @pytest.mark.parametrize("make", [
     lambda: unit_row_logistic(),
     lambda: models.PortfolioModel(bench_io.gen_portfolio(30, 6, seed=3)),

@@ -237,3 +237,27 @@ def test_rank_deficient_h_falls_back_to_fista(spec):
     z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-9, l_h=l_h)
     assert spec.feasible(z)
     assert prox_residual(spec, z, grad + h @ (z - x), 1.0 / l_h) <= 1e-9
+
+
+def test_subproblem_accuracy_follows_its_step():
+    # tol = 0.1 is loose next to a step z - x of ~1e-3: the returned z meets
+    # the acceptance rule at max(1e-12, 0.01 lambda^2), lambda = ||z - x||_H.
+    # x nearly solves each subproblem: grad is its optimality condition plus
+    # a 1e-3 error
+    rng = np.random.default_rng(21)
+    p = 6
+    h = _pd(rng, p)
+    l_h = linops.largest_eigenvalue(h, dim=p)
+    x_l1 = np.array([0.5, -0.4, 0.0, 0.0, 0.7, 0.0])
+    x_simplex = np.array([0.1, 0.2, 0.15, 0.25, 0.2, 0.1])
+    cases = [(ProxSpec("l1", weight=0.3), x_l1,  # FISTA
+              -0.3 * np.sign(x_l1) + 0.15 * np.array([0, 0, -1, 1, 0, 1.0])),
+             (ProxSpec("simplex"), x_simplex, -np.ones(p))]  # active set
+    for spec, x, grad in cases:
+        grad = grad + 1e-3 * rng.normal(size=p)
+        z = scaled_prox_subproblem(h, grad, x, spec, tol=0.1, l_h=l_h)
+        lam = linops.local_norm(h, z - x)
+        assert 1e-4 <= lam <= 1e-2
+        res, target = prox._acceptance(spec, z, grad + h @ (z - x), grad, l_h,
+                                       max(1e-12, 0.01 * lam * lam))
+        assert res <= target, spec.kind

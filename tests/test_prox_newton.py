@@ -191,20 +191,27 @@ def test_cg_inner_method_uses_hvp():
 
 
 def test_exact_subproblem_is_not_resolved(monkeypatch):
-    # an active-set z passes the acceptance rule at any tighter tol, so a
-    # re-solve could only return the same z; at seed 0 one residual lies
-    # above the 1e-12 tol but below the rounding floor
+    # one subproblem call per outer iteration.  An active-set z passes the
+    # acceptance rule at any tighter tol (at seed 0 one residual lies above
+    # the 1e-12 tol but below the rounding floor); FISTA (the l1 logistic
+    # and p_dense=0 inputs) tightens its tolerance inside the same call
     calls = []
     solve = prox_newton.scaled_prox_subproblem
     monkeypatch.setattr(prox_newton, "scaled_prox_subproblem",
                         lambda *a, **k: calls.append(k["tol"]) or solve(*a, **k))
-    for seed in (10, 0):
+    a, labels = bench_io.gen_logistic(200, 50, seed=23)
+    cases = [(models.PortfolioModel(bench_io.gen_portfolio(1000, 5, seed=seed)),
+              ProxSpec("simplex"), np.full(5, 0.2)) for seed in (10, 0)]
+    cases += [(models.GlmModel(a * labels[:, None], atoms.logistic()),
+               ProxSpec("l1", weight=0.05 / math.sqrt(200)), np.zeros(50)),
+              (models.PortfolioModel(bench_io.gen_portfolio(50, 10, seed=7), p_dense=0),
+               ProxSpec("simplex"), np.full(10, 0.1))]
+    for model, spec, x0 in cases:
         calls.clear()
-        port = models.PortfolioModel(bench_io.gen_portfolio(1000, 5, seed=seed))
-        res = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), np.full(5, 0.2)),
+        res = minimize_composite(CompositeProblem(model, spec, x0),
                                  SolveOptions(record_time=False))
         assert res.status == "converged"
-        assert len(calls) == len(res.trace), seed
+        assert len(calls) == len(res.trace), (model, spec)
 
 
 @pytest.mark.parametrize("n,p", [(200, 20), (1000, 100)])
