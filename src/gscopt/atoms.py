@@ -33,11 +33,21 @@ class LossAtom:
     def __call__(self, t, order=0):
         return atom_eval(self, t, order)
 
+    @property
+    def bounded(self) -> bool:
+        """False when the domain is the whole real line."""
+        return self.domain != (-math.inf, math.inf)
+
+
+def inside(domain: tuple[float, float], t):
+    """The mask of t strictly inside the open interval domain; NaN is never inside."""
+    lo, hi = domain
+    return (t > lo) & (t < hi) if hi < math.inf else t > lo
+
 
 def _check_domain(atom, t):
-    lo, hi = atom.domain
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= lo) or np.any(t >= hi):
+    if not np.all(inside(atom.domain, np.asarray(t, dtype=float))):
+        lo, hi = atom.domain
         raise DomainError(f"{atom.kind}: argument outside open domain ({lo}, {hi})")
 
 

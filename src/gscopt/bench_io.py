@@ -5,8 +5,10 @@ splitmix64 stream (state_i = seed + i * 0x9E3779B97F4A7C15 mod 2^64, output
 murmur-style mixed; uniforms from the top 53 bits), so a port in any language
 reproduces the same matrices bit-for-bit from the seed alone.
 
-Trace files serialize floats with 17 significant digits, which round-trips
-IEEE doubles exactly; the CSV column set is fixed (see TRACE_COLUMNS).
+Trace files follow newton.TRACE_SCHEMA, the one table of (file column,
+IterRecord field) pairs: it gives the CSV columns (TRACE_COLUMNS) and the
+JSON keys, in order.  Floats serialize with 17 significant digits, which
+round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import csv
 import io
 import json
 import math
+import typing
 import warnings
 from dataclasses import dataclass
 
@@ -23,12 +26,12 @@ import scipy.sparse as sp
 
 from .errors import ParameterError
 from .models import is_feasible
-from .newton import IterRecord
+from .newton import TRACE_SCHEMA, IterRecord
 from .prox import ProxSpec, prox_apply
 
 PRNG_NAME = "splitmix64+box-muller"
 
-TRACE_COLUMNS = ["iter", "phase", "f", "grad_norm", "lambda", "beta", "d_k", "tau", "cum_time_s"]
+TRACE_COLUMNS = [column for column, _ in TRACE_SCHEMA]
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +225,8 @@ def pg_bb(model, prox_spec: ProxSpec, x0, eps: float = 1e-6, max_iter: int = 100
             step *= 0.5
             continue
         hist.append((k, model.value(x_new), float(np.linalg.norm(x_new - x))))
-        if np.linalg.norm(x_new - x) <= eps * max(1.0, float(np.linalg.norm(x))):
-            x = x_new
-            break
+        if hist[-1][2] <= eps * max(1.0, float(np.linalg.norm(x))):
+            return x_new, hist
         g_new = model.grad(x_new)
         s = x_new - x
         yv = g_new - g
@@ -255,12 +257,10 @@ def frank_wolfe(model, x0, eps: float = 1e-4, max_iter: int = 100000,
             t = _segment_linesearch(model, x, d)
         else:
             t = 2.0 / (k + 2.0)
-        x_new = x + t * d
-        hist.append((k, model.value(x_new), float(np.linalg.norm(x_new - x))))
-        if np.linalg.norm(x_new - x) <= eps * max(1.0, float(np.linalg.norm(x))):
-            x = x_new
+        x, x_old = x + t * d, x
+        hist.append((k, model.value(x), float(np.linalg.norm(x - x_old))))
+        if hist[-1][2] <= eps * max(1.0, float(np.linalg.norm(x_old))):
             break
-        x = x_new
     return x, hist
 
 
@@ -295,9 +295,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _record_row(r: IterRecord) -> list:
-    return [r.k, r.phase, _fmt(r.f), _fmt(r.grad_norm), _fmt(r.lam), _fmt(r.beta),
-            _fmt(r.d_k), _fmt(r.tau), _fmt(r.cum_time)]
+_FIELD_TYPES = typing.get_type_hints(IterRecord)
+#: (IterRecord field, value -> CSV cell) in column order
+_CSV_CELLS = [(name, _fmt if _FIELD_TYPES[name] is float else str) for _, name in TRACE_SCHEMA]
 
 
 def trace_to_csv(trace: list[IterRecord]) -> str:
@@ -305,55 +305,38 @@ def trace_to_csv(trace: list[IterRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
     for r in trace:
-        writer.writerow(_record_row(r))
+        writer.writerow([cell(getattr(r, name)) for name, cell in _CSV_CELLS])
     return buf.getvalue()
 
 
 def write_trace(trace: list[IterRecord], path, fmt: str = "csv") -> None:
     """Persist a solver trace; floats carry 17 significant digits (lossless)."""
+    if fmt == "csv":
+        text = trace_to_csv(trace)
+    elif fmt == "json":
+        rows = [{column: getattr(r, name) for column, name in TRACE_SCHEMA} for r in trace]
+        text = json.dumps(rows, indent=1) + "\n"
+    else:
+        raise ParameterError(f"unknown trace format {fmt!r}")
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                fh.write(trace_to_csv(trace))
-        elif fmt == "json":
-            rows = [
-                {
-                    "iter": r.k, "phase": r.phase, "f": r.f, "grad_norm": r.grad_norm,
-                    "lambda": r.lam, "beta": r.beta, "d_k": r.d_k, "tau": r.tau,
-                    "cum_time_s": r.cum_time,
-                }
-                for r in trace
-            ]
-            with open(path, "w") as fh:
-                json.dump(rows, fh, indent=1)
-                fh.write("\n")
-        else:
-            raise ParameterError(f"unknown trace format {fmt!r}")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"writing trace to {path}: {exc}") from exc
 
 
 def read_trace(path, fmt: str = "csv") -> list[IterRecord]:
-    try:
-        if fmt == "csv":
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-            if rows and rows[0] == TRACE_COLUMNS:
-                rows = rows[1:]
-            return [
-                IterRecord(int(r[0]), float(r[2]), float(r[3]), float(r[4]), float(r[5]),
-                           float(r[6]), float(r[7]), r[1], float(r[8]))
-                for r in rows
-            ]
-        if fmt == "json":
-            with open(path) as fh:
-                rows = json.load(fh)
-            return [
-                IterRecord(int(r["iter"]), float(r["f"]), float(r["grad_norm"]),
-                           float(r["lambda"]), float(r["beta"]), float(r["d_k"]),
-                           float(r["tau"]), r["phase"], float(r["cum_time_s"]))
-                for r in rows
-            ]
+    """The records of a trace file; a CSV file may omit its header row."""
+    if fmt not in ("csv", "json"):
         raise ParameterError(f"unknown trace format {fmt!r}")
+    try:
+        with open(path, newline="") as fh:
+            rows = json.load(fh) if fmt == "json" else list(csv.reader(fh))
     except OSError as exc:
         raise OSError(f"reading trace from {path}: {exc}") from exc
+    if fmt == "csv":
+        if rows[:1] == [TRACE_COLUMNS]:
+            del rows[0]
+        rows = [dict(zip(TRACE_COLUMNS, r)) for r in rows]
+    return [IterRecord(**{name: _FIELD_TYPES[name](row[column]) for column, name in TRACE_SCHEMA})
+            for row in rows]

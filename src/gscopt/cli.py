@@ -60,6 +60,14 @@ def _finish(args, result, model=None, margins=None):
     return 0 if result.status == "converged" else 2
 
 
+def _finish_first_order(args, hist, tail):
+    """Print a first-order baseline's summary; converged iff its last hist entry
+    meets the stop test (on the simplex max(1, ||x||) = 1, so that is entry <= eps)."""
+    status = "converged" if hist and hist[-1][2] <= args.eps else "max_iter"
+    print(f"status={status}  iters={len(hist)}  {tail}")
+    return 0 if status == "converged" else 2
+
+
 def _load_classification(args):
     if args.data:
         ds = bench_io.read_libsvm(args.data, normalize=True)
@@ -87,9 +95,7 @@ def cmd_fit_logistic(args) -> int:
     elif args.solver == "fgm":
         mu, lips = model.smoothness_bounds()
         x, hist = bench_io.fast_gradient(model, x0, mu, lips, eps=args.eps, max_iter=args.max_iter)
-        status = "converged" if hist and hist[-1][2] <= args.eps else "max_iter"
-        print(f"status={status}  iters={len(hist)}  f={model.value(x):.9e}")
-        return 0 if status == "converged" else 2
+        return _finish_first_order(args, hist, f"f={model.value(x):.9e}")
     else:
         raise GscError(f"--solver {args.solver} is not valid for fit-logistic")
     margins = (rows @ res.x)
@@ -137,9 +143,8 @@ def cmd_portfolio(args) -> int:
                                            linesearch=args.solver == "fw-ls")
         else:
             raise GscError(f"--solver {args.solver} is not valid for portfolio")
-        print(f"status=done  iters={len(hist)}  time={time.perf_counter()-t0:.3f}s  "
-              f"f={model.value(x):.9e}")
-        code = 0
+        code = _finish_first_order(args, hist, f"time={time.perf_counter()-t0:.3f}s  "
+                                                f"f={model.value(x):.9e}")
     print(f"simplex: sum={x.sum():.12f}  min={x.min():.3e}")
     return code
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernel, linops
-from .atoms import LossAtom, neg_power
+from .atoms import LossAtom, inside, neg_power
 from .errors import DomainError, ParameterError
 from .kernel import GscParams
 
@@ -33,6 +33,15 @@ P_DENSE_DEFAULT = 2000
 def is_feasible(model, x) -> bool:
     """model.feasible(x), or True for a model without a feasible method."""
     return getattr(model, "feasible", lambda _: True)(x)
+
+
+def _checked_margins(z, domain):
+    """z, or a DomainError naming its first row outside the open interval domain (NaN included)."""
+    mask = inside(domain, z)
+    if not mask.all():
+        row = int(np.argmin(mask))
+        raise DomainError(f"row {row}: margin {z[row]} outside the domain {domain}", row=row)
+    return z
 
 
 def _vector(v, size: int, name: str, default: float) -> np.ndarray:
@@ -127,28 +136,14 @@ class GlmModel:
     def _margins(self, x):
         """z = A x + b, checked against the atom's domain."""
         z = self._z(x)
-        lo, hi = self.atom.domain
-        if math.isinf(lo) and math.isinf(hi):
-            return z
-        bad = np.flatnonzero((z <= lo) | (z >= hi))
-        if bad.size:
-            raise DomainError(
-                f"row {bad[0]}: margin {z[bad[0]]} outside atom domain ({lo}, {hi})",
-                row=int(bad[0]),
-            )
-        return z
+        return _checked_margins(z, self.atom.domain) if self.atom.bounded else z
 
     def check_domain(self, x):
-        lo, hi = self.atom.domain
-        if not (math.isinf(lo) and math.isinf(hi)):
+        if self.atom.bounded:
             self._margins(x)
 
     def feasible(self, x):
-        lo, hi = self.atom.domain
-        if math.isinf(lo) and math.isinf(hi):
-            return True
-        z = self._z(x)
-        return bool(np.all((z > lo) & (z < hi)))
+        return not self.atom.bounded or bool(inside(self.atom.domain, self._z(x)).all())
 
     # -- oracle ------------------------------------------------------------
     def value(self, x):
@@ -284,6 +279,8 @@ class QuadraticModel:
 class PortfolioModel:
     """f(x) = -sum_i log(w_i' x) over the rows of a positive returns matrix; (M, nu) = (2, 3)."""
 
+    _domain = (0.0, math.inf)  # the open interval each return w_i' x lies in
+
     def __init__(self, w_mat, p_dense=P_DENSE_DEFAULT):
         self.w_mat = np.asarray(w_mat, dtype=float)
         if np.any(self.w_mat <= 0.0):
@@ -297,19 +294,13 @@ class PortfolioModel:
 
     def _margins(self, x):
         """z = W x, checked to be positive."""
-        z = self._z(x)
-        bad = np.flatnonzero(z <= 0.0)
-        if bad.size:
-            raise DomainError(
-                f"row {bad[0]}: nonpositive portfolio return {z[bad[0]]}", row=int(bad[0])
-            )
-        return z
+        return _checked_margins(self._z(x), self._domain)
 
     def check_domain(self, x):
         self._margins(x)
 
     def feasible(self, x):
-        return bool(np.all(self._z(x) > 0.0))
+        return bool(inside(self._domain, self._z(x)).all())
 
     def value(self, x):
         return -float(np.sum(np.log(self._margins(x))))

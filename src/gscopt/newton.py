@@ -41,8 +41,8 @@ class SolveOptions:
     record_time: bool = True
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ParameterError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ParameterError(f"eps must be positive and finite, got {self.eps}")
         if self.max_iter < 0:
             raise ParameterError(f"max_iter must be nonnegative, got {self.max_iter}")
         if self.step_rule not in ("analytic", "linesearch_floor", "full", "exact"):
@@ -64,16 +64,27 @@ class IterRecord:
     cum_time: float
 
 
+#: The trace file schema: (file column, IterRecord field) pairs in column order.
+#: bench_io writes and reads CSV rows and JSON objects from this table alone.
+TRACE_SCHEMA = (("iter", "k"), ("phase", "phase"), ("f", "f"), ("grad_norm", "grad_norm"),
+                ("lambda", "lam"), ("beta", "beta"), ("d_k", "d_k"), ("tau", "tau"),
+                ("cum_time_s", "cum_time"))
+
+
 @dataclass
 class SolveResult:
     x: np.ndarray
     trace: list[IterRecord]
     status: str         # "converged" | "max_iter" | "domain_error"
     params: GscParams
-    iterations: int = 0
     grad_criterion_met: bool = False
     nfval: int = 0
     extra: dict = field(default_factory=dict)
+
+    @property
+    def iterations(self) -> int:
+        """Steps taken: one record per iterate, and the last iterate takes none."""
+        return max(len(self.trace) - 1, 0)
 
 
 def resolve_params(model, nu_choice: str) -> GscParams:
@@ -225,8 +236,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
         f_x = objective(x)
         nfval += 1
 
-    result = SolveResult(x=x, trace=trace, status=status, params=params,
-                         iterations=max(len(trace) - 1, 0), nfval=nfval)
+    result = SolveResult(x=x, trace=trace, status=status, params=params, nfval=nfval)
     return result, model.grad(x)
 
 

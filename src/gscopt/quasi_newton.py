@@ -180,7 +180,6 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
 
     return SolveResult(
         x=x, trace=trace, status=status, params=params,
-        iterations=max(len(trace) - 1, 0),
         grad_criterion_met=(status == "converged"),
         extra={"state": state, "skipped_updates": state.n_skipped},
     )

@@ -70,10 +70,10 @@ def test_portfolio_prox_newton_200x20(capsys):
 
 
 def test_portfolio_first_order_solvers(capsys):
-    for solver in ("pg-bb", "fw", "fw-ls"):
+    for solver in ("pg-bb", "fw-ls"):
         code = main(["portfolio", "--synthetic", "n=30,p=6", "--solver", solver,
                      "--seed", "2", "--eps", "1e-5"])
-        assert code == 0
+        assert code == 0 and "status=converged" in capsys.readouterr().out
 
 
 def test_fit_dwd(capsys):
@@ -117,6 +117,15 @@ def test_exit_codes(capsys, tmp_path):
     code = main(["fit-logistic", "--synthetic", "n=200,p=20", "--solver", "fgm",
                  "--max-iter", "3"])
     assert code == 2 and "status=max_iter  iters=3  " in capsys.readouterr().out
+    # the portfolio baselines follow the same contract
+    portfolio = ["portfolio", "--synthetic", "n=30,p=6", "--seed", "2", "--eps", "1e-5"]
+    assert main(portfolio + ["--solver", "fw"]) == 2  # 2/(k+2) steps: budget runs out
+    assert "status=max_iter  iters=500  " in capsys.readouterr().out
+    assert main(portfolio + ["--solver", "pg-bb", "--max-iter", "3"]) == 2
+    assert main(portfolio + ["--solver", "pg-bb"]) == 0
+    assert "status=converged" in capsys.readouterr().out
+    # a non-finite tolerance is a usage error
+    assert main(["fit-logistic", "--synthetic", "n=50,p=5", "--eps", "nan"]) == 1
 
 
 def test_bench_subset(capsys):

@@ -114,6 +114,15 @@ def test_domain_error_reports_row():
     with pytest.raises(DomainError) as err:
         glm.value(np.array([2.0]))  # second margin 1 - 2 < 0
     assert err.value.row == 1
+    # NaN is outside every domain: the oracles and feasible agree on it
+    with pytest.raises(DomainError) as err:
+        pm.check_domain(np.array([math.nan, 0.5]))
+    assert err.value.row == 0 and not pm.feasible(np.array([math.nan, 0.5]))
+    with pytest.raises(DomainError) as err:
+        glm.value(np.array([math.nan]))
+    assert err.value.row == 0 and not glm.feasible(np.array([math.nan]))
+    with pytest.raises(DomainError):
+        atoms.atom_eval(atoms.log_barrier(), math.nan)
 
 
 def test_glm_gsc_params_native_and_forced():

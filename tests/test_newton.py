@@ -199,6 +199,12 @@ def test_negative_max_iter_rejected():
     assert res.status == "max_iter" and res.iterations == 0
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_nonfinite_eps_rejected(eps):
+    with pytest.raises(ParameterError):
+        SolveOptions(eps=eps)
+
+
 def test_grad_criterion_reported():
     model = reg_logistic(n=300, p=20)
     res = minimize(model, np.zeros(model.dim), SolveOptions(eps=1e-8, record_time=False))
