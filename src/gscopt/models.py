@@ -12,6 +12,11 @@ Newton solve factors has at most p_dense (default 2000) rows: all of it
 for a dense or sparse design, B's columns for a SlackDesign [B, I_n],
 whose Hessian is a linops.SlackHessian.  Larger problems are served
 through hvp (conjugate-gradient path).
+
+Oracles at one point share one margin evaluation: each GLM and portfolio
+model keeps a record of the last x it saw (_PointRecord), with its margins
+z = A x + b and the arrays derived from them, and a call at a bitwise-equal
+x reads that record instead of forming A x again.
 """
 
 from __future__ import annotations
@@ -35,13 +40,73 @@ def is_feasible(model, x) -> bool:
     return getattr(model, "feasible", lambda _: True)(x)
 
 
-def _checked_margins(z, domain):
-    """z, or a DomainError naming its first row outside the open interval domain (NaN included)."""
-    mask = inside(domain, z)
-    if not mask.all():
-        row = int(np.argmin(mask))
-        raise DomainError(f"row {row}: margin {z[row]} outside the domain {domain}", row=row)
-    return z
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+class _Point:
+    """One point's margins z, its first row outside the domain, and arrays derived from z.
+
+    Every array it holds is read-only, and none is ever replaced: a new
+    point gets a new _Point.
+    """
+
+    __slots__ = ("key", "z", "_domain", "_row", "_derived")
+
+    def __init__(self, key, z, domain):
+        self.key = key
+        self.z = _frozen(z)
+        self._domain = domain
+        self._row = -1
+        if domain is not None:
+            mask = inside(domain, z)
+            if not mask.all():
+                self._row = int(np.argmin(mask))
+        self._derived = {}
+
+    @property
+    def feasible(self) -> bool:
+        return self._row < 0
+
+    def margins(self):
+        """z, or a DomainError naming its first row outside the open interval domain (NaN included)."""
+        row = self._row
+        if row >= 0:
+            raise DomainError(f"row {row}: margin {self.z[row]} outside the domain {self._domain}",
+                              row=row)
+        return self.z
+
+    def derived(self, name, fn):
+        """fn(z) for this point, computed on first use; raises like margins() outside the domain."""
+        out = self._derived.get(name)
+        if out is None:
+            out = self._derived[name] = _frozen(fn(self.margins()))
+        return out
+
+
+class _PointRecord:
+    """The last point a model's oracles saw, so oracles at one point share its margins.
+
+    The key is a copy of x's float64 bytes (and shape): a caller that
+    mutates x in place after a call gets a miss, and -0.0 and 0.0, or two
+    NaN payloads, are different points.  domain is the open interval the
+    margins must lie in, or None when they are not checked.  One point is
+    kept at a time, so memory stays a few vectors per model.
+    """
+
+    def __init__(self, domain):
+        self._domain = domain
+        self._point = None
+
+    def at(self, x, margins) -> _Point:
+        """The record of x, with z = margins(x) computed only when x is a new point."""
+        xf = np.asarray(x, dtype=float)
+        key = (xf.shape, xf.tobytes())
+        point = self._point
+        if point is None or point.key != key:
+            point = self._point = _Point(key, margins(x), self._domain)
+        return point
 
 
 def _vector(v, size: int, name: str, default: float) -> np.ndarray:
@@ -128,36 +193,37 @@ class GlmModel:
         self.p_dense = p_dense
         self.row_norms = _row_norms(self.a)
         self.params = glm_gsc_params(self, "native")
+        self._record = _PointRecord(self.atom.domain if self.atom.bounded else None)
 
     # -- domain ------------------------------------------------------------
     def _z(self, x):
         return (self.a @ x) + self.b
 
-    def _margins(self, x):
-        """z = A x + b, checked against the atom's domain."""
-        z = self._z(x)
-        return _checked_margins(z, self.atom.domain) if self.atom.bounded else z
+    def _at(self, x) -> _Point:
+        """The point record of x: z = A x + b, checked against a bounded atom's domain."""
+        return self._record.at(x, self._z)
 
     def check_domain(self, x):
         if self.atom.bounded:
-            self._margins(x)
+            self._at(x).margins()
 
     def feasible(self, x):
-        return not self.atom.bounded or bool(inside(self.atom.domain, self._z(x)).all())
+        return not self.atom.bounded or self._at(x).feasible
 
     # -- oracle ------------------------------------------------------------
     def value(self, x):
-        z = self._margins(x)
+        z = self._at(x).margins()
         quad = 0.5 * float(x @ (self.q_diag * x)) + float(self.c @ x)
         return float(self.w @ self.atom._derivs[0](z)) + quad
 
     def grad(self, x):
-        z = self._margins(x)
-        g = self.a.T @ (self.w * self.atom._derivs[1](z))
+        d1 = self._at(x).derived("w_d1", lambda z: self.w * self.atom._derivs[1](z))
+        g = self.a.T @ d1
         return np.asarray(g).ravel() + self.q_diag * x + self.c
 
     def _d2w(self, x):
-        return self.w * self.atom._derivs[2](self._margins(x))
+        """w phi''(z) at x, shared by hessian and every hvp at x."""
+        return self._at(x).derived("w_d2", lambda z: self.w * self.atom._derivs[2](z))
 
     def hessian(self, x):
         if not self.has_dense_hessian:
@@ -288,33 +354,40 @@ class PortfolioModel:
         self.n, self.dim = self.w_mat.shape
         self.params = GscParams(2.0, 3.0)
         self.p_dense = p_dense
+        self._record = _PointRecord(self._domain)
 
     def _z(self, x):
         return self.w_mat @ x
 
-    def _margins(self, x):
-        """z = W x, checked to be positive."""
-        return _checked_margins(self._z(x), self._domain)
+    def _at(self, x) -> _Point:
+        """The point record of x: z = W x, checked to be positive."""
+        return self._record.at(x, self._z)
+
+    def _inv(self, point):
+        """1/z at the point, shared by grad and _inv2."""
+        return point.derived("inv", lambda z: 1.0 / z)
+
+    def _inv2(self, point):
+        """1/z^2 at the point, squared from its 1/z; shared by hessian and every hvp."""
+        return point.derived("inv2", lambda z: self._inv(point) ** 2)
 
     def check_domain(self, x):
-        self._margins(x)
+        self._at(x).margins()
 
     def feasible(self, x):
-        return bool(inside(self._domain, self._z(x)).all())
+        return self._at(x).feasible
 
     def value(self, x):
-        return -float(np.sum(np.log(self._margins(x))))
+        return -float(np.sum(np.log(self._at(x).margins())))
 
     def grad(self, x):
-        return -(self.w_mat.T @ (1.0 / self._margins(x)))
+        return -(self.w_mat.T @ self._inv(self._at(x)))
 
     def hessian(self, x):
-        inv = 1.0 / self._margins(x)
-        return self.w_mat.T @ (inv[:, None] ** 2 * self.w_mat)
+        return linops.weighted_gram(self.w_mat, self._inv2(self._at(x)), 0.0)
 
     def hvp(self, x, v):
-        inv2 = self._margins(x) ** -2
-        return self.w_mat.T @ (inv2 * (self.w_mat @ v))
+        return self.w_mat.T @ (self._inv2(self._at(x)) * (self.w_mat @ v))
 
     @property
     def has_dense_hessian(self):

@@ -42,8 +42,8 @@ class ProxSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "l1", "simplex", "box"):
             raise ParameterError(f"unknown regularizer kind {self.kind!r}")
-        if self.kind == "l1" and self.weight < 0.0:
-            raise ParameterError("l1 weight must be nonnegative")
+        if self.kind == "l1" and not (math.isfinite(self.weight) and self.weight >= 0.0):
+            raise ParameterError(f"l1 weight must be finite and nonnegative, got {self.weight}")
         if self.kind == "box" and not (self.lo <= self.hi):
             raise ParameterError("box needs lo <= hi")
 

@@ -105,7 +105,8 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     """Quasi-Newton iteration x+ = x - tau B grad f with BFGS updates.
 
     h0 seeds the Hessian approximation (default: identity scaled by
-    ||grad f(x0)|| / max(1, ||x0||)).  Every step_rule except "exact",
+    ||grad f(x0)|| / max(1, ||x0||)); it must be a finite, symmetric,
+    positive definite (p, p) matrix.  Every step_rule except "exact",
     "full" included, runs the floored Armijo search described in the module
     docstring, with the analytic step of the surrogate decrement as floor.
     "exact" takes the one-dimensional Newton step along the direction
@@ -130,7 +131,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
         scale = max(np.linalg.norm(g), 1e-8) / max(1.0, float(np.linalg.norm(x)))
         state = BfgsState.identity(p, scale)
     else:
-        h0 = np.asarray(h0, dtype=float)
+        h0 = _checked_h0(h0, p)
         state = BfgsState(h=h0.copy(), b=np.linalg.inv(h0))
     h, b = state.h, state.b
     trace: list[IterRecord] = []
@@ -143,12 +144,21 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
             callback(k, x, state)
         gnorm = float(np.linalg.norm(g))
         cum = (time.perf_counter() - t0) if opts.record_time else 0.0
+        converged = gnorm <= opts.eps * max(1.0, g0_norm)
         d = -(b @ g)
         lam_hat = math.sqrt(max(0.0, -float(g @ d)))
+        if lam_hat == 0.0 and not converged and k < opts.max_iter:
+            # B lost positive definiteness numerically; restart this iterate
+            # from the identity
+            for a in (h, b):
+                a.fill(0.0)
+                a.flat[::p + 1] = 1.0
+            d = -(b @ g)
+            lam_hat = math.sqrt(max(0.0, -float(g @ d)))
         beta = m * float(np.linalg.norm(d))
         tau_floor, d_k = kernel.step_size(nu, m, lam_hat, beta)
 
-        if gnorm <= opts.eps * max(1.0, g0_norm):
+        if converged:
             trace.append(IterRecord(k, f_x, gnorm, lam_hat, beta, d_k, 1.0, "full", cum))
             status = "converged"
             break
@@ -156,12 +166,6 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
             trace.append(IterRecord(k, f_x, gnorm, lam_hat, beta, d_k, 1.0, "damped", cum))
             status = "max_iter"
             break
-        if lam_hat == 0.0:
-            # B lost positive definiteness numerically; restart from identity
-            for a in (h, b):
-                a.fill(0.0)
-                a.flat[::p + 1] = 1.0
-            continue
 
         f_new = None
         if opts.step_rule == "exact":
@@ -183,6 +187,22 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
         grad_criterion_met=(status == "converged"),
         extra={"state": state, "skipped_updates": state.n_skipped},
     )
+
+
+def _checked_h0(h0, p):
+    """h0 as a float array, or ParameterError unless it is a finite symmetric PD (p, p) matrix."""
+    h0 = np.asarray(h0, dtype=float)
+    if h0.shape != (p, p):
+        raise ParameterError(f"h0 must be a ({p}, {p}) matrix, got shape {h0.shape}")
+    if not np.all(np.isfinite(h0)):
+        raise ParameterError("h0 must be finite")
+    if np.max(np.abs(h0 - h0.T), initial=0.0) > 1e-12 * np.max(np.abs(h0), initial=0.0):
+        raise ParameterError("h0 must be symmetric")
+    try:
+        np.linalg.cholesky(h0)
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError(f"h0 must be positive definite: {exc}") from exc
+    return h0
 
 
 def _floored_armijo(model, x, d, g, f0, tau_floor):

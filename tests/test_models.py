@@ -9,6 +9,8 @@ import scipy.sparse as sp
 from gscopt import atoms, bench_io, linops, models
 from gscopt.acceptance import bound_suite_violations
 from gscopt.errors import DomainError, ParameterError
+from gscopt.newton import SolveOptions, minimize
+from gscopt.quasi_newton import minimize_qn
 
 
 def unit_row_logistic(n=40, p=6, seed=1, gamma=1e-5):
@@ -107,9 +109,12 @@ def test_dense_hessian_cutoff():
 
 def test_domain_error_reports_row():
     pm = models.PortfolioModel(np.array([[1.0, 1.0], [1.0, 2.0]]))
-    with pytest.raises(DomainError) as err:
-        pm.value(np.array([-1.0, 0.5]))
-    assert err.value.row == 0
+    # every oracle at the point raises, however often it is asked
+    for oracle in (pm.value, pm.grad, pm.hessian, pm.check_domain, pm.value):
+        with pytest.raises(DomainError) as err:
+            oracle(np.array([-1.0, 0.5]))
+        assert err.value.row == 0
+    assert not pm.feasible(np.array([-1.0, 0.5])) and pm.feasible(np.array([0.5, 0.5]))
     glm = models.GlmModel(np.array([[1.0], [-1.0]]), atoms.log_barrier(), b=np.array([1.0, 1.0]))
     with pytest.raises(DomainError) as err:
         glm.value(np.array([2.0]))  # second margin 1 - 2 < 0
@@ -267,3 +272,170 @@ def test_smoothness_bounds():
     assert anti.smoothness_bounds()[1] >= 0.25 * 4.0 + 1e-3
     bar = models.GlmModel(gm.a, atoms.log_barrier(), b=np.full(gm.n, 10.0))
     assert math.isinf(bar.smoothness_bounds()[1])
+
+
+# -- one margin evaluation per point --------------------------------------------
+
+class CountingDesign(models.SlackDesign):
+    """The slack design [B, I_n], counting its forward (A @ v) and transposed (A.T @ u) products."""
+
+    def __init__(self, block):
+        super().__init__(block)
+        self.forward = self.transposed = 0
+
+    def __matmul__(self, x):
+        self.forward += 1
+        return super().__matmul__(x)
+
+    @property
+    def T(self):
+        return _CountingTranspose(self, super().T)
+
+
+class _CountingTranspose:
+    def __init__(self, design, op):
+        self.design, self.op = design, op
+
+    def __matmul__(self, u):
+        self.design.transposed += 1
+        return self.op @ u
+
+
+class PointLog:
+    """Delegating model proxy: logs (oracle, x bytes) and the design products each call made."""
+
+    ORACLE = ("value", "grad", "hessian", "hvp", "feasible", "check_domain")
+
+    def __init__(self, model):
+        self._model = model
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(self._model, name)
+        if name not in self.ORACLE:
+            return attr
+        design = self._model.a
+
+        def call(x, *rest):
+            before = design.forward, design.transposed
+            out = attr(x, *rest)
+            self.calls.append((name, np.asarray(x, dtype=float).tobytes(),
+                               design.forward - before[0], design.transposed - before[1]))
+            return out
+        return call
+
+    def points(self):
+        """Distinct points among the calls that read margins."""
+        return {key for name, key, _, _ in self.calls
+                if name != "check_domain" or self._model.atom.bounded}
+
+    def count(self, name):
+        return sum(c[0] == name for c in self.calls)
+
+
+def counting_logistic(n=60, p=4, seed=21, p_dense=models.P_DENSE_DEFAULT):
+    a, labels = bench_io.gen_logistic(n, p, seed=seed)
+    return models.GlmModel(CountingDesign(a * labels[:, None]), atoms.logistic(),
+                           q_diag=1e-3, p_dense=p_dense)
+
+
+def test_quasi_newton_forms_each_margin_once():
+    model = counting_logistic()
+    log = PointLog(model)
+    res = minimize_qn(log, np.zeros(model.dim), SolveOptions(eps=1e-8, record_time=False))
+    assert res.status == "converged" and res.iterations > 5
+    # every Armijo search accepted its first trial: one value per step
+    assert log.count("value") == log.count("grad") == res.iterations + 1
+    assert model.a.forward == len(log.points()) == res.iterations + 1
+    assert model.a.transposed == log.count("grad")
+
+
+def test_cg_hvp_makes_one_product_each_way():
+    model = counting_logistic(p_dense=0)
+    log = PointLog(model)
+    res = minimize(log, np.zeros(model.dim), SolveOptions(record_time=False))
+    assert res.status == "converged" and not model.has_dense_hessian
+    hvps = [c for c in log.calls if c[0] == "hvp"]
+    assert hvps and all(c[2:] == (1, 1) for c in hvps)
+    assert model.a.forward == len(log.points()) + len(hvps)
+
+
+def test_dwd_newton_forms_each_margin_once():
+    a, labels = bench_io.gen_logistic(40, 5, seed=8)
+    dwd = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.zeros(40), q=1.0,
+                                            gammas=(1e-4, 1e-4, 1e-5)))
+    model = models.GlmModel(CountingDesign(dwd.a.block), dwd.atom, q_diag=dwd.q_diag, c=dwd.c)
+    log = PointLog(model)
+    res = minimize(log, np.concatenate([np.zeros(6), np.ones(40)]), SolveOptions(record_time=False))
+    assert res.status == "converged" and res.iterations > 5
+    # check_domain, value, grad, hessian and feasible all read one margin evaluation
+    assert model.a.forward == len(log.points())
+    assert model.a.transposed == log.count("grad")
+    # the domain guard took no halving: one point per iterate
+    assert log.count("feasible") == res.iterations
+    assert model.a.forward == res.iterations + 1
+
+
+def _point_models():
+    a, labels = bench_io.gen_logistic(15, 4, seed=8)
+    dwd = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(15, 0.01), q=1.0,
+                                            gammas=(1e-4, 1e-4, 1e-5)))
+    port = bench_io.gen_portfolio(30, 6, seed=3)
+    return [
+        (unit_row_logistic, np.linspace(-0.3, 0.3, 6)),
+        (lambda: models.PortfolioModel(port), np.full(6, 1.0 / 6.0)),
+        (lambda: models.PortfolioModel(port, p_dense=0), np.full(6, 1.0 / 6.0)),
+        (lambda: models.GlmModel(dwd.a, dwd.atom, q_diag=dwd.q_diag, c=dwd.c),
+         np.concatenate([np.zeros(5), np.ones(15)])),
+    ]
+
+
+def _oracles(model, x, v):
+    h = model.hessian(x) if model.has_dense_hessian else None
+    return (model.value(x), model.grad(x), model.hvp(x, v),
+            None if h is None else np.asarray(h), model.feasible(x))
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("make,x0", _point_models())
+def test_mutating_x_in_place_misses_the_record(make, x0):
+    model, fresh = make(), make()
+    x = x0.copy()
+    v = np.linspace(1.0, 2.0, x.size)
+    model.value(x)
+    model.grad(x)
+    x[0] += 1e-3      # the same array, now another point
+    _assert_same(_oracles(model, x, v), _oracles(fresh, x.copy(), v))
+
+
+@pytest.mark.parametrize("make,x0", _point_models())
+def test_returned_arrays_cannot_corrupt_the_record(make, x0):
+    model = make()
+    v = np.linspace(1.0, 2.0, x0.size)
+    want = _oracles(make(), x0, v)
+    g, hv = model.grad(x0), model.hvp(x0, v)
+    g[:] = 0.0
+    hv[:] = 0.0
+    if model.has_dense_hessian:
+        h = model.hessian(x0)
+        if isinstance(h, linops.SlackHessian):
+            with pytest.raises(ValueError):   # its curvatures are the record's, read-only
+                h.d[0] = 0.0
+        else:
+            h[:] = 0.0
+    _assert_same(_oracles(model, x0, v), want)
+
+
+def test_record_key_is_the_bytes_of_x():
+    # -0.0 == 0.0, but their bytes differ: two points, two margin evaluations
+    model = counting_logistic()
+    zero = np.zeros(model.dim)
+    assert model.value(zero) == model.value(-zero)
+    assert model.a.forward == 2
+    model.grad(-zero)
+    model.hvp(-zero, zero)
+    assert model.a.forward == 3      # the hvp's own product A v

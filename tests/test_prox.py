@@ -39,6 +39,14 @@ def test_box_and_zero():
         ProxSpec("huber")
 
 
+@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+def test_l1_weight_must_be_finite_and_nonnegative(weight):
+    # nan < 0 is False: a NaN weight once gave prox_apply [nan nan nan], and
+    # an infinite one value(0) = inf * 0 = nan
+    with pytest.raises(ParameterError):
+        ProxSpec("l1", weight=weight)
+
+
 def _simplex_active_set(u):
     p = u.size
     best, best_val = None, math.inf

@@ -190,3 +190,34 @@ def test_exact_step_rejected_by_newton_minimize():
     model = logistic_toy()
     with pytest.raises(ParameterError):
         minimize(model, np.zeros(model.dim), SolveOptions(step_rule="exact"))
+
+
+@pytest.mark.parametrize("h0", [
+    np.eye(4),                                  # wrong shape for p = 5
+    np.full((5, 5), np.nan),                    # not finite
+    -np.eye(5),                                 # negative definite
+    np.eye(5) + np.triu(np.ones((5, 5)), 1),    # not symmetric
+])
+def test_h0_must_be_a_finite_symmetric_pd_matrix(h0):
+    model = logistic_toy(n=100, p=5, seed=0)
+    with pytest.raises(ParameterError, match="h0"):
+        minimize_qn(model, np.zeros(5), SolveOptions(record_time=False), h0=h0)
+
+
+def test_restart_keeps_one_record_per_iteration():
+    model = logistic_toy(n=100, p=5, seed=0)
+    grads = {}
+
+    def spoil_b(k, x, state):
+        # the state's arrays are the solver's own: a negative definite B
+        # makes the next direction ascend, which forces the restart
+        grads[k] = model.grad(x)
+        if k == 2:
+            state.b[:] = -np.eye(5)
+
+    res = minimize_qn(model, np.zeros(5), SolveOptions(eps=1e-9, record_time=False),
+                      callback=spoil_b)
+    assert res.status == "converged"
+    assert [r.k for r in res.trace] == list(range(len(res.trace)))
+    # the restarted iterate steps along -grad, so lambda_hat = ||grad||
+    assert res.trace[2].lam == pytest.approx(np.linalg.norm(grads[2]), rel=1e-12)
