@@ -1,18 +1,21 @@
 """Acceptance matrix: the 12 scaled-down quantitative checks that gate a release.
 
-Each criterion is a function returning a CriterionResult; run_all executes
-the requested subset and the CLI `bench` command renders the table.  The
-same functions back tests/test_acceptance.py so `pytest` and `gscopt bench`
-always agree.  Reference values use 50-digit arithmetic (mpmath) where the
-criterion demands it; everything is seeded and deterministic.
+Each criterion is a check registered by @_criterion, which times it against
+its limit and returns a CriterionResult; run_all executes the requested
+subset and the CLI `bench` command renders the table.  The same functions
+back tests/test_acceptance.py so `pytest` and `gscopt bench` always agree.
+Reference values use 50-digit arithmetic (mpmath) where the criterion
+demands it; everything is seeded and deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +38,28 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         return (f"criterion {self.cid:2d} [{status}] {self.name:<28s} "
                 f"{self.runtime:6.2f}s/{self.limit:.0f}s  {self.detail}")
+
+
+#: criterion id -> its timed check, filled in by @_criterion
+CRITERIA: dict[int, Callable[[], CriterionResult]] = {}
+
+
+def _criterion(cid: int, name: str, limit: float):
+    """Register check() -> (passed, detail) as criterion cid, failed if it takes limit s."""
+    def register(check):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = check()
+            dt = time.perf_counter() - t0
+            return CriterionResult(cid, name, passed and dt < limit, dt, limit, detail)
+        CRITERIA[cid] = run
+        return run
+    return register
+
+
+def _report(problems: list[str], success: str) -> str:
+    return "; ".join(problems) if problems else success
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +139,9 @@ def _grid(include_negative=True):
     return np.asarray(pts[:1000])
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "kernel exactness", 5.0)
+def criterion_1():
     """Kernel functions match 50-digit references to 1e-12 (1e-10 near the series switch)."""
-    t0 = time.perf_counter()
     om, ob, obb, kl, rn = _mp_funcs()
     worst = 0.0
     worst_at = ""
@@ -147,39 +172,31 @@ def criterion_1() -> CriterionResult:
                 rel = abs(got - want) / max(abs(want), 1e-300)
                 if rel > tol:
                     worst, worst_at = max(worst, rel), f"r_nu(nu={nu}, t={t:.3g})"
-    dt = time.perf_counter() - t0
-    ok = worst == 0.0 and dt < 5.0
-    detail = "all points within tolerance" if worst == 0.0 else f"worst rel err {worst:.2e} at {worst_at}"
-    return CriterionResult(1, "kernel exactness", ok, dt, 5.0, detail)
+    return worst == 0.0, ("all points within tolerance" if worst == 0.0
+                          else f"worst rel err {worst:.2e} at {worst_at}")
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "threshold constants", 1.0)
+def criterion_2():
     """Bisection reproduces the printed quadratic-phase constants."""
-    t0 = time.perf_counter()
     th3 = kernel.phase2_threshold(3.0, "prox_newton")
     closed = 1.0 - math.sqrt(5.0 / 8.0)
     ok3 = abs(th3.equation_root - closed) <= 1e-9
     th2 = kernel.phase2_threshold(2.0, "newton")
     ok2 = abs(th2.equation_root - 0.12964) <= 5e-5
-    dt = time.perf_counter() - t0
-    ok = ok3 and ok2 and dt < 1.0
-    detail = (f"d3*(prox)={th3.equation_root:.10f} vs {closed:.10f}; "
-              f"root(R2 e^t=2)={th2.equation_root:.7f}")
-    return CriterionResult(2, "threshold constants", ok, dt, 1.0, detail)
+    return ok3 and ok2, (f"d3*(prox)={th3.equation_root:.10f} vs {closed:.10f}; "
+                         f"root(R2 e^t=2)={th2.equation_root:.7f}")
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "GSC certificates", 5.0)
+def criterion_3():
     """Every shipped atom passes its GSC certificate on the representative interval."""
-    t0 = time.perf_counter()
     failures = []
     for name, (atom, interval) in atoms.standard_atoms().items():
         ratio = atoms.gsc_certificate(atom, interval, 4001)
         if not ratio <= atom.params.m * (1.0 + 1e-9):
             failures.append(f"{name}: {ratio:.6g} > {atom.params.m:.6g}")
-    dt = time.perf_counter() - t0
-    ok = not failures and dt < 5.0
-    detail = "; ".join(failures) if failures else f"{len(atoms.standard_atoms())} atoms certified"
-    return CriterionResult(3, "GSC certificates", ok, dt, 5.0, detail)
+    return not failures, _report(failures, f"{len(atoms.standard_atoms())} atoms certified")
 
 
 def bound_suite_violations(model, n_pairs=200, seed=123, d_max=0.9, slack=1e-8,
@@ -238,24 +255,21 @@ def bound_suite_violations(model, n_pairs=200, seed=123, d_max=0.9, slack=1e-8,
     return violations
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "bound suite (sandwiches)", 30.0)
+def criterion_4():
     """Props-style sandwich bounds hold on logistic and portfolio toys."""
-    t0 = time.perf_counter()
     a, labels = bench_io.gen_logistic(20, 5, seed=31)
     logi = models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=1e-3)
     v1 = bound_suite_violations(logi, 200, seed=5)
     port = models.PortfolioModel(bench_io.gen_portfolio(20, 5, seed=9))
     x0 = np.full(5, 0.2)
     v2 = bound_suite_violations(port, 200, seed=6, base_point=x0)
-    dt = time.perf_counter() - t0
-    ok = v1 == 0 and v2 == 0 and dt < 30.0
-    return CriterionResult(4, "bound suite (sandwiches)", ok, dt, 30.0,
-                           f"violations: logistic={v1}, portfolio={v2}")
+    return v1 == 0 and v2 == 0, f"violations: logistic={v1}, portfolio={v2}"
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "descent + step ordering", 60.0)
+def criterion_5():
     """Analytic descent, step ordering tau2 > tau3, and iteration contrast."""
-    t0 = time.perf_counter()
     model = logistic_toy(n=2000, p=100, seed=42)
     x0 = np.zeros(model.dim)
     opts2 = SolveOptions(nu_choice="force_2", eps=1e-8, phase2="off", record_time=False)
@@ -292,11 +306,8 @@ def criterion_5() -> CriterionResult:
         problems.append(f"force_2 took {r2.iterations} iterations (status {r2.status})")
     if not (r3.status == "converged" and r2.iterations * 2 <= r3.iterations):
         problems.append(f"iteration contrast {r2.iterations} vs {r3.iterations}")
-    dt = time.perf_counter() - t0
-    ok = not problems and dt < 60.0
-    detail = "; ".join(problems) if problems else \
-        f"force_2: {r2.iterations} iters, force_3: {r3.iterations} iters"
-    return CriterionResult(5, "descent + step ordering", ok, dt, 60.0, detail)
+    return not problems, _report(
+        problems, f"force_2: {r2.iterations} iters, force_3: {r3.iterations} iters")
 
 
 def _quadratic_tail_ok(lams, floor=1e-16):
@@ -332,9 +343,9 @@ def _quadratic_tail_ok(lams, floor=1e-16):
     return True, f"C={c_run:.3g}"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "quadratic tails", 30.0)
+def criterion_6():
     """Quadratic tails of the decrement on the logistic (Newton) and portfolio (PN) toys."""
-    t0 = time.perf_counter()
     problems = []
     model = logistic_toy()
     x0 = np.zeros(model.dim)
@@ -352,10 +363,7 @@ def criterion_6() -> CriterionResult:
     ok, info = _quadratic_tail_ok(lams)
     if not ok:
         problems.append(f"prox-newton: {info} tail={lams[-3:]}")
-    dt = time.perf_counter() - t0
-    ok = not problems and dt < 30.0
-    return CriterionResult(6, "quadratic tails", ok, dt, 30.0,
-                           "; ".join(problems) if problems else "tails quadratic")
+    return not problems, _report(problems, "tails quadratic")
 
 
 def _projected_gradient_reference(model, x0, tol=1e-10, max_iter=500000):
@@ -372,9 +380,9 @@ def _projected_gradient_reference(model, x0, tol=1e-10, max_iter=500000):
     return x
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "composite correctness", 30.0)
+def criterion_7():
     """Prox-Newton portfolio solution matches a projected-gradient reference."""
-    t0 = time.perf_counter()
     port = portfolio_toy()
     x0 = np.full(port.dim, 1.0 / port.dim)
     res = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), x0),
@@ -383,10 +391,8 @@ def criterion_7() -> CriterionResult:
     f_pn, f_ref = port.value(res.x), port.value(xref)
     rel = abs(f_pn - f_ref) / max(1.0, abs(f_ref))
     feasible = abs(res.x.sum() - 1.0) <= 1e-12 and res.x.min() >= 0.0
-    dt = time.perf_counter() - t0
-    ok = rel <= 1e-6 and feasible and res.status == "converged" and dt < 30.0
-    return CriterionResult(7, "composite correctness", ok, dt, 30.0,
-                           f"rel objective gap {rel:.2e}, simplex feasible={feasible}")
+    return (rel <= 1e-6 and feasible and res.status == "converged",
+            f"rel objective gap {rel:.2e}, simplex feasible={feasible}")
 
 
 def _l1_prox_oracle(u, weight, step):
@@ -435,9 +441,9 @@ def _simplex_oracle(u):
     return best
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "prox oracles", 10.0)
+def criterion_8():
     """Soft-threshold and simplex projection match brute-force oracles."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     bad = 0
     for _ in range(1000):
@@ -455,14 +461,12 @@ def criterion_8() -> CriterionResult:
         want = _simplex_oracle(u)
         if np.max(np.abs(got - want)) > 1e-10:
             bad += 1
-    dt = time.perf_counter() - t0
-    ok = bad == 0 and dt < 10.0
-    return CriterionResult(8, "prox oracles", ok, dt, 10.0, f"{bad} mismatches out of 2000")
+    return bad == 0, f"{bad} mismatches out of 2000"
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "BFGS", 30.0)
+def criterion_9():
     """BFGS secant fuzz, quadratic finite termination, superlinear trend."""
-    t0 = time.perf_counter()
     problems = []
     rng = np.random.default_rng(99)
     state = quasi_newton.BfgsState.identity(6)
@@ -499,11 +503,8 @@ def criterion_9() -> CriterionResult:
     tail = ratios[-4:]
     if len(tail) < 4 or not all(b < a for a, b in zip(tail, tail[1:])):
         problems.append(f"superlinear tail not decreasing: {[f'{r:.3f}' for r in tail]}")
-    dt = time.perf_counter() - t0
-    ok = not problems and dt < 30.0
-    return CriterionResult(9, "BFGS", ok, dt, 30.0,
-                           "; ".join(problems) if problems else
-                           f"quad in {rq.iterations} its; tail {[f'{r:.2f}' for r in tail]}")
+    return not problems, _report(
+        problems, f"quad in {rq.iterations} its; tail {[f'{r:.2f}' for r in tail]}")
 
 
 def _qn_error_trajectory(model, x0, xstar, eps=1e-9, max_iter=300):
@@ -515,9 +516,9 @@ def _qn_error_trajectory(model, x0, xstar, eps=1e-9, max_iter=300):
     return errs
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "linesearch floor", 30.0)
+def criterion_10():
     """Floor-augmented linesearch: fewer evals than plain, never below the floor."""
-    t0 = time.perf_counter()
     model = logistic_toy()
     problems = []
     # start far from the optimum so early Armijo tests actually reject steps
@@ -549,16 +550,12 @@ def criterion_10() -> CriterionResult:
         problems.append(f"floored search used more evals ({ev_floor} > {ev_plain})")
     if np.linalg.norm(x_floor - x_plain) > 1e-8 * (1.0 + np.linalg.norm(x_plain)):
         problems.append("optima differ beyond 1e-8")
-    dt = time.perf_counter() - t0
-    ok = not problems and dt < 30.0
-    return CriterionResult(10, "linesearch floor", ok, dt, 30.0,
-                           "; ".join(problems) if problems else
-                           f"evals {ev_floor} (floor) vs {ev_plain} (plain)")
+    return not problems, _report(problems, f"evals {ev_floor} (floor) vs {ev_plain} (plain)")
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "baseline contrast", 60.0)
+def criterion_11():
     """Fast gradient needs >= 5x the Newton force_2 iterations to gradient norm 1e-6."""
-    t0 = time.perf_counter()
     model = logistic_toy()
     x0 = np.zeros(model.dim)
     res = minimize(model, x0, SolveOptions(nu_choice="force_2", eps=1e-10, record_time=False))
@@ -566,15 +563,13 @@ def criterion_11() -> CriterionResult:
     mu, lips = model.smoothness_bounds()
     _, hist = bench_io.fast_gradient(model, x0, mu, lips, eps=1e-6, max_iter=200000)
     fgm_iters = len(hist)
-    dt = time.perf_counter() - t0
-    ok = newton_iters is not None and fgm_iters >= 5 * newton_iters and dt < 60.0
-    return CriterionResult(11, "baseline contrast", ok, dt, 60.0,
-                           f"newton {newton_iters} vs fast-gradient {fgm_iters}")
+    return (newton_iters is not None and fgm_iters >= 5 * newton_iters,
+            f"newton {newton_iters} vs fast-gradient {fgm_iters}")
 
 
-def criterion_12() -> CriterionResult:
+@_criterion(12, "determinism", 60.0)
+def criterion_12():
     """Identical seeds give byte-identical traces."""
-    t0 = time.perf_counter()
     problems = []
 
     def logistic_trace():
@@ -598,17 +593,7 @@ def criterion_12() -> CriterionResult:
     w2 = bench_io.gen_portfolio(100, 30, seed=5)
     if w1.tobytes() != w2.tobytes():
         problems.append("generator not byte-deterministic")
-    dt = time.perf_counter() - t0
-    ok = not problems and dt < 60.0
-    return CriterionResult(12, "determinism", ok, dt, 60.0,
-                           "; ".join(problems) if problems else "byte-identical reruns")
-
-
-CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-}
+    return not problems, _report(problems, "byte-identical reruns")
 
 
 def run_all(selected=None) -> list[CriterionResult]:

@@ -26,11 +26,12 @@ _STEP_TO_RULE = {"analytic": "analytic", "linesearch": "linesearch_floor",
 
 
 def _parse_synthetic(spec: str) -> dict:
-    out = {}
-    for part in spec.split(","):
-        key, _, val = part.partition("=")
-        out[key.strip()] = int(val)
-    return out
+    """{"n": rows, "p": columns} from "n=...,p=..."."""
+    pairs = [part.partition("=")[::2] for part in spec.split(",")]
+    keys = [key.strip() for key, _ in pairs]
+    if sorted(keys) != ["n", "p"]:
+        raise GscError(f"--synthetic {spec!r}: need keys n and p once each, got {', '.join(keys)}")
+    return {key: int(val) for key, (_, val) in zip(keys, pairs)}
 
 
 def _solver_options(args, nu="native") -> SolveOptions:
@@ -105,9 +106,8 @@ def cmd_fit_logistic(args) -> int:
 def cmd_fit_dwd(args) -> int:
     a, labels = _load_classification(args)
     n = a.shape[0]
-    g1, g2, g3 = (float(s) for s in args.gammas.split(","))
     dwd = models.DwdModel(a=a, y=labels, c=np.full(n, args.slack_cost), q=args.q,
-                          gammas=(g1, g2, g3))
+                          gammas=tuple(float(s) for s in args.gammas.split(",")))
     glm = models.dwd_as_glm(dwd)
     # start at w = 0, mu = 0, xi = 1 (interior for the inverse-power loss)
     x0 = np.concatenate([np.zeros(a.shape[1] + 1), np.ones(n)])

@@ -4,7 +4,8 @@ A Hessian reaches this module as a dense matrix, an hvp closure, or a
 SlackHessian: the Hessian of a GLM over a slack-column design [B, I_n],
 whose n x n slack block is diagonal.  A SlackHessian is solved by
 eliminating that block, so only the Schur complement on B's columns is
-ever factored.
+ever factored.  Every dense factorization of a solver, here and in prox, is
+one LAPACK potrf/potrs pair: cholesky and cho_solve.
 """
 
 from __future__ import annotations
@@ -14,14 +15,33 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
 
 #: CG curvature below this multiple of ||d||^2 is treated as a not-PD signal.
 CG_CURVATURE_TOL = 1e-14
+
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def cholesky(a, *, lower: bool) -> tuple[np.ndarray, bool]:
+    """(c, lower) with a symmetric PD a's Cholesky factor in c's lower (or upper) triangle
+    and a's entries in the other: one LAPACK potrf on a copy of a.  ParameterError
+    on a non-finite a; NotPositiveDefiniteError names the failing pivot."""
+    if not np.isfinite(a).all():
+        raise ParameterError("matrix to factor contains non-finite entries")
+    c, info = _POTRF(a, lower=lower, clean=0)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"Cholesky factorization failed at pivot {info}")
+    return c, lower
+
+
+def cho_solve(factor: tuple[np.ndarray, bool], rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs from cholesky(A): one LAPACK potrs."""
+    return _POTRS(factor[0], rhs, lower=factor[1])[0]
 
 
 def weighted_gram(a, w, q_diag) -> np.ndarray:
@@ -31,7 +51,7 @@ def weighted_gram(a, w, q_diag) -> np.ndarray:
         h = np.asarray(h.todense())
     else:
         h = a.T @ (w[:, None] * a)
-    h[np.diag_indices_from(h)] += q_diag
+    h.flat[::h.shape[0] + 1] += q_diag
     return h
 
 
@@ -75,13 +95,13 @@ class SlackHessian:
         s_diag = self.d + self.q_slack
         if not np.all(s_diag > 0.0):
             raise NotPositiveDefiniteError("slack block of the Hessian is not positive")
-        cho = _cho_factor(weighted_gram(self.block, self.d * self.q_slack / s_diag,
-                                        self.q_block))
+        cho = cholesky(weighted_gram(self.block, self.d * self.q_slack / s_diag,
+                                     self.q_block), lower=True)
         b, d, m = self.block, self.d, self.m
 
         def solve(rhs):
             r1, r2 = rhs[:m], rhs[m:]
-            x1 = scipy.linalg.cho_solve(cho, r1 - b.T @ (d * r2 / s_diag))
+            x1 = cho_solve(cho, r1 - b.T @ (d * r2 / s_diag))
             return np.concatenate([x1, (r2 - d * (b @ x1)) / s_diag])
         return solve
 
@@ -95,13 +115,6 @@ def _as_matvec(h) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: hmat @ v
 
 
-def _cho_factor(hmat):
-    try:
-        return scipy.linalg.cho_factor(hmat, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
-
-
 def _factor(h) -> Callable[[np.ndarray], np.ndarray]:
     """rhs -> H^-1 rhs for a symmetric PD matrix or SlackHessian, factored once.
 
@@ -111,8 +124,8 @@ def _factor(h) -> Callable[[np.ndarray], np.ndarray]:
     """
     if isinstance(h, SlackHessian):
         return h.solver()
-    cho = _cho_factor(np.asarray(h, dtype=float))
-    return lambda rhs: scipy.linalg.cho_solve(cho, rhs)
+    cho = cholesky(np.asarray(h, dtype=float), lower=True)
+    return lambda rhs: cho_solve(cho, rhs)
 
 
 def _start_vector(dim: int) -> np.ndarray:

@@ -410,8 +410,8 @@ class DwdModel:
     def __post_init__(self):
         if self.q <= 0.0:
             raise ParameterError("DWD requires q > 0")
-        if any(g <= 0.0 for g in self.gammas):
-            raise ParameterError("DWD requires positive regularizers")
+        if len(self.gammas) != 3 or not all(0.0 < g < math.inf for g in self.gammas):
+            raise ParameterError(f"DWD requires three positive regularizers, got {self.gammas}")
 
 
 def dwd_as_glm(model: DwdModel, p_dense=P_DENSE_DEFAULT) -> GlmModel:

@@ -5,7 +5,8 @@ for the supported regularizers.  scaled_prox_subproblem minimizes the local
 quadratic model Q(z) + g(z) of a composite objective, which is the inner
 solve of the proximal Newton method.  A dense H with a simplex or box g is
 solved exactly by a primal active-set method with one Cholesky factorization
-of the free block per step: accelerated prox-gradient converges slowly on an
+of the free block per step (linops.cholesky, the solvers' one LAPACK
+potrf/potrs pair): accelerated prox-gradient converges slowly on an
 ill-conditioned H.  An operator H, an l1 g, or an H whose free block is not
 numerically positive definite runs the accelerated proximal-gradient loop
 (function-value restart).  One rule, _acceptance at an accuracy that follows
@@ -18,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ParameterError, SubproblemError
-from .linops import _as_matvec, largest_eigenvalue, local_norm
+from .errors import NotPositiveDefiniteError, ParameterError, SubproblemError
+from .linops import _as_matvec, cho_solve, cholesky, largest_eigenvalue, local_norm
 
 EPS = np.finfo(float).eps
 #: iteration cap of the accelerated prox-gradient inner loop
@@ -184,17 +184,17 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
         free = ~(at_lo | at_hi)
         nu = 0.0
         if free.any():
-            hff = h[np.ix_(free, free)]
+            hff = h[free][:, free]
             try:
-                cho = scipy.linalg.cho_factor(hff, check_finite=False)
-            except scipy.linalg.LinAlgError:
+                cho = cholesky(hff, lower=False)
+            except NotPositiveDefiniteError:
                 return None
             # a tiny last pivot is the rounding of a singular block, not curvature
             if np.diagonal(cho[0]).min() ** 2 <= hff.shape[0] * EPS * hff.diagonal().max():
                 return None
-            d = -scipy.linalg.cho_solve(cho, gz[free], check_finite=False)
+            d = -cho_solve(cho, gz[free])
             if g.kind == "simplex":
-                w = scipy.linalg.cho_solve(cho, np.ones(d.size), check_finite=False)
+                w = cho_solve(cho, np.ones(d.size))
                 nu = d.sum() / w.sum()
                 d -= nu * w
             idx = np.flatnonzero(free)

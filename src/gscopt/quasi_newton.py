@@ -25,6 +25,7 @@ from scipy.linalg import blas
 
 from . import kernel
 from .errors import DomainError, NotPositiveDefiniteError, ParameterError
+from .linops import cholesky
 from .newton import ARMIJO_C1, IterRecord, SolveOptions, SolveResult, resolve_params
 
 CURVATURE_GUARD = 1e-12
@@ -199,8 +200,8 @@ def _checked_h0(h0, p):
     if np.max(np.abs(h0 - h0.T), initial=0.0) > 1e-12 * np.max(np.abs(h0), initial=0.0):
         raise ParameterError("h0 must be symmetric")
     try:
-        np.linalg.cholesky(h0)
-    except np.linalg.LinAlgError as exc:
+        cholesky(h0, lower=True)
+    except NotPositiveDefiniteError as exc:
         raise ParameterError(f"h0 must be positive definite: {exc}") from exc
     return h0
 

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv)."""
 
 import numpy as np
+import pytest
 
 from gscopt import bench_io, models
 from gscopt.cli import main
@@ -126,6 +127,26 @@ def test_exit_codes(capsys, tmp_path):
     assert "status=converged" in capsys.readouterr().out
     # a non-finite tolerance is a usage error
     assert main(["fit-logistic", "--synthetic", "n=50,p=5", "--eps", "nan"]) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fit-logistic", "--synthetic", "n=50"], "need keys n and p once each, got n"),
+    (["fit-logistic", "--synthetic", "p=5"], "got p"),
+    (["fit-logistic", "--synthetic", "n=50,p=5,x=3"], "got n, p, x"),
+    (["fit-logistic", "--synthetic", "n=50,n=60,p=5"], "got n, n, p"),
+    (["portfolio", "--synthetic", "n=50,q=5"], "got n, q"),
+    (["fit-dwd", "--synthetic", "n=50,p=6", "--gammas", "1e-5,1e-5"],
+     "three positive regularizers, got (1e-05, 1e-05)"),
+    (["fit-dwd", "--synthetic", "n=50,p=6", "--gammas", "1e-5,1e-5,1e-7,1"],
+     "three positive regularizers, got (1e-05, 1e-05, 1e-07, 1.0)"),
+    (["fit-dwd", "--synthetic", "n=50,p=6", "--gammas", "1e-5,nan,1e-7"],
+     "three positive regularizers, got (1e-05, nan, 1e-07)"),
+], ids=["missing-p", "missing-n", "unknown-key", "repeated-key", "portfolio-unknown-key",
+        "two-gammas", "four-gammas", "nan-gamma"])
+def test_malformed_specs_are_usage_errors(capsys, args, message):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip("\n").endswith(message)
 
 
 def test_bench_subset(capsys):

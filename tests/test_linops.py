@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from gscopt import linops
@@ -200,3 +201,74 @@ def test_slack_hessian_not_positive_definite():
     bad = SlackHessian(np.ones((2, 1)), np.array([1.0, 0.0]), np.ones(1), np.zeros(2))
     with pytest.raises(NotPositiveDefiniteError):
         newton_direction(NewtonSystem(bad, np.ones(3)))
+
+
+def _spd(rng, p):
+    base = rng.normal(size=(p + 3, p))
+    return base.T @ base + 1e-3 * np.eye(p)
+
+
+def _layouts(rng, p):
+    """An SPD matrix as C-ordered, Fortran-ordered, transposed and cut-out (copied) arrays."""
+    h = _spd(rng, p)
+    big = _spd(rng, 2 * p)
+    keep = np.zeros(2 * p, dtype=bool)
+    keep[rng.choice(2 * p, size=p, replace=False)] = True
+    return {"c": h, "fortran": np.asfortranarray(h), "transposed": h.T,
+            "strided": big[::2, ::2], "free-block": big[keep][:, keep]}
+
+
+@pytest.mark.parametrize("p", [1, 5, 51, 300])
+@pytest.mark.parametrize("lower", [True, False])
+def test_cholesky_pair_matches_scipy(p, lower):
+    rng = np.random.default_rng(p)
+    rhs = rng.normal(size=p)
+    for name, a in _layouts(rng, p).items():
+        before = a.copy()
+        factor = linops.cholesky(a, lower=lower)
+        ref = scipy.linalg.cho_factor(a, lower=lower)
+        assert factor[1] is lower
+        assert np.array_equal(factor[0], ref[0]), name
+        solved = linops.cho_solve(factor, rhs)
+        assert np.array_equal(solved, scipy.linalg.cho_solve(ref, rhs)), name
+        assert np.array_equal(a, before), name
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_cholesky_names_the_failing_pivot(lower):
+    for a, pivot in [(np.diag([1.0, -1.0]), 2), (np.diag([0.0, 1.0]), 1),
+                     (np.ones((3, 3)), 2)]:
+        with pytest.raises(NotPositiveDefiniteError, match=f"failed at pivot {pivot}$"):
+            linops.cholesky(a, lower=lower)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cholesky_rejects_nonfinite(bad):
+    for i, j in [(0, 0), (1, 0), (0, 1)]:
+        a = np.eye(3)
+        a[i, j] = bad
+        for lower in (True, False):
+            with pytest.raises(ParameterError, match="non-finite"):
+                linops.cholesky(a, lower=lower)
+            with pytest.raises(ValueError):
+                linops.cholesky(a, lower=lower)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_slack_hessian_solve_is_scipy_elimination_bit_for_bit(sparse):
+    # the elimination written out with scipy's Cholesky wrappers and numpy's diagonal indexing
+    h = slack_hessian(sparse=sparse)
+    b, d, m = h.block, h.d, h.m
+    s_diag = d + h.q_slack
+    w = d * h.q_slack / s_diag
+    if sparse:
+        schur = np.asarray(((b.multiply(w[:, None])).T @ b).todense())
+    else:
+        schur = b.T @ (w[:, None] * b)
+    schur[np.diag_indices_from(schur)] += h.q_block
+    cho = scipy.linalg.cho_factor(schur, lower=True)
+    rhs = np.random.default_rng(8).normal(size=h.shape[0])
+    r1, r2 = rhs[:m], rhs[m:]
+    x1 = scipy.linalg.cho_solve(cho, r1 - b.T @ (d * r2 / s_diag))
+    expected = np.concatenate([x1, (r2 - d * (b @ x1)) / s_diag])
+    assert np.array_equal(h.solver()(rhs), expected)
