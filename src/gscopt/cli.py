@@ -31,7 +31,10 @@ def _parse_synthetic(spec: str) -> dict:
     keys = [key.strip() for key, _ in pairs]
     if sorted(keys) != ["n", "p"]:
         raise GscError(f"--synthetic {spec!r}: need keys n and p once each, got {', '.join(keys)}")
-    return {key: int(val) for key, (_, val) in zip(keys, pairs)}
+    try:
+        return {key: int(val) for key, (_, val) in zip(keys, pairs)}
+    except ValueError as exc:
+        raise GscError(f"--synthetic {spec!r}: {exc}") from exc
 
 
 def _solver_options(args, nu="native") -> SolveOptions:
@@ -106,8 +109,11 @@ def cmd_fit_logistic(args) -> int:
 def cmd_fit_dwd(args) -> int:
     a, labels = _load_classification(args)
     n = a.shape[0]
-    dwd = models.DwdModel(a=a, y=labels, c=np.full(n, args.slack_cost), q=args.q,
-                          gammas=tuple(float(s) for s in args.gammas.split(",")))
+    try:
+        gammas = tuple(float(s) for s in args.gammas.split(","))
+    except ValueError as exc:
+        raise GscError(f"--gammas {args.gammas!r}: {exc}") from exc
+    dwd = models.DwdModel(a=a, y=labels, c=np.full(n, args.slack_cost), q=args.q, gammas=gammas)
     glm = models.dwd_as_glm(dwd)
     # start at w = 0, mu = 0, xi = 1 (interior for the inverse-power loss)
     x0 = np.concatenate([np.zeros(a.shape[1] + 1), np.ones(n)])

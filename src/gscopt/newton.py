@@ -8,6 +8,10 @@ smallest-eigenvalue estimate.  A floor-augmented Armijo line search
 (sufficient-decrease constant ARMIJO_C1) is available as an alternative step
 rule.  The model's p_dense alone picks the Newton system's form: the dense
 Hessian (Cholesky) up to p_dense columns, an hvp operator (CG) beyond.
+_damped_newton is the one loop of minimize, minimize_composite and
+quasi_newton.minimize_qn, each giving it a direction, a stop test and a step
+rule.  minimize's oracle order: value; per step grad, hessian | hvp...,
+feasible..., value; grad, hessian | hvp... on the last iterate; closing grad.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -153,19 +158,27 @@ def _hessian(model, x):
     return lambda v: model.hvp(x, v)
 
 
-def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
-                   objective, solver: str, relative_stop: bool):
-    """The damped/full-step loop behind minimize and minimize_composite.
+def _newton_step(model, step_rule: str, x, n, grad, f_x, tau_an):
+    """The step rule of minimize: analytic, full, or linesearch_step floored at tau_an."""
+    if step_rule == "linesearch_floor":
+        ls = linesearch_step(model, x, n, tau_an, f0=f_x, g0=grad)
+        return ls.tau, None, ls.nfval
+    return (1.0 if step_rule == "full" else tau_an), None, 0
 
-    direction(x, grad, H) -> (n, lam) supplies the step and its decrement:
-    the Newton system, or the scaled-prox subproblem.  H is the dense
-    Hessian, or an hvp closure when the model has none (_hessian).
+
+def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, stop,
+                   step, objective, solver: str) -> SolveResult:
+    """The damped/full-step loop behind minimize, minimize_composite and minimize_qn.
+
+    direction(k, x, grad) -> (n, lam, H): the step at iterate k, its
+    decrement, and the Hessian (_hessian) the strict-theorem phase-2 entry
+    reads.  stop(lam, grad_norm) ends the loop.  Outside the full-step phase
+    step(x, n, grad, f, tau_analytic) -> (tau, f(x + tau n) or None, value
+    calls); the domain guard halves a step whose value it did not evaluate.
     objective is what the trace records (f, or f + g); solver picks the
-    phase-2 constants ("newton" | "prox_newton"); the loop stops at
-    lam <= eps max(1, lam_0) when relative_stop, else at lam <= eps.
-    Oracle order: value at the start; per iterate grad, hessian | hvp...,
-    then per step taken feasible... and value; one grad after the loop.
-    Returns the result and that closing gradient.
+    phase-2 constants ("newton" | "prox_newton").  Oracle order: objective
+    at the start; per iterate grad and direction's calls; per step taken
+    step's calls, feasible... and objective unless step evaluated it.
     """
     nu, m = params.nu, params.m
     threshold = None
@@ -175,7 +188,6 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
     t0 = time.perf_counter()
     trace: list[IterRecord] = []
     nfval = 0
-    stop = None
     in_full_phase = False
     status = "max_iter"
     f_x = objective(x)
@@ -183,19 +195,17 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
     for k in range(opts.max_iter + 1):
         g = model.grad(x)
         gnorm = float(np.linalg.norm(g))
-        h = _hessian(model, x)
-        n, lam = direction(x, g, h)
-        if stop is None:
-            stop = opts.eps * max(1.0, lam) if relative_stop else opts.eps
+        n, lam, h = direction(k, x, g)
 
         beta = m * float(np.linalg.norm(n))
         tau_an, d_k = kernel.step_size(nu, m, lam, beta)
         cum = (time.perf_counter() - t0) if opts.record_time else 0.0
         head = (k, f_x, gnorm, lam, beta, d_k)
 
-        if lam <= stop or k == opts.max_iter:
+        converged = stop(lam, gnorm)
+        if converged or k == opts.max_iter:
             trace.append(IterRecord(*head, 1.0, "full" if in_full_phase else "damped", cum))
-            status = "converged" if lam <= stop else "max_iter"
+            status = "converged" if converged else "max_iter"
             break
 
         # phase-2 entry
@@ -212,32 +222,28 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction,
                 and opts.step_rule != "full" and tau_an >= PHASE2_TAU_THRESHOLD:
             in_full_phase = True
 
-        if in_full_phase or opts.step_rule == "full":
-            tau = 1.0
-        elif opts.step_rule == "linesearch_floor":
-            ls = linesearch_step(model, x, n, tau_an, f0=f_x, g0=g)
-            tau, nfval = ls.tau, nfval + ls.nfval
-        else:  # analytic
-            tau = tau_an
+        tau, f_new, evals = (1.0, None, 0) if in_full_phase else step(x, n, g, f_x, tau_an)
+        nfval += evals
 
         # numerical domain guard: theory keeps analytic steps feasible, but
-        # full steps on bounded domains may exit; halve until inside
-        for _ in range(MAX_HALVINGS):
-            if is_feasible(model, x + tau * n):
+        # full steps on bounded domains may exit; halve until inside.  A
+        # value evaluated by step already proves the point feasible.
+        if f_new is None:
+            for _ in range(MAX_HALVINGS):
+                if is_feasible(model, x + tau * n):
+                    break
+                tau *= 0.5
+            else:
+                trace.append(IterRecord(*head, tau, "damped", cum))
+                status = "domain_error"
                 break
-            tau *= 0.5
-        else:
-            trace.append(IterRecord(*head, tau, "damped", cum))
-            status = "domain_error"
-            break
 
-        trace.append(IterRecord(*head, tau, "full" if tau == 1.0 else "damped", cum))
+        trace.append(IterRecord(*head, min(tau, 1.0), "full" if tau >= 1.0 else "damped", cum))
         x = x + tau * n
-        f_x = objective(x)
-        nfval += 1
+        f_x = objective(x) if f_new is None else f_new
+        nfval += f_new is None
 
-    result = SolveResult(x=x, trace=trace, status=status, params=params, nfval=nfval)
-    return result, model.grad(x)
+    return SolveResult(x=x, trace=trace, status=status, params=params, nfval=nfval)
 
 
 def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:
@@ -253,18 +259,21 @@ def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:
     params = resolve_params(model, opts.nu_choice)
     x = np.asarray(x0, dtype=float).copy()
     model.check_domain(x)
-    warm = None
+    warm, lam_stop = None, None
 
-    def direction(x, g, h):
-        nonlocal warm
+    def direction(k, x, g):
+        nonlocal warm, lam_stop
+        h = _hessian(model, x)
         d = linops.newton_direction(linops.NewtonSystem(h, g), warm_start=warm)
         warm = d.n
-        return d.n, d.lam
+        if k == 0:
+            lam_stop = opts.eps * max(1.0, d.lam)
+        return d.n, d.lam, h
 
-    result, g = _damped_newton(model, x, opts, params, direction, model.value,
-                               "newton", relative_stop=True)
-    g0_norm = result.trace[0].grad_norm
-    result.grad_criterion_met = float(np.linalg.norm(g)) <= opts.eps * max(1.0, g0_norm)
+    result = _damped_newton(model, x, opts, params, direction, lambda lam, _: lam <= lam_stop,
+                            partial(_newton_step, model, opts.step_rule), model.value, "newton")
+    g_norm = float(np.linalg.norm(model.grad(result.x)))
+    result.grad_criterion_met = g_norm <= opts.eps * max(1.0, result.trace[0].grad_norm)
     return result
 
 

@@ -2,22 +2,26 @@
 
 Each outer iteration solves the scaled-prox subproblem at the current
 Hessian and measures the proximal Newton decrement in the local metric;
-the smooth solver's damped/full-step loop (newton._damped_newton) takes
-the step, with the proximal-Newton phase-2 constants.  The damped update
-x+ = (1 - tau) x + tau z keeps iterates feasible whenever x and z are,
-and a halving guard covers the remaining boundary cases.
+that is the direction of newton._damped_newton, here with stop test
+lambda <= eps and the proximal-Newton phase-2 constants.  The damped update
+x+ = (1 - tau) x + tau z keeps iterates feasible whenever x and z are, and
+the loop's halving guard covers the remaining boundary cases.  Oracle order:
+value at the start; per step grad, hessian, feasible... and value; grad and
+hessian on the last iterate; one closing grad.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import linops
 from .errors import DomainError, ParameterError
-from .newton import SolveOptions, SolveResult, _damped_newton, resolve_params
+from .newton import (SolveOptions, SolveResult, _damped_newton, _hessian, _newton_step,
+                     resolve_params)
 from .prox import TOL_FLOOR, ProxSpec, prox_residual, scaled_prox_subproblem
 
 
@@ -54,8 +58,9 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
     params = resolve_params(model, opts.nu_choice)
     lam_prev, l_h = math.inf, None
 
-    def direction(x, grad, h):
+    def direction(k, x, grad):
         nonlocal lam_prev, l_h
+        h = _hessian(model, x)
         l_h = linops.largest_eigenvalue(h, dim=x.size)
         if gspec.kind == "zero":
             # the subproblem is exactly the Newton system; solve it directly
@@ -64,10 +69,13 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
             inner_tol = max(TOL_FLOOR, min(0.1, lam_prev * lam_prev))
             n = scaled_prox_subproblem(h, grad, x, gspec, tol=inner_tol, l_h=l_h) - x
         lam_prev = lam = linops.local_norm(h, n)
-        return n, lam
+        return n, lam, h
 
-    result, grad = _damped_newton(model, problem.x0.copy(), opts, params, direction,
-                                  problem.objective, "prox_newton", relative_stop=False)
+    result = _damped_newton(model, problem.x0.copy(), opts, params, direction,
+                            lambda lam, _: lam <= opts.eps,
+                            partial(_newton_step, model, opts.step_rule),
+                            problem.objective, "prox_newton")
+    grad = model.grad(result.x)
     # optimality certificate: composite gradient mapping at step 1/L
     cert = math.nan
     if l_h and l_h > 0.0:

@@ -8,25 +8,27 @@ Each update is O(p^2): four BLAS rank-one updates (dger) applied in place,
 with no p x p temporary.  minimize_qn owns one H/B pair for the whole solve
 and reports each iterate to an optional callback(k, x, state).
 
+minimize_qn runs on newton._damped_newton with phase2 "off", a gradient-norm
+stop test and the direction -B grad of surrogate decrement lambda_hat =
+sqrt(g' B g).  Oracle order: value at the start; per step grad and the line
+search's values; grad on the last iterate.
 The step rule is repo policy rather than a claim from the analysis: the
-analytic GSC step computed with the surrogate decrement
-lambda_hat = sqrt(g' B g) serves as a floor under an Armijo backtracking
-that starts at min(1, 2 tau_floor).
+analytic GSC step computed with lambda_hat serves as a floor under an
+Armijo backtracking that starts at min(1, 2 tau_floor).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import blas
 
-from . import kernel
 from .errors import DomainError, NotPositiveDefiniteError, ParameterError
-from .linops import cholesky
-from .newton import ARMIJO_C1, IterRecord, SolveOptions, SolveResult, resolve_params
+from .linops import cho_solve, cholesky
+from .newton import ARMIJO_C1, SolveOptions, SolveResult, _damped_newton, resolve_params
 
 CURVATURE_GUARD = 1e-12
 
@@ -94,11 +96,12 @@ def bfgs_update(state: BfgsState, s, y) -> BfgsState:
     return replace(state, h=h, b=b)
 
 
-def _exact_quadratic_step(model, x, d, g):
+def _exact_quadratic_step(model, x, d, g, f0, tau_floor):
+    """The one-dimensional Newton step along d, as (tau, None, 0) like _floored_armijo."""
     curv = float(d @ model.hvp(x, d))
     if curv <= 0.0:
         raise NotPositiveDefiniteError("nonpositive curvature along the QN direction")
-    return -float(g @ d) / curv
+    return -float(g @ d) / curv, None, 0
 
 
 def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
@@ -111,7 +114,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     "full" included, runs the floored Armijo search described in the module
     docstring, with the analytic step of the surrogate decrement as floor.
     "exact" takes the one-dimensional Newton step along the direction
-    (exact on quadratics).
+    (exact on quadratics), halved by the domain guard until feasible.
     Terminates on ||grad f|| <= eps max(1, ||grad f(x0)||).
 
     callback(k, x, state) is called once per iterate, before its step.  The
@@ -121,77 +124,52 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     """
     opts = opts or SolveOptions()
     params = resolve_params(model, opts.nu_choice)
-    nu, m = params.nu, params.m
     x = np.asarray(x0, dtype=float).copy()
     model.check_domain(x)
     p = x.size
+    state = None
+    if h0 is not None:
+        h0, factor = _checked_h0(h0, p)
+        state = BfgsState(h=h0.copy(), b=np.ascontiguousarray(cho_solve(factor, np.eye(p))))
+    g0_norm, prev = None, None
 
-    t0 = time.perf_counter()
-    g = model.grad(x)
-    if h0 is None:
-        scale = max(np.linalg.norm(g), 1e-8) / max(1.0, float(np.linalg.norm(x)))
-        state = BfgsState.identity(p, scale)
-    else:
-        h0 = _checked_h0(h0, p)
-        state = BfgsState(h=h0.copy(), b=np.linalg.inv(h0))
-    h, b = state.h, state.b
-    trace: list[IterRecord] = []
-    status = "max_iter"
-    g0_norm = float(np.linalg.norm(g))
-    f_x = model.value(x)
+    def stop(lam, gnorm):
+        return gnorm <= opts.eps * max(1.0, g0_norm)
 
-    for k in range(opts.max_iter + 1):
+    def direction(k, x, g):
+        nonlocal state, g0_norm, prev
+        if k == 0:
+            g0_norm = float(np.linalg.norm(g))
+            if state is None:
+                scale = max(np.linalg.norm(g), 1e-8) / max(1.0, float(np.linalg.norm(x)))
+                state = BfgsState.identity(p, scale)
+        elif not _bfgs_update_inplace(state.h, state.b, x - prev[0], g - prev[1]):
+            state = replace(state, n_skipped=state.n_skipped + 1)
+        prev = x, g
         if callback is not None:
             callback(k, x, state)
-        gnorm = float(np.linalg.norm(g))
-        cum = (time.perf_counter() - t0) if opts.record_time else 0.0
-        converged = gnorm <= opts.eps * max(1.0, g0_norm)
-        d = -(b @ g)
+        d = -(state.b @ g)
         lam_hat = math.sqrt(max(0.0, -float(g @ d)))
-        if lam_hat == 0.0 and not converged and k < opts.max_iter:
-            # B lost positive definiteness numerically; restart this iterate
-            # from the identity
-            for a in (h, b):
-                a.fill(0.0)
-                a.flat[::p + 1] = 1.0
-            d = -(b @ g)
+        if lam_hat == 0.0 and not stop(lam_hat, float(np.linalg.norm(g))) \
+                and k < opts.max_iter:
+            # B lost positive definiteness numerically: restart from the identity
+            state.h[:] = state.b[:] = np.eye(p)
+            d = -(state.b @ g)
             lam_hat = math.sqrt(max(0.0, -float(g @ d)))
-        beta = m * float(np.linalg.norm(d))
-        tau_floor, d_k = kernel.step_size(nu, m, lam_hat, beta)
+        return d, lam_hat, None
 
-        if converged:
-            trace.append(IterRecord(k, f_x, gnorm, lam_hat, beta, d_k, 1.0, "full", cum))
-            status = "converged"
-            break
-        if k == opts.max_iter:
-            trace.append(IterRecord(k, f_x, gnorm, lam_hat, beta, d_k, 1.0, "damped", cum))
-            status = "max_iter"
-            break
-
-        f_new = None
-        if opts.step_rule == "exact":
-            tau = _exact_quadratic_step(model, x, d, g)
-        else:
-            tau, f_new = _floored_armijo(model, x, d, g, f_x, tau_floor)
-        phase = "full" if tau >= 1.0 else "damped"
-        trace.append(IterRecord(k, f_x, gnorm, lam_hat, beta, d_k, min(tau, 1.0), phase, cum))
-
-        x_new = x + tau * d
-        g_new = model.grad(x_new)
-        if not _bfgs_update_inplace(h, b, x_new - x, g_new - g):
-            state = replace(state, n_skipped=state.n_skipped + 1)
-        x, g = x_new, g_new
-        f_x = model.value(x) if f_new is None else f_new
-
-    return SolveResult(
-        x=x, trace=trace, status=status, params=params,
-        grad_criterion_met=(status == "converged"),
-        extra={"state": state, "skipped_updates": state.n_skipped},
-    )
+    step = _exact_quadratic_step if opts.step_rule == "exact" else _floored_armijo
+    result = _damped_newton(model, x, replace(opts, phase2="off"), params, direction, stop,
+                            partial(step, model), model.value, "newton")
+    if result.status == "converged":
+        result.trace[-1].phase = "full"
+    result.grad_criterion_met = result.status == "converged"
+    result.extra.update(state=state, skipped_updates=state.n_skipped)
+    return result
 
 
 def _checked_h0(h0, p):
-    """h0 as a float array, or ParameterError unless it is a finite symmetric PD (p, p) matrix."""
+    """(h0, its Cholesky factor); ParameterError unless a finite symmetric PD (p, p) matrix."""
     h0 = np.asarray(h0, dtype=float)
     if h0.shape != (p, p):
         raise ParameterError(f"h0 must be a ({p}, {p}) matrix, got shape {h0.shape}")
@@ -200,10 +178,9 @@ def _checked_h0(h0, p):
     if np.max(np.abs(h0 - h0.T), initial=0.0) > 1e-12 * np.max(np.abs(h0), initial=0.0):
         raise ParameterError("h0 must be symmetric")
     try:
-        cholesky(h0, lower=True)
+        return h0, cholesky(h0, lower=True)
     except NotPositiveDefiniteError as exc:
         raise ParameterError(f"h0 must be positive definite: {exc}") from exc
-    return h0
 
 
 def _floored_armijo(model, x, d, g, f0, tau_floor):
@@ -212,24 +189,22 @@ def _floored_armijo(model, x, d, g, f0, tau_floor):
     The floor is accepted if it still decreases f; otherwise halving
     continues below it (pure backtracking guard, keeps descent monotone
     even when the surrogate decrement misjudges a direction).  Returns
-    (tau, f(x + tau d)); the value is None when 80 halvings end without an
-    accepted evaluation.
+    (tau, f(x + tau d), value calls made); the value is None when 80
+    halvings end without an accepted evaluation.
     """
     slope = float(g @ d)
     if slope >= 0.0:
         raise ParameterError("quasi-Newton direction lost descent")
     tau = min(1.0, 2.0 * tau_floor)
-    for _ in range(80):
+    for evals in range(1, 81):
         try:
             f_try = model.value(x + tau * d)
-            if f_try <= f0 + ARMIJO_C1 * tau * slope:
-                return tau, f_try
-            if tau <= tau_floor and f_try < f0:
-                return tau, f_try
+            if f_try <= f0 + ARMIJO_C1 * tau * slope or (tau <= tau_floor and f_try < f0):
+                return tau, f_try, evals
         except DomainError:
             pass
         tau *= 0.5
-    return tau, None
+    return tau, None, 80
 
 
 def dennis_more_ratio(h_k, hess_star, x_k, x_star) -> float:

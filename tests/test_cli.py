@@ -127,6 +127,12 @@ def test_exit_codes(capsys, tmp_path):
     assert "status=converged" in capsys.readouterr().out
     # a non-finite tolerance is a usage error
     assert main(["fit-logistic", "--synthetic", "n=50,p=5", "--eps", "nan"]) == 1
+    # a non-numeric value is a usage error that names its option
+    capsys.readouterr()
+    assert main(["portfolio", "--synthetic", "n=50,p=q"]) == 1
+    assert capsys.readouterr().err.startswith("error: --synthetic 'n=50,p=q': ")
+    assert main(["fit-dwd", "--synthetic", "n=50,p=6", "--gammas", "1e-5,abc,1e-7"]) == 1
+    assert capsys.readouterr().err.startswith("error: --gammas '1e-5,abc,1e-7': ")
 
 
 @pytest.mark.parametrize("args, message", [

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_oracle_order import CallLog
 
 from gscopt import atoms, bench_io, models
 from gscopt.errors import ParameterError
@@ -132,6 +133,24 @@ def test_quadratic_finite_termination_exact_linesearch():
     assert res.iterations <= 5
     # classical theory: the final approximation equals the true Hessian
     assert np.max(np.abs(res.extra["state"].h - quad.a_mat)) <= 1e-6
+
+
+def test_exact_step_is_halved_into_the_domain():
+    # f(x) = x - log x from x = 10: the first exact step along -B grad lands
+    # at x = -80, outside x > 0, so the domain guard halves it
+    model = models.GlmModel(np.array([[1.0]]), atoms.log_barrier(), c=np.array([1.0]))
+    res = minimize_qn(model, np.array([10.0]),
+                      SolveOptions(step_rule="exact", record_time=False))
+    assert res.status == "converged" and res.iterations == 7
+    assert res.x == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize("step_rule", ["analytic", "exact"])
+def test_nfval_counts_value_calls_after_the_start(step_rule):
+    log = CallLog(logistic_toy(n=100, p=5, seed=0))
+    res = minimize_qn(log, np.zeros(5), SolveOptions(step_rule=step_rule, record_time=False))
+    assert res.status == "converged"
+    assert res.nfval == log.calls.count("value") - 1 > 0
 
 
 def test_true_hessian_seed_converges_in_one_step():
