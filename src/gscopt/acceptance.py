@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import atoms, bench_io, kernel, linops, models, quasi_newton
 from .newton import SolveOptions, linesearch_step, minimize
@@ -232,8 +233,10 @@ def bound_suite_violations(model, n_pairs=200, seed=123, d_max=0.9, slack=1e-8,
                 and ny <= kernel.omega_bar_bar(nu, d) ** 0.5 * nxl * (1 + slack)):
             violations += 1
         # (ii) Hessian eigenvalue sandwich
-        lfac = np.linalg.cholesky(h)
-        mid = np.linalg.solve(lfac, np.linalg.solve(lfac, hy).T).T
+        # h and so its factor are finite (linops.cholesky checks h)
+        lfac = linops.cholesky(h, lower=True)[0]
+        half = solve_triangular(lfac, hy, lower=True, check_finite=False)
+        mid = solve_triangular(lfac, half.T, lower=True, check_finite=False).T
         ev = np.linalg.eigvalsh(0.5 * (mid + mid.T))
         if nu == 2.0:
             lo_b, hi_b = math.exp(-d), math.exp(d)

@@ -7,7 +7,10 @@ solve of the proximal Newton method.  A dense H with a simplex or box g is
 solved exactly by a primal active-set method with one Cholesky factorization
 of the free block per step (linops.cholesky, the solvers' one LAPACK
 potrf/potrs pair): accelerated prox-gradient converges slowly on an
-ill-conditioned H.  An operator H, an l1 g, or an H whose free block is not
+ill-conditioned H; it can start from a caller's feasible point, which the
+proximal Newton loop sets to the previous subproblem's solution, so a
+working set that barely changes between outer iterations costs few
+factorizations.  An operator H, an l1 g, or an H whose free block is not
 numerically positive definite runs the accelerated proximal-gradient loop
 (function-value restart).  One rule, _acceptance at an accuracy that follows
 the step, decides for both paths whether a point solves the subproblem.
@@ -69,16 +72,19 @@ def project_simplex(u: np.ndarray) -> np.ndarray:
     s = np.sort(u)[::-1]
     css = np.cumsum(s) - 1.0
     idx = np.arange(1, u.size + 1)
-    cond = s - css / idx > 0.0
-    rho = int(np.nonzero(cond)[0][-1]) + 1
+    valid = np.flatnonzero(s - css / idx > 0.0)
+    if valid.size == 0:
+        # a NaN or +inf entry (or a sum that overflows) leaves no threshold
+        raise ParameterError("simplex projection needs finite entries of moderate size")
+    rho = int(valid[-1]) + 1
     theta = css[rho - 1] / rho
     return np.maximum(u - theta, 0.0)
 
 
 def prox_apply(g: ProxSpec, u, step: float = 1.0) -> np.ndarray:
     """Exact minimizer of g(z) + (1/(2 step)) ||z - u||^2."""
-    if step <= 0.0:
-        raise ParameterError("step must be positive")
+    if not step > 0.0:
+        raise ParameterError(f"step must be positive, got {step}")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if g.kind == "zero":
         return u.copy()
@@ -97,86 +103,106 @@ def prox_residual(g: ProxSpec, z, grad_z, step: float) -> float:
 
 
 def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
-                           l_h: float | None = None) -> np.ndarray:
+                           l_h: float | None = None, *, start=None) -> np.ndarray:
     """argmin_z <grad, z-x> + 1/2 (z-x)' H (z-x) + g(z).
 
     A dense H with a simplex or box g takes the primal active-set method
     (_active_set_qp), which ends at the exact minimizer in finitely many
-    steps.  Every other input (an operator H, g = l1 or zero, or a free
+    steps.  It starts from start, a point feasible for g (ParameterError
+    otherwise), when one is given, and from the prox-gradient point
+    when not.  Every other input (an operator H, g = l1 or zero, or a free
     block of H that is not numerically positive definite) takes accelerated
     prox-gradient with function-value restart (_fista, at most
-    FISTA_MAX_ITER iterations).
+    FISTA_MAX_ITER iterations), which ignores start.
 
     Both paths answer to one rule, _acceptance at an accuracy t from tol:
-    while a z that passes has t > max(TOL_FLOOR, 0.1 lambda^2), lambda =
+    when a z passes while t > max(TOL_FLOOR, 0.1 lambda^2), lambda =
     ||z - x||_H, t becomes max(TOL_FLOOR, 0.01 lambda^2) and z is tested
-    again.  FISTA goes on from a z that fails; the active-set path raises
-    SubproblemError.  For g = zero the result matches the Newton system
-    solve; for H = I it is a single exact prox step.
+    against it.  FISTA goes on from a z that fails; the active-set path
+    raises SubproblemError.  For g = zero the result matches the Newton
+    system solve; for H = I it is a single exact prox step.
     """
     x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != x.shape or not g.feasible(start):
+            raise ParameterError("start must be a point of x's shape feasible for g")
+    return _subproblem(h, np.asarray(grad, dtype=float), x, g, tol, l_h, start)[0]
+
+
+def _subproblem(h, grad, x, g: ProxSpec, tol: float, l_h: float | None,
+                start=None) -> tuple[np.ndarray, float]:
+    """scaled_prox_subproblem's z and lambda = ||z - x||_H, measured by its acceptance check.
+    grad, x and a given start are float arrays, the start feasible (prox_newton passes its
+    last z)."""
     if l_h is None:
         l_h = largest_eigenvalue(h, dim=x.size)
     if l_h <= 0.0:
         raise ParameterError("subproblem needs a positive curvature bound")
-    t = tol
+    t, lam = tol, math.nan
 
     def check(z, gz):
-        """(residual, target) of z at the current accuracy, tightened while z passes."""
-        nonlocal t
-        res, target = _acceptance(g, z, gz, grad, l_h, t)
-        if res <= target:
+        """(residual, target) of z, tightening the accuracy t to z's step when z passes."""
+        nonlocal t, lam
+        res, floor = _acceptance(g, z, gz, grad, l_h)
+        if res <= max(t, floor):
             lam = local_norm(h, z - x)
-            while res <= target and t > TOL_FLOOR and t > 0.1 * lam * lam:
+            if t > TOL_FLOOR and t > 0.1 * lam * lam:
                 t = max(TOL_FLOOR, 0.01 * lam * lam)
-                res, target = _acceptance(g, z, gz, grad, l_h, t)
-        return res, target
+        return res, max(t, floor)
 
     if not callable(h) and g.kind in ("simplex", "box"):
         hmat = np.asarray(h, dtype=float)
-        z = _active_set_qp(hmat, grad, x, g, 1.0 / l_h)
-        if z is not None:
-            res, target = check(z, grad + hmat @ (z - x))
+        solved = _active_set_qp(hmat, grad, x, g, 1.0 / l_h, start)
+        if solved is not None:
+            z, gz = solved
+            res, target = check(z, gz)
             if res <= target:
-                return z
+                return z, lam
             raise SubproblemError(
                 f"active-set subproblem solution has residual {res:.3e} (target {target:.1e})",
                 residual=res)
-    return _fista(_as_matvec(h), grad, x, g, l_h, check)
+    z = _fista(_as_matvec(h), grad, x, g, l_h, check)
+    return z, lam
 
 
-def _acceptance(g: ProxSpec, z, gz, grad, l_h: float, tol: float) -> tuple[float, float]:
-    """Gradient mapping of z at step 1/L (gz = grad Q(z)) and the bound it must meet:
-    tol, or the rounding of z - (z - gz/L) and of gz at the exact minimizer if larger."""
+def _acceptance(g: ProxSpec, z, gz, grad, l_h: float) -> tuple[float, float]:
+    """Gradient mapping of z at step 1/L (gz = grad Q(z)) and its rounding floor: the
+    rounding of z - (z - gz/L) and of gz at the exact minimizer.  z is accepted at
+    accuracy t when the residual is at most max(t, floor)."""
     res = prox_residual(g, z, gz, 1.0 / l_h)
-    return res, max(tol, 8.0 * z.size * EPS * (
-        l_h * np.abs(z).sum() + np.abs(gz).sum() + np.abs(grad).sum()))
+    return res, 8.0 * z.size * EPS * (l_h * np.abs(z).sum() + np.abs(gz).sum()
+                                      + np.abs(grad).sum())
 
 
-def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
+def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
+                   start=None) -> tuple[np.ndarray, np.ndarray] | None:
     """Primal active-set solve of min <grad, z-x> + 1/2 (z-x)' H (z-x) over a simplex or box.
 
     Nocedal & Wright, Numerical Optimization, Algorithm 16.3, with the
-    working set made of coordinates at a bound.  It starts from the
-    prox-gradient point prox_g(x - s grad, s), which is feasible and
-    already at most of the active bounds.  Each iteration factors the free
-    block H_FF once and takes the equality-constrained step on the free
-    coordinates (for the simplex, with the sum multiplier nu from a second
-    solve), or the part of it up to the first bound that blocks.  At a
-    stationary point of the working set the coordinate with the most
-    negative bound multiplier (grad Q_i + nu at a lower bound, its negative
-    at an upper one) is freed; when none is below the rounding level the
-    point is the minimizer.  Coordinates with lo == hi never leave the
-    working set.  Returns None when a free block of H is not numerically
-    positive definite; raises SubproblemError after 10 p iterations.
+    working set made of coordinates at a bound.  It starts from start, a
+    feasible point whose at-bound coordinates form the first working set:
+    a warm start (N&W section 16.5), which for the previous outer
+    iteration's solution is often the final working set already.  Without
+    one it starts from the prox-gradient point prox_g(x - s grad, s), which
+    is feasible and already at most of the active bounds.  Each iteration
+    factors the free block H_FF once and takes the equality-constrained
+    step on the free coordinates (for the simplex, with the sum multiplier
+    nu from a second solve), or the part of it up to the first bound that
+    blocks.  At a stationary point of the working set the coordinate with
+    the most negative bound multiplier (grad Q_i + nu at a lower bound, its
+    negative at an upper one) is freed; when none is below the rounding
+    level the point is the minimizer.  Coordinates with lo == hi never
+    leave the working set.  Returns the minimizer z and grad Q(z), or None
+    when a free block of H is not numerically positive definite; raises
+    SubproblemError after 10 p iterations.
     """
     p = x.size
     if g.kind == "simplex":
         lo, hi = np.zeros(p), np.full(p, math.inf)
     else:
         lo, hi = np.full(p, g.lo), np.full(p, g.hi)
-    z = prox_apply(g, x - s * grad, s)
+    z = prox_apply(g, x - s * grad, s) if start is None else np.clip(start, lo, hi)
     at_lo, at_hi = z <= lo, z >= hi
     fixed = at_lo & at_hi
     gz = grad + h @ (z - x)
@@ -194,8 +220,9 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
                 return None
             d = -cho_solve(cho, gz[free])
             if g.kind == "simplex":
+                # sum(d) = 1 - sum(z): a start off the simplex by rounding comes back to it
                 w = cho_solve(cho, np.ones(d.size))
-                nu = d.sum() / w.sum()
+                nu = (d.sum() - (1.0 - z.sum())) / w.sum()
                 d -= nu * w
             idx = np.flatnonzero(free)
             zf = z[idx]
@@ -220,7 +247,7 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float) -> np.ndarray | None:
         j = int(np.argmin(mult))
         floor = EPS * (np.abs(z).sum() / s + np.abs(gz).sum() + np.abs(grad).sum())
         if not mult[j] < -floor:
-            return z
+            return z, gz
         at_lo[j] = at_hi[j] = False
     res = prox_residual(g, z, gz, s)
     raise SubproblemError(

@@ -22,7 +22,7 @@ from . import linops
 from .errors import DomainError, ParameterError
 from .newton import (SolveOptions, SolveResult, _damped_newton, _hessian, _newton_step,
                      resolve_params)
-from .prox import TOL_FLOOR, ProxSpec, prox_residual, scaled_prox_subproblem
+from .prox import TOL_FLOOR, ProxSpec, _subproblem, prox_residual
 
 
 @dataclass
@@ -49,26 +49,32 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
     max(prox.TOL_FLOOR, min(0.1, lambda_{k-1}^2)), which the subproblem
     tightens to 0.01 lambda_k^2 when its step is smaller than the lag allows:
     early iterations are cheap and the quadratic tail is not polluted by
-    inexact inner solves.  Step rules: "analytic" or "full".
+    inexact inner solves.  The subproblem starts from the previous
+    iteration's solution z, which is feasible for g and equals x once steps
+    are full, so an active-set solve begins at the last working set; it
+    also returns lambda_k = ||z - x||_H from its acceptance check.  Step
+    rules: "analytic" or "full".
     """
     opts = opts or SolveOptions()
     if opts.step_rule not in ("analytic", "full"):
         raise ParameterError(f"step_rule {opts.step_rule!r} is not supported by minimize_composite")
     model, gspec = problem.model, problem.g
     params = resolve_params(model, opts.nu_choice)
-    lam_prev, l_h = math.inf, None
+    lam_prev, l_h, z = math.inf, None, None
 
     def direction(k, x, grad):
-        nonlocal lam_prev, l_h
+        nonlocal lam_prev, l_h, z
         h = _hessian(model, x)
         l_h = linops.largest_eigenvalue(h, dim=x.size)
         if gspec.kind == "zero":
             # the subproblem is exactly the Newton system; solve it directly
             n = linops.newton_direction(linops.NewtonSystem(h, grad)).n
+            lam = linops.local_norm(h, n)
         else:
             inner_tol = max(TOL_FLOOR, min(0.1, lam_prev * lam_prev))
-            n = scaled_prox_subproblem(h, grad, x, gspec, tol=inner_tol, l_h=l_h) - x
-        lam_prev = lam = linops.local_norm(h, n)
+            z, lam = _subproblem(h, grad, x, gspec, inner_tol, l_h, z)
+            n = z - x
+        lam_prev = lam
         return n, lam, h
 
     result = _damped_newton(model, problem.x0.copy(), opts, params, direction,

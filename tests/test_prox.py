@@ -39,6 +39,23 @@ def test_box_and_zero():
         ProxSpec("huber")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("u", [[math.nan, 1.0], [0.5, math.inf, 0.2], [1e308, 1e308], []])
+def test_simplex_projection_rejects_unprojectable_input(u):
+    # the sort finds no threshold: once a bare IndexError
+    with pytest.raises(ParameterError):
+        project_simplex(np.array(u))
+    with pytest.raises(ParameterError):
+        prox_apply(ProxSpec("simplex"), np.array(u))
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+def test_prox_step_must_be_positive(step):
+    # nan <= 0 is False: a NaN step once returned NaNs
+    with pytest.raises(ParameterError):
+        prox_apply(ProxSpec("l1", weight=0.5), np.array([1.0, -2.0]), step)
+
+
 @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
 def test_l1_weight_must_be_finite_and_nonnegative(weight):
     # nan < 0 is False: a NaN weight once gave prox_apply [nan nan nan], and
@@ -266,6 +283,56 @@ def test_subproblem_accuracy_follows_its_step():
         z = scaled_prox_subproblem(h, grad, x, spec, tol=0.1, l_h=l_h)
         lam = linops.local_norm(h, z - x)
         assert 1e-4 <= lam <= 1e-2
-        res, target = prox._acceptance(spec, z, grad + h @ (z - x), grad, l_h,
-                                       max(1e-12, 0.01 * lam * lam))
-        assert res <= target, spec.kind
+        res, floor = prox._acceptance(spec, z, grad + h @ (z - x), grad, l_h)
+        assert res <= max(1e-12, 0.01 * lam * lam, floor), spec.kind
+
+
+def _starts(spec, p):
+    """A corner start (every coordinate of a box at one of two values), an interior one
+    and, on the simplex, one whose sum is off by less than ProxSpec.feasible allows."""
+    if spec.kind == "simplex":
+        return np.eye(p)[p - 1], np.full(p, 1.0 / p), np.full(p, (1.0 + 5e-10) / p)
+    lo = spec.lo if math.isfinite(spec.lo) else spec.hi - 1.0
+    hi = spec.hi if math.isfinite(spec.hi) else spec.lo + 1.0
+    return np.where(np.arange(p) % 2 == 0, lo, hi), np.full(p, 0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("p", [1, 2, 6, 40])
+@pytest.mark.parametrize("spec", ACTIVE_SET_SPECS, ids=lambda s: f"{s.kind}[{s.lo},{s.hi}]")
+def test_warm_start_reaches_the_cold_minimizer(monkeypatch, p, spec):
+    # a feasible start changes where the active set begins, never where it ends
+    rng = np.random.default_rng(100 + p)
+    calls = []
+    factor = prox.cholesky
+    monkeypatch.setattr(prox, "cholesky", lambda *a, **k: calls.append(1) or factor(*a, **k))
+    for trial in range(4):
+        h = _pd(rng, p)
+        x = rng.normal(size=p)
+        grad = rng.normal(size=p) * (3.0 if trial % 2 else 0.3)
+        z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-12)
+        for start in _starts(spec, p):
+            assert spec.feasible(start)
+            z_warm = scaled_prox_subproblem(h, grad, x, spec, tol=1e-12, start=start)
+            assert np.max(np.abs(z_warm - z)) <= 1e-12
+        # started at its own solution, the active set stops after one factorization
+        calls.clear()
+        z_warm = scaled_prox_subproblem(h, grad, x, spec, tol=1e-12, start=z)
+        assert np.max(np.abs(z_warm - z)) <= 1e-12
+        assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("spec", ACTIVE_SET_SPECS, ids=lambda s: f"{s.kind}[{s.lo},{s.hi}]")
+def test_warm_start_must_be_feasible(spec):
+    rng = np.random.default_rng(7)
+    p = 6
+    h, x, grad = _pd(rng, p), rng.normal(size=p), rng.normal(size=p)
+    corner = _starts(spec, p)[0]
+    outside = corner.copy()
+    outside[0] = spec.hi + 1.0 if math.isfinite(spec.hi) else spec.lo - 1.0
+    for start in (outside, np.full(p, math.nan), corner[:-1]):
+        with pytest.raises(ParameterError):
+            scaled_prox_subproblem(h, grad, x, spec, tol=1e-12, start=start)
+    # an operator H runs FISTA, which ignores a feasible start
+    op = lambda v: h @ v  # noqa: E731
+    z = scaled_prox_subproblem(op, grad, x, spec, tol=1e-12)
+    assert np.array_equal(scaled_prox_subproblem(op, grad, x, spec, tol=1e-12, start=corner), z)

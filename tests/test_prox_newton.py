@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gscopt import atoms, bench_io, linops, models, prox_newton
+from gscopt import atoms, bench_io, linops, models, prox, prox_newton
 from gscopt.errors import DomainError, ParameterError
 from gscopt.newton import SolveOptions, minimize
 from gscopt.prox import ProxSpec, project_simplex, prox_apply, prox_residual
@@ -196,9 +196,9 @@ def test_exact_subproblem_is_not_resolved(monkeypatch):
     # the 1e-12 tol but below the rounding floor); FISTA (the l1 logistic
     # and p_dense=0 inputs) tightens its tolerance inside the same call
     calls = []
-    solve = prox_newton.scaled_prox_subproblem
-    monkeypatch.setattr(prox_newton, "scaled_prox_subproblem",
-                        lambda *a, **k: calls.append(k["tol"]) or solve(*a, **k))
+    solve = prox_newton._subproblem
+    monkeypatch.setattr(prox_newton, "_subproblem",
+                        lambda *a: calls.append(a[4]) or solve(*a))
     a, labels = bench_io.gen_logistic(200, 50, seed=23)
     cases = [(models.PortfolioModel(bench_io.gen_portfolio(1000, 5, seed=seed)),
               ProxSpec("simplex"), np.full(5, 0.2)) for seed in (10, 0)]
@@ -226,3 +226,33 @@ def test_portfolio_beyond_toy_size_matches_pg_bb(n, p):
     x_ref, _ = bench_io.pg_bb(port, ProxSpec("simplex"), x0, eps=1e-10)
     ref = port.value(x_ref)
     assert abs(port.value(res.x) - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def _box_dwd_200():
+    # the box-constrained DWD composite: a SlackHessian densified for the active set
+    a, labels = bench_io.gen_logistic(200, 20, seed=8)
+    model = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(200, 0.01), q=1.0,
+                                              gammas=(1e-4, 1e-4, 1e-5)))
+    return model, ProxSpec("box", lo=-5.0, hi=5.0), np.concatenate([np.zeros(21), np.ones(200)])
+
+
+def _portfolio_1000x100():
+    return (models.PortfolioModel(bench_io.gen_portfolio(1000, 100, seed=0)),
+            ProxSpec("simplex"), np.full(100, 0.01))
+
+
+@pytest.mark.parametrize("build,iterations,max_factorizations",
+                         [(_portfolio_1000x100, 6, 150), (_box_dwd_200, 24, 120)],
+                         ids=["portfolio-1000x100", "box-dwd-200"])
+def test_warm_start_factorization_counts(monkeypatch, build, iterations, max_factorizations):
+    # each subproblem starts from the last one's solution, so most take one
+    # factorization; a cold start from the prox-gradient point made 477 and
+    # 913 (one per bound it added)
+    calls = []
+    factor = prox.cholesky
+    monkeypatch.setattr(prox, "cholesky", lambda *a, **k: calls.append(1) or factor(*a, **k))
+    model, spec, x0 = build()
+    res = minimize_composite(CompositeProblem(model, spec, x0),
+                             SolveOptions(eps=1e-9, record_time=False))
+    assert res.status == "converged" and res.iterations == iterations
+    assert len(calls) <= max_factorizations
