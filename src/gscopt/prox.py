@@ -70,15 +70,18 @@ def project_simplex(u: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1}, sort-based O(p log p)."""
     u = np.asarray(u, dtype=float)
     s = np.sort(u)[::-1]
-    css = np.cumsum(s) - 1.0
+    # shifting every entry by the largest leaves the projection unchanged and
+    # keeps the cumulative sum from overflowing or swamping the unit budget
+    s_shift = s - s[:1]
+    css = np.cumsum(s_shift) - 1.0
     idx = np.arange(1, u.size + 1)
-    valid = np.flatnonzero(s - css / idx > 0.0)
+    valid = np.flatnonzero(s_shift - css / idx > 0.0)
     if valid.size == 0:
-        # a NaN or +inf entry (or a sum that overflows) leaves no threshold
-        raise ParameterError("simplex projection needs finite entries of moderate size")
+        # a NaN or +inf entry, only -inf entries or an empty vector leave no threshold
+        raise ParameterError("simplex projection needs finite entries")
     rho = int(valid[-1]) + 1
     theta = css[rho - 1] / rho
-    return np.maximum(u - theta, 0.0)
+    return np.maximum((u - s[0]) - theta, 0.0)
 
 
 def prox_apply(g: ProxSpec, u, step: float = 1.0) -> np.ndarray:

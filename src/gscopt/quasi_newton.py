@@ -1,12 +1,13 @@
 """BFGS quasi-Newton scheme with secant maintenance and Dennis-More diagnostics.
 
-The Hessian approximation H and its inverse B are both updated by the
-matching rank-two formulas; updates are skipped (never damped) when the
-curvature pairing <y, s> fails its guard, since for GSC objectives the
-pairing is positive in exact arithmetic and a failure indicates numerics.
-Each update is O(p^2): four BLAS rank-one updates (dger) applied in place,
-with no p x p temporary.  minimize_qn owns one H/B pair for the whole solve
-and reports each iterate to an optional callback(k, x, state).
+The inverse Hessian approximation B is the one working array: the Hessian
+approximation H = B^-1 is formed only on demand.  Updates are skipped (never
+damped) when the curvature pairing <y, s> fails its guard, since for GSC
+objectives the pairing is positive in exact arithmetic and a failure
+indicates numerics.  Each update is O(p^2): one matrix-vector product B y and
+one BLAS rank-two pass (dgemm with inner dimension 2) over B in place, with
+no p x p temporary.  minimize_qn owns one B for the whole solve and reports
+each iterate to an optional callback(k, x, state).
 
 minimize_qn runs on newton._damped_newton with phase2 "off", a gradient-norm
 stop test and the direction -B grad of surrogate decrement lambda_hat =
@@ -35,65 +36,56 @@ CURVATURE_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class BfgsState:
-    h: np.ndarray          # Hessian approximation
-    b: np.ndarray          # its inverse
+    b: np.ndarray          # inverse Hessian approximation
     n_skipped: int = 0
+
+    @property
+    def h(self) -> np.ndarray:
+        """The Hessian approximation B^-1, formed afresh by one Cholesky solve: O(p^3)."""
+        return cho_solve(cholesky(self.b, lower=True), np.eye(self.b.shape[0]))
 
     @classmethod
     def identity(cls, p, scale=1.0):
-        return cls(h=np.eye(p) * scale, b=np.eye(p) / scale)
+        b = np.eye(p)
+        b /= scale         # in place: no second p x p array
+        return cls(b=b)
 
 
-def _ger(a, alpha, x, y):
-    """a += alpha x y' in place, for a C-contiguous float64 matrix a."""
-    # a.T is the Fortran-ordered view BLAS updates in place: a.T += alpha y x'
-    blas.dger(alpha, y, x, a=a.T, overwrite_a=1)
+def _bfgs_update_inplace(b, s, y) -> bool:
+    """Apply the BFGS update to the inverse approximation b in place; False if skipped.
 
-
-def _bfgs_update_inplace(h, b, s, y) -> bool:
-    """Apply the BFGS update to h and its inverse b in place; False if skipped.
-
-    H' = H + y y'/<y,s> - (H s)(H s)'/<H s, s> and, with rho = 1/<y,s>,
-    B' = B - rho (s (B y)' + (B y) s') + (rho^2 <y, B y> + rho) s s'
-    (Nocedal & Wright, eq. 6.17), which equals V B V' + rho s s' with
-    V = I - rho s y'.  Nothing changes when <y, s> <= guard ||y|| ||s|| or
-    <H s, s> <= 0.  h and b must be C-contiguous float64 arrays.
+    With rho = 1/<y,s>, B' = B + s u' + u s' where u = (c/2) s - rho B y and
+    c = rho^2 <y, B y> + rho (Nocedal & Wright, eq. 6.17), which equals
+    V B V' + rho s s' with V = I - rho s y'.  Nothing changes when
+    <y, s> <= guard ||y|| ||s||.  b must be a C-contiguous float64 array.
     """
-    if not (h.flags.c_contiguous and b.flags.c_contiguous
-            and h.dtype == np.float64 and b.dtype == np.float64):
-        raise ParameterError("BFGS state arrays must be C-contiguous float64")
+    if not (b.flags.c_contiguous and b.dtype == np.float64):
+        raise ParameterError("BFGS state array must be C-contiguous float64")
     ys = float(y @ s)
     if ys <= CURVATURE_GUARD * np.linalg.norm(y) * np.linalg.norm(s):
         return False
-    hs = h @ s
-    shs = float(s @ hs)
-    if shs <= 0.0:
-        return False
     rho = 1.0 / ys
     by = b @ y
-    _ger(h, rho, y, y)
-    _ger(h, -1.0 / shs, hs, hs)
-    # s (c s - rho B y)' - rho (B y) s' with c = rho^2 <y, B y> + rho
     c = rho * rho * float(y @ by) + rho
-    _ger(b, 1.0, s, c * s - rho * by)
-    _ger(b, -rho, by, s)
+    w = np.array([s, 0.5 * c * s - rho * by, s])
+    # b.T is the Fortran view BLAS updates in place: b.T += [s u] [u s]'
+    blas.dgemm(1.0, w[:2].T, w[1:].T, beta=1.0, c=b.T, trans_b=1, overwrite_c=1)
     return True
 
 
 def bfgs_update(state: BfgsState, s, y) -> BfgsState:
     """Functional BFGS update: a new state, the input state left untouched.
 
-    Copies H and B and applies _bfgs_update_inplace to the copies.  When
-    the curvature guard fails the state is returned unchanged except for
-    the skip counter.
+    Copies B and applies _bfgs_update_inplace to the copy.  When the
+    curvature guard fails the state is returned unchanged except for the
+    skip counter.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    h = np.array(state.h, dtype=float, order="C")
     b = np.array(state.b, dtype=float, order="C")
-    if not _bfgs_update_inplace(h, b, s, y):
+    if not _bfgs_update_inplace(b, s, y):
         return replace(state, n_skipped=state.n_skipped + 1)
-    return replace(state, h=h, b=b)
+    return replace(state, b=b)
 
 
 def _exact_quadratic_step(model, x, d, g, f0, tau_floor):
@@ -117,9 +109,10 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     (exact on quadratics), halved by the domain guard until feasible.
     Terminates on ||grad f|| <= eps max(1, ||grad f(x0)||).
 
-    callback(k, x, state) is called once per iterate, before its step.  The
-    state's H and B are the solver's working arrays, updated in place after
-    the call returns: a consumer that keeps them must copy them.
+    callback(k, x, state) is called once per iterate, before its step.
+    state.b is the solver's working array, live: it is updated in place
+    after the call returns, so a consumer that keeps it must copy it.
+    state.h is a fresh B^-1, formed at O(p^3) on each access.
     extra["state"] holds the final state.
     """
     opts = opts or SolveOptions()
@@ -129,8 +122,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     p = x.size
     state = None
     if h0 is not None:
-        h0, factor = _checked_h0(h0, p)
-        state = BfgsState(h=h0.copy(), b=np.ascontiguousarray(cho_solve(factor, np.eye(p))))
+        state = BfgsState(b=np.ascontiguousarray(cho_solve(_checked_h0(h0, p), np.eye(p))))
     g0_norm, prev = None, None
 
     def stop(lam, gnorm):
@@ -143,7 +135,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
             if state is None:
                 scale = max(np.linalg.norm(g), 1e-8) / max(1.0, float(np.linalg.norm(x)))
                 state = BfgsState.identity(p, scale)
-        elif not _bfgs_update_inplace(state.h, state.b, x - prev[0], g - prev[1]):
+        elif not _bfgs_update_inplace(state.b, x - prev[0], g - prev[1]):
             state = replace(state, n_skipped=state.n_skipped + 1)
         prev = x, g
         if callback is not None:
@@ -153,7 +145,8 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
         if lam_hat == 0.0 and not stop(lam_hat, float(np.linalg.norm(g))) \
                 and k < opts.max_iter:
             # B lost positive definiteness numerically: restart from the identity
-            state.h[:] = state.b[:] = np.eye(p)
+            state.b[:] = 0.0
+            state.b.flat[::p + 1] = 1.0
             d = -(state.b @ g)
             lam_hat = math.sqrt(max(0.0, -float(g @ d)))
         return d, lam_hat, None
@@ -169,7 +162,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
 
 
 def _checked_h0(h0, p):
-    """(h0, its Cholesky factor); ParameterError unless a finite symmetric PD (p, p) matrix."""
+    """h0's Cholesky factor; ParameterError unless a finite symmetric PD (p, p) matrix."""
     h0 = np.asarray(h0, dtype=float)
     if h0.shape != (p, p):
         raise ParameterError(f"h0 must be a ({p}, {p}) matrix, got shape {h0.shape}")
@@ -178,7 +171,7 @@ def _checked_h0(h0, p):
     if np.max(np.abs(h0 - h0.T), initial=0.0) > 1e-12 * np.max(np.abs(h0), initial=0.0):
         raise ParameterError("h0 must be symmetric")
     try:
-        return h0, cholesky(h0, lower=True)
+        return cholesky(h0, lower=True)
     except NotPositiveDefiniteError as exc:
         raise ParameterError(f"h0 must be positive definite: {exc}") from exc
 

@@ -40,13 +40,23 @@ def test_box_and_zero():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("u", [[math.nan, 1.0], [0.5, math.inf, 0.2], [1e308, 1e308], []])
+@pytest.mark.parametrize("u", [[math.nan, 1.0], [0.5, math.inf, 0.2], [-math.inf, -math.inf], []])
 def test_simplex_projection_rejects_unprojectable_input(u):
     # the sort finds no threshold: once a bare IndexError
     with pytest.raises(ParameterError):
         project_simplex(np.array(u))
     with pytest.raises(ParameterError):
         prox_apply(ProxSpec("simplex"), np.array(u))
+
+
+@pytest.mark.parametrize("u,want", [
+    ([1e308, 1e308], [0.5, 0.5]),           # the unshifted cumulative sum overflows
+    ([1e300, -1e300], [1.0, 0.0]),          # the unshifted threshold loses the budget
+    ([1e15 + 0.25, 1e15], [0.625, 0.375]),
+])
+def test_simplex_projection_of_large_finite_entries(u, want):
+    assert np.array_equal(project_simplex(np.array(u)), want)
+    assert np.array_equal(prox_apply(ProxSpec("simplex"), np.array(u)), want)
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, math.nan])

@@ -28,7 +28,7 @@ def test_update_fixed_point():
     rng = np.random.default_rng(5)
     base = rng.normal(size=(4, 4))
     h = base @ base.T + np.eye(4)
-    st = BfgsState(h=h.copy(), b=np.linalg.inv(h))
+    st = BfgsState(b=np.linalg.inv(h))
     s = rng.normal(size=4)
     st2 = bfgs_update(st, s, h @ s)
     assert np.allclose(st2.h, h, atol=1e-12)
@@ -89,7 +89,7 @@ def test_update_leaves_input_state_unchanged():
     rng = np.random.default_rng(3)
     base = rng.normal(size=(8, 8))
     h = base @ base.T + np.eye(8)
-    st = BfgsState(h=h, b=np.linalg.inv(h))
+    st = BfgsState(b=np.linalg.inv(h))
     h_before, b_before = st.h.copy(), st.b.copy()
     s = rng.normal(size=8)
     new = bfgs_update(st, s, h @ s + 0.1 * s)
@@ -97,10 +97,8 @@ def test_update_leaves_input_state_unchanged():
     assert np.array_equal(st.h, h_before) and np.array_equal(st.b, b_before)
 
 
-def test_solver_memory_independent_of_iteration_count():
-    # one H/B pair for the whole solve: the peak stays a few p x p arrays
-    # even though retaining a state per iterate would cost 2 p^2 each
-    p = 300
+def traced_peak_of_solve(p):
+    """(result, tracemalloc peak in bytes) of a BFGS solve on a 600 x p logistic."""
     a, labels = bench_io.gen_logistic(600, p, seed=3)
     model = models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=1e-3)
     x0 = np.zeros(p)
@@ -110,8 +108,53 @@ def test_solver_memory_independent_of_iteration_count():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return res, peak
+
+
+def test_solver_memory_independent_of_iteration_count():
+    # one working array for the whole solve: the peak stays a few p x p
+    # arrays even though retaining a state per iterate would cost p^2 each
+    p = 300
+    res, peak = traced_peak_of_solve(p)
     assert res.status == "converged" and res.iterations >= 20
     assert peak < 4 * p * p * 8
+
+
+def test_solver_holds_one_working_array():
+    # B is the loop's only p x p array, and the identity start, the update
+    # and the restart allocate no other: keeping H beside it peaked at 2.09 p^2
+    p = 300
+    res, peak = traced_peak_of_solve(p)
+    assert res.status == "converged"
+    assert peak < 1.5 * p * p * 8
+
+
+# (iterations, nfval, final f) of minimize_qn with eps = 1e-9, as computed
+# when the loop updated H and B with four rank-one passes; the one rank-two
+# pass on B rounds differently but must take the same path
+PINNED_QN_RESULTS = {
+    (600, 300, 3, 1e-3): {"analytic": (56, 56, 0.4841544828588236),
+                          "exact": (20, 20, 0.4841544828588238),
+                          "linesearch_floor": (56, 56, 0.4841544828588236)},
+    (200, 50, 1, 1e-5): {"analytic": (316, 316, 0.07352312571596027),
+                         "exact": (102, 102, 0.07352312571595894),
+                         "linesearch_floor": (316, 316, 0.07352312571596027)},
+}
+
+
+@pytest.mark.parametrize("instance,step_rule", [
+    pytest.param(inst, rule, id=f"{inst[0]}x{inst[1]}-{rule}")
+    for inst, by_rule in PINNED_QN_RESULTS.items() for rule in by_rule])
+def test_results_match_pinned_reference(instance, step_rule):
+    n, p, seed, q_diag = instance
+    iterations, nfval, f_ref = PINNED_QN_RESULTS[instance][step_rule]
+    a, labels = bench_io.gen_logistic(n, p, seed=seed)
+    model = models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=q_diag)
+    res = minimize_qn(model, np.zeros(p),
+                      SolveOptions(step_rule=step_rule, eps=1e-9, record_time=False))
+    assert res.status == "converged" and res.extra["skipped_updates"] == 0
+    assert (res.iterations, res.nfval) == (iterations, nfval)
+    assert abs(res.trace[-1].f - f_ref) <= 1e-12 * max(1.0, abs(f_ref))
 
 
 def test_inverse_consistency_along_solver_run():
