@@ -38,6 +38,7 @@ def _parse_synthetic(spec: str) -> dict:
 
 
 def _solver_options(args, nu="native") -> SolveOptions:
+    """SolveOptions from args; every command builds it first, to check --eps and --max-iter."""
     return SolveOptions(
         nu_choice=_NU_TO_CHOICE[nu],
         step_rule=_STEP_TO_RULE[args.step],
@@ -85,6 +86,7 @@ def _load_classification(args):
 
 
 def cmd_fit_logistic(args) -> int:
+    opts = _solver_options(args, args.nu)
     a, labels = _load_classification(args)
     if hasattr(a, "multiply"):
         rows = a.multiply(labels[:, None]).tocsr()
@@ -93,12 +95,12 @@ def cmd_fit_logistic(args) -> int:
     model = models.GlmModel(rows, atoms.logistic(), q_diag=args.gamma)
     x0 = np.zeros(model.dim)
     if args.solver == "newton":
-        res = minimize(model, x0, _solver_options(args, args.nu))
+        res = minimize(model, x0, opts)
     elif args.solver == "bfgs":
-        res = minimize_qn(model, x0, _solver_options(args, args.nu))
+        res = minimize_qn(model, x0, opts)
     elif args.solver == "fgm":
         mu, lips = model.smoothness_bounds()
-        x, hist = bench_io.fast_gradient(model, x0, mu, lips, eps=args.eps, max_iter=args.max_iter)
+        x, hist = bench_io.fast_gradient(model, x0, mu, lips, eps=opts.eps, max_iter=opts.max_iter)
         return _finish_first_order(args, hist, f"f={model.value(x):.9e}")
     else:
         raise GscError(f"--solver {args.solver} is not valid for fit-logistic")
@@ -107,6 +109,7 @@ def cmd_fit_logistic(args) -> int:
 
 
 def cmd_fit_dwd(args) -> int:
+    opts = _solver_options(args, args.nu)
     a, labels = _load_classification(args)
     n = a.shape[0]
     try:
@@ -117,14 +120,12 @@ def cmd_fit_dwd(args) -> int:
     glm = models.dwd_as_glm(dwd)
     # start at w = 0, mu = 0, xi = 1 (interior for the inverse-power loss)
     x0 = np.concatenate([np.zeros(a.shape[1] + 1), np.ones(n)])
-    if args.solver == "bfgs":
-        res = minimize_qn(glm, x0, _solver_options(args, args.nu))
-    else:
-        res = minimize(glm, x0, _solver_options(args, args.nu))
+    res = (minimize_qn if args.solver == "bfgs" else minimize)(glm, x0, opts)
     return _finish(args, res)
 
 
 def cmd_portfolio(args) -> int:
+    opts = _solver_options(args)
     if args.data:
         w = np.loadtxt(args.data, delimiter=",")
     elif args.synthetic:
@@ -136,16 +137,16 @@ def cmd_portfolio(args) -> int:
     x0 = np.full(model.dim, 1.0 / model.dim)
     if args.solver == "prox-newton":
         prob = CompositeProblem(model, ProxSpec("simplex"), x0)
-        res = minimize_composite(prob, _solver_options(args))
+        res = minimize_composite(prob, opts)
         code = _finish(args, res)
         x = res.x
     else:
         t0 = time.perf_counter()
         if args.solver == "pg-bb":
-            x, hist = bench_io.pg_bb(model, ProxSpec("simplex"), x0, eps=args.eps,
-                                     max_iter=args.max_iter)
+            x, hist = bench_io.pg_bb(model, ProxSpec("simplex"), x0, eps=opts.eps,
+                                     max_iter=opts.max_iter)
         elif args.solver in ("fw", "fw-ls"):
-            x, hist = bench_io.frank_wolfe(model, x0, eps=args.eps, max_iter=args.max_iter,
+            x, hist = bench_io.frank_wolfe(model, x0, eps=opts.eps, max_iter=opts.max_iter,
                                            linesearch=args.solver == "fw-ls")
         else:
             raise GscError(f"--solver {args.solver} is not valid for portfolio")

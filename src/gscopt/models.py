@@ -13,10 +13,11 @@ for a dense or sparse design, B's columns for a SlackDesign [B, I_n],
 whose Hessian is a linops.SlackHessian.  Larger problems are served
 through hvp (conjugate-gradient path).
 
-Oracles at one point share one margin evaluation: each GLM and portfolio
-model keeps a record of the last x it saw (_PointRecord), with its margins
-z = A x + b and the arrays derived from them, and a call at a bitwise-equal
-x reads that record instead of forming A x again.
+Oracles at one point share one margin evaluation: GLM and portfolio models
+share one base (_MarginModel) and one record of the last x (_PointRecord),
+with its margins z = A x + b (or W x) and what is derived from z, which
+every oracle at a bitwise-equal x reads.  resolve_params maps a model's
+certificate through a solver's nu_choice.
 """
 
 from __future__ import annotations
@@ -45,33 +46,42 @@ def _frozen(a):
     return a
 
 
-class _Point:
-    """One point's margins z, its first row outside the domain, and arrays derived from z.
+class _PointRecord:
+    """The last point x a model's oracles saw: its key, its margins z, the first row of z
+    outside the domain (-1 if none) and the arrays derived from z.
 
-    Every array it holds is read-only, and none is ever replaced: a new
-    point gets a new _Point.
+    Oracles at one point share its margins.  Every array is read-only, and a
+    new point replaces them, never writes into them.  The key is a copy of
+    x's float64 bytes (and shape): a caller that mutates x in place after a
+    call gets a miss, and -0.0 and 0.0, or two NaN payloads, are different
+    points.  domain is the open interval the margins must lie in, or None
+    when they are not checked.  One point is kept, so memory stays a few
+    vectors per model.
     """
 
-    __slots__ = ("key", "z", "_domain", "_row", "_derived")
+    __slots__ = ("_domain", "key", "z", "row", "_derived")
 
-    def __init__(self, key, z, domain):
-        self.key = key
-        self.z = _frozen(z)
+    def __init__(self, domain):
         self._domain = domain
-        self._row = -1
-        if domain is not None:
-            mask = inside(domain, z)
-            if not mask.all():
-                self._row = int(np.argmin(mask))
-        self._derived = {}
+        self.key = None
 
-    @property
-    def feasible(self) -> bool:
-        return self._row < 0
+    def at(self, x, margins) -> _PointRecord:
+        """This record, at x, with z = margins(x) computed only when x is a new point."""
+        xf = np.asarray(x, dtype=float)
+        key = (xf.shape, xf.tobytes())
+        if key != self.key:
+            z = _frozen(margins(x))
+            row = -1
+            if self._domain is not None:
+                mask = inside(self._domain, z)
+                if not mask.all():
+                    row = int(np.argmin(mask))
+            self.key, self.z, self.row, self._derived = key, z, row, {}
+        return self
 
     def margins(self):
         """z, or a DomainError naming its first row outside the open interval domain (NaN included)."""
-        row = self._row
+        row = self.row
         if row >= 0:
             raise DomainError(f"row {row}: margin {self.z[row]} outside the domain {self._domain}",
                               row=row)
@@ -85,28 +95,23 @@ class _Point:
         return out
 
 
-class _PointRecord:
-    """The last point a model's oracles saw, so oracles at one point share its margins.
+class _MarginModel:
+    """The oracle plumbing of a model read through its margins z = _z(x).  A subclass
+    sets _z, _record (a _PointRecord over z's domain), factor_dim (the order of
+    the matrix a Newton solve factors) and p_dense."""
 
-    The key is a copy of x's float64 bytes (and shape): a caller that
-    mutates x in place after a call gets a miss, and -0.0 and 0.0, or two
-    NaN payloads, are different points.  domain is the open interval the
-    margins must lie in, or None when they are not checked.  One point is
-    kept at a time, so memory stays a few vectors per model.
-    """
+    def _at(self, x) -> _PointRecord:
+        return self._record.at(x, self._z)
 
-    def __init__(self, domain):
-        self._domain = domain
-        self._point = None
+    def check_domain(self, x):
+        self._at(x).margins()
 
-    def at(self, x, margins) -> _Point:
-        """The record of x, with z = margins(x) computed only when x is a new point."""
-        xf = np.asarray(x, dtype=float)
-        key = (xf.shape, xf.tobytes())
-        point = self._point
-        if point is None or point.key != key:
-            point = self._point = _Point(key, margins(x), self._domain)
-        return point
+    def feasible(self, x):
+        return self._at(x).row < 0
+
+    @property
+    def has_dense_hessian(self):
+        return self.factor_dim <= self.p_dense
 
 
 def _vector(v, size: int, name: str, default: float) -> np.ndarray:
@@ -170,7 +175,7 @@ class _SlackDesignT:
         return np.concatenate([self.block.T @ u, u])
 
 
-class GlmModel:
+class GlmModel(_MarginModel):
     """f(x) = sum_i w_i phi(a_i' x + b_i) + (1/2) x' Q x + c' x with diagonal Q."""
 
     def __init__(self, a, atom: LossAtom, b=None, weights=None, q_diag=0.0, c=None,
@@ -195,22 +200,10 @@ class GlmModel:
         self.params = glm_gsc_params(self, "native")
         self._record = _PointRecord(self.atom.domain if self.atom.bounded else None)
 
-    # -- domain ------------------------------------------------------------
+    # -- oracle ------------------------------------------------------------
     def _z(self, x):
         return (self.a @ x) + self.b
 
-    def _at(self, x) -> _Point:
-        """The point record of x: z = A x + b, checked against a bounded atom's domain."""
-        return self._record.at(x, self._z)
-
-    def check_domain(self, x):
-        if self.atom.bounded:
-            self._at(x).margins()
-
-    def feasible(self, x):
-        return not self.atom.bounded or self._at(x).feasible
-
-    # -- oracle ------------------------------------------------------------
     def value(self, x):
         z = self._at(x).margins()
         quad = 0.5 * float(x @ (self.q_diag * x)) + float(self.c @ x)
@@ -241,10 +234,6 @@ class GlmModel:
         av = self.a @ v
         out = self.a.T @ (d * av)
         return np.asarray(out).ravel() + self.q_diag * v
-
-    @property
-    def has_dense_hessian(self):
-        return self.factor_dim <= self.p_dense
 
     # -- structure helpers ---------------------------------------------------
     def lambda_min_q(self):
@@ -310,6 +299,25 @@ def glm_gsc_params(model: GlmModel, target_nu="native") -> GscParams:
     raise ParameterError(f"unknown target_nu {target_nu!r}")
 
 
+def resolve_params(model, nu_choice: str) -> GscParams:
+    """Map a model's native certificate through the requested nu classification.
+
+    A model whose native nu already is the forced nu keeps its params; any
+    other model must be a GlmModel, reclassified by glm_gsc_params.
+    """
+    if nu_choice == "native":
+        model.params.require_solver_range()
+        return model.params
+    nu = {"force_2": 2, "force_3": 3}.get(nu_choice)
+    if nu is None:
+        raise ParameterError(f"unknown nu_choice {nu_choice!r}")
+    if model.params.nu == nu:
+        return model.params
+    if not isinstance(model, GlmModel):
+        raise ParameterError(f"{nu_choice} needs a GLM model or a nu={nu} model")
+    return glm_gsc_params(model, nu)
+
+
 class QuadraticModel:
     """f(x) = 1/2 x' A x - b' x; certified (0, nu) for every nu (we report nu = 2)."""
 
@@ -342,26 +350,21 @@ class QuadraticModel:
         return True
 
 
-class PortfolioModel:
+class PortfolioModel(_MarginModel):
     """f(x) = -sum_i log(w_i' x) over the rows of a positive returns matrix; (M, nu) = (2, 3)."""
-
-    _domain = (0.0, math.inf)  # the open interval each return w_i' x lies in
 
     def __init__(self, w_mat, p_dense=P_DENSE_DEFAULT):
         self.w_mat = np.asarray(w_mat, dtype=float)
         if np.any(self.w_mat <= 0.0):
             raise ParameterError("portfolio returns matrix must be strictly positive")
         self.n, self.dim = self.w_mat.shape
+        self.factor_dim = self.dim
         self.params = GscParams(2.0, 3.0)
         self.p_dense = p_dense
-        self._record = _PointRecord(self._domain)
+        self._record = _PointRecord((0.0, math.inf))  # each return w_i' x is positive
 
     def _z(self, x):
         return self.w_mat @ x
-
-    def _at(self, x) -> _Point:
-        """The point record of x: z = W x, checked to be positive."""
-        return self._record.at(x, self._z)
 
     def _inv(self, point):
         """1/z at the point, shared by grad and _inv2."""
@@ -370,12 +373,6 @@ class PortfolioModel:
     def _inv2(self, point):
         """1/z^2 at the point, squared from its 1/z; shared by hessian and every hvp."""
         return point.derived("inv2", lambda z: self._inv(point) ** 2)
-
-    def check_domain(self, x):
-        self._at(x).margins()
-
-    def feasible(self, x):
-        return self._at(x).feasible
 
     def value(self, x):
         return -float(np.sum(np.log(self._at(x).margins())))
@@ -388,10 +385,6 @@ class PortfolioModel:
 
     def hvp(self, x, v):
         return self.w_mat.T @ (self._inv2(self._at(x)) * (self.w_mat @ v))
-
-    @property
-    def has_dense_hessian(self):
-        return self.dim <= self.p_dense
 
 
 @dataclass

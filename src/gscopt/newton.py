@@ -27,7 +27,7 @@ import numpy as np
 from . import kernel, linops
 from .errors import DomainError, ParameterError
 from .kernel import GscParams
-from .models import GlmModel, glm_gsc_params, is_feasible
+from .models import is_feasible, resolve_params
 
 MAX_HALVINGS = 60
 #: Armijo sufficient-decrease constant of newton's and quasi_newton's line searches
@@ -90,29 +90,6 @@ class SolveResult:
     def iterations(self) -> int:
         """Steps taken: one record per iterate, and the last iterate takes none."""
         return max(len(self.trace) - 1, 0)
-
-
-def resolve_params(model, nu_choice: str) -> GscParams:
-    """Map a model's native certificate through the requested nu classification."""
-    if nu_choice == "native":
-        p = model.params
-        p.require_solver_range()
-        return p
-    if nu_choice == "force_2":
-        if isinstance(model, GlmModel):
-            return glm_gsc_params(model, 2)
-        if model.params.nu == 2.0:
-            return model.params
-        raise ParameterError(
-            "force_2 needs a Lipschitz gradient constant; only GLM models expose one"
-        )
-    if nu_choice == "force_3":
-        if model.params.nu == 3.0:
-            return model.params
-        if isinstance(model, GlmModel):
-            return glm_gsc_params(model, 3)
-        raise ParameterError("force_3 needs a strong convexity constant or a nu=3 model")
-    raise ParameterError(f"unknown nu_choice {nu_choice!r}")
 
 
 class LinesearchResult(NamedTuple):

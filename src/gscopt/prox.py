@@ -123,8 +123,11 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
     ||z - x||_H, t becomes max(TOL_FLOOR, 0.01 lambda^2) and z is tested
     against it.  FISTA goes on from a z that fails; the active-set path
     raises SubproblemError.  For g = zero the result matches the Newton
-    system solve; for H = I it is a single exact prox step.
+    system solve; for H = I it is a single exact prox step.  A NaN tol
+    raises ParameterError.
     """
+    if math.isnan(tol):
+        raise ParameterError("tol must be a number, got nan")
     x = np.asarray(x, dtype=float)
     if start is not None:
         start = np.asarray(start, dtype=float)

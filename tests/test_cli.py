@@ -155,6 +155,27 @@ def test_malformed_specs_are_usage_errors(capsys, args, message):
     assert err.startswith("error: ") and err.rstrip("\n").endswith(message)
 
 
+@pytest.mark.parametrize("args", [
+    ["fit-logistic", "--synthetic", "n=50,p=5", "--max-iter", "-1"],
+    ["fit-logistic", "--synthetic", "n=50,p=5", "--solver", "bfgs", "--eps", "nan"],
+    ["fit-logistic", "--synthetic", "n=50,p=5", "--solver", "fgm", "--max-iter", "-1"],
+    ["fit-logistic", "--synthetic", "n=50,p=5", "--solver", "fgm", "--eps", "nan"],
+    ["fit-dwd", "--synthetic", "n=50,p=5", "--solver", "bfgs", "--eps", "-1"],
+    ["portfolio", "--synthetic", "n=30,p=4", "--max-iter", "-1"],
+    ["portfolio", "--synthetic", "n=30,p=4", "--solver", "pg-bb", "--eps", "nan",
+     "--max-iter", "50"],
+    ["portfolio", "--synthetic", "n=30,p=4", "--solver", "fw", "--eps", "-1", "--max-iter", "20"],
+    ["portfolio", "--synthetic", "n=30,p=4", "--solver", "fw-ls", "--eps", "inf"],
+], ids=["newton-max-iter", "bfgs-eps", "fgm-max-iter", "fgm-eps", "dwd-eps",
+        "prox-newton-max-iter", "pg-bb-eps", "fw-eps", "fw-ls-eps"])
+def test_every_solver_rejects_a_bad_eps_or_max_iter(capsys, args):
+    # checked before any solver runs, the first-order baselines included
+    assert main(args) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert "eps must be" in out.err or "max_iter must be" in out.err
+
+
 def test_bench_subset(capsys):
     assert main(["bench", "--only", "2,3"]) == 0
     out = capsys.readouterr().out

@@ -10,6 +10,8 @@ from gscopt import atoms, bench_io, linops, models
 from gscopt.acceptance import bound_suite_violations
 from gscopt.errors import DomainError, ParameterError
 from gscopt.newton import SolveOptions, minimize
+from gscopt.prox import ProxSpec
+from gscopt.prox_newton import CompositeProblem, minimize_composite
 from gscopt.quasi_newton import minimize_qn
 
 
@@ -439,3 +441,37 @@ def test_record_key_is_the_bytes_of_x():
     model.grad(-zero)
     model.hvp(-zero, zero)
     assert model.a.forward == 3      # the hvp's own product A v
+
+
+def _l1_logistic():
+    a, labels = bench_io.gen_logistic(200, 50, seed=23)
+    return models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=1e-4)
+
+
+def _dwd_500x50():
+    a, labels = bench_io.gen_logistic(500, 50, seed=0)
+    return models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.zeros(500), q=1.0,
+                                             gammas=(1e-5, 1e-5, 1e-7)))
+
+
+L1 = ProxSpec("l1", weight=1e-3)
+OPTS = SolveOptions(eps=1e-8, record_time=False)
+
+
+@pytest.mark.parametrize("make,solve,count", [
+    (lambda: models.PortfolioModel(bench_io.gen_portfolio(1000, 5, seed=0)),
+     lambda m: minimize_composite(CompositeProblem(m, ProxSpec("simplex"), np.full(5, 0.2)),
+                                  OPTS), 6),
+    (_l1_logistic, lambda m: minimize_composite(CompositeProblem(m, L1, np.zeros(50)), OPTS), 16),
+    (_l1_logistic, lambda m: bench_io.pg_bb(m, L1, np.zeros(50), eps=1e-8), 36),
+    (_dwd_500x50, lambda m: minimize(m, np.concatenate([np.zeros(51), np.ones(500)]), OPTS), 121),
+], ids=["portfolio-prox-newton", "l1-prox-newton", "l1-pg-bb", "dwd-newton"])
+def test_margin_evaluations_per_solve(make, solve, count):
+    # check_domain and feasible read the record the next value call reuses:
+    # a solve forms its margins once per point it visits
+    model = make()
+    calls = []
+    margins = model._z
+    model._z = lambda x: calls.append(x) or margins(x)
+    solve(model)
+    assert len(calls) == count

@@ -10,7 +10,7 @@ import scipy.optimize
 
 from gscopt import atoms, bench_io, kernel, linops, models
 from gscopt.errors import DomainError, ParameterError
-from gscopt.newton import (SolveOptions, existence_check, linesearch_step,
+from gscopt.newton import (MAX_HALVINGS, SolveOptions, existence_check, linesearch_step,
                            minimize, resolve_params)
 
 
@@ -125,6 +125,35 @@ def test_full_step_domain_guard():
     assert res.status == "converged"
     assert model.feasible(res.x)
     assert any(r.tau < 1.0 for r in res.trace)  # the guard had to halve
+
+
+class _InfeasibleFrom:
+    """Delegating model proxy whose feasible answers False from its (calls + 1)-th call on."""
+
+    def __init__(self, model, calls):
+        self._model, self._left = model, calls
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def feasible(self, x):
+        self._left -= 1
+        return self._left >= 0 and self._model.feasible(x)
+
+
+def test_domain_guard_out_of_halvings_ends_with_the_trace():
+    model = reg_logistic(n=300, p=20)
+    opts = SolveOptions(phase2="off", record_time=False)
+    res = minimize(_InfeasibleFrom(model, 2), np.zeros(model.dim), opts)
+    assert res.status == "domain_error" and res.iterations == 2
+    # the two steps the guard let through are kept, and x stays at the last of them
+    two = minimize(model, np.zeros(model.dim), dataclasses.replace(opts, max_iter=2))
+    assert np.array_equal(res.x, two.x)
+    assert [r.f for r in res.trace] == [r.f for r in two.trace]
+    # the last record holds the analytic step after MAX_HALVINGS halvings
+    last = res.trace[-1]
+    tau_an, _ = kernel.step_size(model.params.nu, model.params.m, last.lam, last.beta)
+    assert last.phase == "damped" and last.tau == tau_an * 0.5 ** MAX_HALVINGS
 
 
 def test_strict_theorem_phase2():
@@ -253,6 +282,14 @@ def test_linesearch_plain_backtracking():
     ls = linesearch_step(qm, np.array([-1.0]), np.array([300.0]), tau_floor=0.0, c1=1e-6)
     assert 0.0 < ls.tau < 0.25
     assert ls.nfval > 2
+
+
+def test_linesearch_skips_trial_points_outside_the_domain():
+    # f(x) = x - log x from x = 10 along n = -30: tau = 1 and 1/2 leave x > 0
+    model = models.GlmModel(np.array([[1.0]]), atoms.log_barrier(), c=np.array([1.0]))
+    ls = linesearch_step(model, np.array([10.0]), np.array([-30.0]), tau_floor=0.0)
+    assert ls.tau == 0.25
+    assert ls.nfval == 3
 
 
 def test_linesearch_needs_descent_direction():

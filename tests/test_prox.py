@@ -274,6 +274,36 @@ def test_rank_deficient_h_falls_back_to_fista(spec):
     assert prox_residual(spec, z, grad + h @ (z - x), 1.0 / l_h) <= 1e-9
 
 
+@pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:2], ids=["simplex", "box"])
+def test_pivot_at_the_rounding_level_falls_back_to_fista(spec):
+    # the free block factors, but its last pivot^2 = eps is the rounding of a
+    # singular block: the operator-H (FISTA) path answers instead
+    h = np.array([[1.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]])
+    linops.cholesky(h, lower=False)
+    x = np.array([0.0, 0.1])
+    grad = np.array([0.1, -0.3])
+    l_h = linops.largest_eigenvalue(h, dim=2)
+    assert prox._active_set_qp(h, grad, x, spec, 1.0 / l_h) is None
+    z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-9, l_h=l_h)
+    assert np.array_equal(z, scaled_prox_subproblem(lambda v: h @ v, grad, x, spec,
+                                                    tol=1e-9, l_h=l_h))
+    res, floor = prox._acceptance(spec, z, grad + h @ (z - x), grad, l_h)
+    assert spec.feasible(z) and res <= max(1e-9, floor)
+
+
+@pytest.mark.parametrize("spec", [ProxSpec("l1", weight=0.1), ProxSpec("simplex")],
+                         ids=["l1", "simplex"])
+def test_subproblem_tol_must_not_be_nan(spec):
+    h = np.array([[2.0, 0.5], [0.5, 1.0]])
+    grad, x = np.array([1.0, -1.0]), np.array([0.5, 0.5])
+    with pytest.raises(ParameterError, match="tol"):
+        scaled_prox_subproblem(h, grad, x, spec, tol=math.nan)
+    # tol <= 0 asks for the rounding floor, tol = inf for the loosest accuracy
+    floor = scaled_prox_subproblem(h, grad, x, spec, tol=0.0)
+    assert np.array_equal(scaled_prox_subproblem(h, grad, x, spec, tol=-1.0), floor)
+    assert spec.feasible(scaled_prox_subproblem(h, grad, x, spec, tol=math.inf))
+
+
 def test_subproblem_accuracy_follows_its_step():
     # tol = 0.1 is loose next to a step z - x of ~1e-3: the returned z meets
     # the acceptance rule at max(1e-12, 0.01 lambda^2), lambda = ||z - x||_H.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from test_oracle_order import CallLog
 
-from gscopt import atoms, bench_io, models
+from gscopt import atoms, bench_io, models, quasi_newton
 from gscopt.errors import ParameterError
 from gscopt.newton import SolveOptions, minimize
 from gscopt.quasi_newton import (BfgsState, bfgs_update, dennis_more_ratio,
@@ -135,9 +135,11 @@ def test_solver_holds_one_working_array():
 PINNED_QN_RESULTS = {
     (600, 300, 3, 1e-3): {"analytic": (56, 56, 0.4841544828588236),
                           "exact": (20, 20, 0.4841544828588238),
+                          "full": (56, 56, 0.4841544828588236),
                           "linesearch_floor": (56, 56, 0.4841544828588236)},
     (200, 50, 1, 1e-5): {"analytic": (316, 316, 0.07352312571596027),
                          "exact": (102, 102, 0.07352312571595894),
+                         "full": (316, 316, 0.07352312571596027),
                          "linesearch_floor": (316, 316, 0.07352312571596027)},
 }
 
@@ -186,6 +188,43 @@ def test_exact_step_is_halved_into_the_domain():
                       SolveOptions(step_rule="exact", record_time=False))
     assert res.status == "converged" and res.iterations == 7
     assert res.x == pytest.approx([1.0])
+
+
+def test_floored_armijo_skips_trial_points_outside_the_domain():
+    # f(x) = x - log x from x = 10 along d = -30; the search starts at
+    # min(1, 2 * 0.5) = 1, and tau = 1 and 1/2 leave x > 0
+    model = models.GlmModel(np.array([[1.0]]), atoms.log_barrier(), c=np.array([1.0]))
+    x, d = np.array([10.0]), np.array([-30.0])
+    tau, f, evals = quasi_newton._floored_armijo(model, x, d, model.grad(x), model.value(x), 0.5)
+    assert (tau, evals) == (0.25, 3)
+    assert f == model.value(x + 0.25 * d)
+
+
+class _StaleGradient:
+    """Delegating model proxy whose grad, at its stale-th call, repeats the previous call's."""
+
+    def __init__(self, model, stale):
+        self._model, self._stale, self._calls, self._last = model, stale, 0, None
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def grad(self, x):
+        self._calls += 1
+        if self._calls != self._stale:
+            self._last = self._model.grad(x)
+        return self._last
+
+
+def test_solver_skips_an_update_with_no_gradient_change():
+    # iterate 2 sees iterate 1's gradient: y = 0, so the curvature guard skips
+    # that update inside the solve, and the solve goes on with the same B
+    skipped = {}
+    res = minimize_qn(_StaleGradient(logistic_toy(n=100, p=5, seed=0), 3), np.zeros(5),
+                      SolveOptions(eps=1e-9, record_time=False),
+                      callback=lambda k, x, state: skipped.setdefault(k, state.n_skipped))
+    assert res.status == "converged" and res.extra["skipped_updates"] == 1
+    assert (skipped[1], skipped[2]) == (0, 1)
 
 
 @pytest.mark.parametrize("step_rule", ["analytic", "exact"])
