@@ -48,7 +48,7 @@ def _solver_options(args, nu="native") -> SolveOptions:
     )
 
 
-def _finish(args, result, model=None, margins=None):
+def _finish(args, result, margins=None):
     summary = [f"status={result.status}", f"iters={result.iterations}"]
     if result.trace:
         last = result.trace[-1]
@@ -105,7 +105,7 @@ def cmd_fit_logistic(args) -> int:
     else:
         raise GscError(f"--solver {args.solver} is not valid for fit-logistic")
     margins = (rows @ res.x)
-    return _finish(args, res, model, margins=np.asarray(margins).ravel())
+    return _finish(args, res, margins=np.asarray(margins).ravel())
 
 
 def cmd_fit_dwd(args) -> int:

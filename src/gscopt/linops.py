@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
@@ -88,16 +89,27 @@ class SlackHessian:
         """rhs -> H^-1 rhs by eliminating the slack block.
 
         One Cholesky factorization of the Schur complement
-        S = B' diag(d q_slack / (d + q_slack)) B + diag(q_block), written in
-        that form because B' D B - B' D^2 / (d + q_slack) B cancels.  H is
-        positive definite exactly when d + q_slack > 0 and S is.
+        S = B' diag(e) B + diag(q_block) with e = d q_slack / (d + q_slack),
+        written in that form because B' D B - B' D^2 / (d + q_slack) B
+        cancels.  For a dense B only S's lower triangle is formed, by one
+        dsyrk on (sqrt(e) B)', which is Fortran-ordered and so not copied;
+        a sparse B goes through weighted_gram.  H is positive definite
+        exactly when d + q_slack > 0 and S is; a negative d or q_slack is a
+        ParameterError.
         """
-        s_diag = self.d + self.q_slack
+        b, d, m = self.block, self.d, self.m
+        if np.any(d < 0.0) or np.any(self.q_slack < 0.0):
+            raise ParameterError("slack curvatures d and q_slack must be nonnegative")
+        s_diag = d + self.q_slack
         if not np.all(s_diag > 0.0):
             raise NotPositiveDefiniteError("slack block of the Hessian is not positive")
-        cho = cholesky(weighted_gram(self.block, self.d * self.q_slack / s_diag,
-                                     self.q_block), lower=True)
-        b, d, m = self.block, self.d, self.m
+        e = d * self.q_slack / s_diag
+        if sp.issparse(b):
+            schur = weighted_gram(b, e, self.q_block)
+        else:
+            schur = dsyrk(1.0, (np.sqrt(e)[:, None] * b).T, lower=1)
+            schur.flat[::m + 1] += self.q_block
+        cho = cholesky(schur, lower=True)
 
         def solve(rhs):
             r1, r2 = rhs[:m], rhs[m:]

@@ -124,11 +124,10 @@ def _vector(v, size: int, name: str, default: float) -> np.ndarray:
 
 
 def _row_norms(a):
+    """||a_i|| per row without an n x p temporary (a SlackDesign row adds its slack's 1)."""
     if isinstance(a, SlackDesign):
         return np.sqrt(_row_sq_norms(a.block) + 1.0)
-    if sp.issparse(a):
-        return np.sqrt(_row_sq_norms(a))
-    return np.linalg.norm(a, axis=1)
+    return np.sqrt(_row_sq_norms(a))
 
 
 def _row_sq_norms(a):
@@ -261,7 +260,8 @@ def glm_gsc_params(model: GlmModel, target_nu="native") -> GscParams:
 
     native: sum rule over the affine-composed atoms,
             M = max_i w_i^(1-nu/2) M_phi ||a_i||^(3-nu) (the 1/n-weighted
-            case gives n^(nu/2-1) max_i M_phi ||a_i||^(3-nu)).
+            case gives n^(nu/2-1) max_i M_phi ||a_i||^(3-nu)), one array
+            expression over model.row_norms: O(n) vectorized work.
     2:      Lipschitz-gradient reclassification; needs a bounded phi''.
     3:      strongly convex quadratic route,
             M = lam_min(Q)^((nu-3)/2) max_i (n w_i)^(1-nu/2) M_phi ||a_i||^(3-nu).
@@ -273,8 +273,8 @@ def glm_gsc_params(model: GlmModel, target_nu="native") -> GscParams:
         )
     if target_nu == "native":
         m_phi = model.atom.params.m
-        return GscParams(max(wi ** (1.0 - nu / 2.0) * (m_phi * rn ** (3.0 - nu))
-                             for rn, wi in zip(model.row_norms.tolist(), model.w.tolist())), nu)
+        return GscParams(float(np.max(model.w ** (1.0 - nu / 2.0)
+                                      * (m_phi * model.row_norms ** (3.0 - nu)))), nu)
     if target_nu == 2:
         native = glm_gsc_params(model, "native")
         if native.nu == 2.0:

@@ -254,21 +254,49 @@ def test_cholesky_rejects_nonfinite(bad):
                 linops.cholesky(a, lower=lower)
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_slack_hessian_solve_is_scipy_elimination_bit_for_bit(sparse):
-    # the elimination written out with scipy's Cholesky wrappers and numpy's diagonal indexing
-    h = slack_hessian(sparse=sparse)
+def _eliminate(h, schur, rhs):
+    """H^-1 rhs by eliminating H's slack block around the Schur complement schur."""
     b, d, m = h.block, h.d, h.m
     s_diag = d + h.q_slack
-    w = d * h.q_slack / s_diag
+    cho = scipy.linalg.cho_factor(schur, lower=True)
+    r1, r2 = rhs[:m], rhs[m:]
+    x1 = scipy.linalg.cho_solve(cho, r1 - b.T @ (d * r2 / s_diag))
+    return np.concatenate([x1, (r2 - d * (b @ x1)) / s_diag])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_slack_hessian_solve_is_scipy_elimination_bit_for_bit(sparse):
+    # the elimination written out with scipy's BLAS and Cholesky wrappers and numpy's
+    # diagonal indexing: a dense B's Schur complement is one dsyrk lower triangle
+    h = slack_hessian(sparse=sparse)
+    b = h.block
+    w = h.d * h.q_slack / (h.d + h.q_slack)
     if sparse:
         schur = np.asarray(((b.multiply(w[:, None])).T @ b).todense())
     else:
-        schur = b.T @ (w[:, None] * b)
+        schur = scipy.linalg.blas.dsyrk(1.0, (np.sqrt(w)[:, None] * b).T, lower=1)
     schur[np.diag_indices_from(schur)] += h.q_block
-    cho = scipy.linalg.cho_factor(schur, lower=True)
     rhs = np.random.default_rng(8).normal(size=h.shape[0])
-    r1, r2 = rhs[:m], rhs[m:]
-    x1 = scipy.linalg.cho_solve(cho, r1 - b.T @ (d * r2 / s_diag))
-    expected = np.concatenate([x1, (r2 - d * (b @ x1)) / s_diag])
-    assert np.array_equal(h.solver()(rhs), expected)
+    assert np.array_equal(h.solver()(rhs), _eliminate(h, schur, rhs))
+
+
+@pytest.mark.parametrize("m", [1, 4, 51])
+def test_slack_hessian_schur_matches_the_full_gram_form(m):
+    # the dsyrk triangle agrees with the full gemm B' (e B) + diag(q_block) to rounding
+    h = slack_hessian(n=500, m=m, seed=m)
+    b = h.block
+    e = h.d * h.q_slack / (h.d + h.q_slack)
+    rhs = np.random.default_rng(9).normal(size=h.shape[0])
+    expected = _eliminate(h, b.T @ (e[:, None] * b) + np.diag(h.q_block), rhs)
+    assert np.abs(h.solver()(rhs) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_slack_hessian_rejects_negative_slack_curvatures(sparse):
+    for field in ("d", "q_slack"):
+        h = slack_hessian(sparse=sparse)
+        bad = getattr(h, field).copy()
+        bad[3] = -1e-6
+        setattr(h, field, bad)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            h.solver()

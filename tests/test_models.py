@@ -1,6 +1,7 @@
 """Model oracles: hand values, finite-difference checks, certified parameters."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,53 @@ def test_dwd_matches_closed_form_constant():
         want = mphi * 12.0 ** (1.0 / (q + 2.0)) * np.max(glm.row_norms ** (q / (q + 2.0)))
         assert got.m == pytest.approx(want, rel=1e-12)
         assert got.nu == pytest.approx(2.0 * (q + 3.0) / (q + 2.0))
+
+
+def _design(kind, a):
+    if kind == "csr":
+        return sp.csr_matrix(np.where(np.abs(a) > 0.5, a, 0.0))
+    if kind == "slack":
+        return models.SlackDesign(a)
+    return a
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr", "slack"])
+@pytest.mark.parametrize("atom", [atoms.logistic(), atoms.neg_power(1.0), atoms.log_barrier()],
+                         ids=["nu2", "nu8_3", "nu3"])
+def test_native_certificate_matches_a_per_row_reference(kind, atom):
+    # M = max_i w_i^(1-nu/2) M_phi ||a_i||^(3-nu), one row at a time in math.pow
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(60, 7)) * rng.uniform(0.1, 10.0, size=(60, 1))
+    w = rng.uniform(0.5, 2.0, size=60)
+    glm = models.GlmModel(_design(kind, a), atom, weights=w)
+    rows = np.asarray(glm.a.toarray() if sp.issparse(glm.a) else glm.a)
+    nu, m_phi = atom.params.nu, atom.params.m
+    want = max(math.pow(wi, 1.0 - nu / 2.0)
+               * (m_phi * math.pow(math.sqrt(math.fsum(v * v for v in row)), 3.0 - nu))
+               for row, wi in zip(rows.tolist(), w.tolist()))
+    got = models.glm_gsc_params(glm, "native")
+    assert got.nu == nu
+    assert abs(got.m - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr", "slack"])
+def test_row_norms_match_numpy_norm(kind):
+    a = np.random.default_rng(32).normal(size=(80, 9))
+    design = _design(kind, a)
+    dense = np.asarray(design.toarray() if sp.issparse(design) else design)
+    want = np.linalg.norm(dense, axis=1)
+    assert np.allclose(models._row_norms(design), want, rtol=1e-15, atol=0.0)
+
+
+def test_dense_build_makes_no_design_sized_temporary():
+    a = np.random.default_rng(33).normal(size=(2000, 400))
+    tracemalloc.start()
+    try:
+        models.GlmModel(a, atoms.logistic(), q_diag=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * a.nbytes
 
 
 @pytest.mark.parametrize("sparse", [False, True])
