@@ -371,7 +371,7 @@ def criterion_6():
 
 def _projected_gradient_reference(model, x0, tol=1e-10, max_iter=500000):
     """Plain projected gradient to a composite-gradient-mapping residual."""
-    lmax = linops.largest_eigenvalue(model.hessian(x0), dim=x0.size)
+    lmax = linops.largest_eigenvalue(model.hessian(x0))
     s = 1.0 / (4.0 * lmax)
     x = x0.copy()
     for _ in range(max_iter):

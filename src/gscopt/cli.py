@@ -23,6 +23,8 @@ from .quasi_newton import minimize_qn
 _NU_TO_CHOICE = {"2": "force_2", "3": "force_3", "native": "native"}
 _STEP_TO_RULE = {"analytic": "analytic", "linesearch": "linesearch_floor",
                  "full": "full"}
+#: baseline solvers that record no trace for --out
+_FIRST_ORDER = ("fgm", "pg-bb", "fw", "fw-ls")
 
 
 def _parse_synthetic(spec: str) -> dict:
@@ -38,7 +40,9 @@ def _parse_synthetic(spec: str) -> dict:
 
 
 def _solver_options(args, nu="native") -> SolveOptions:
-    """SolveOptions from args; every command builds it first, to check --eps and --max-iter."""
+    """SolveOptions from args; every command builds it first, to check --eps, --max-iter, --out."""
+    if args.out and args.solver in _FIRST_ORDER:
+        raise GscError(f"--out: --solver {args.solver} records no trace to write")
     return SolveOptions(
         nu_choice=_NU_TO_CHOICE[nu],
         step_rule=_STEP_TO_RULE[args.step],

@@ -1,11 +1,12 @@
 """Linear-algebra services: Newton-system solves, local norms, extreme eigenvalues.
 
-A Hessian reaches this module as a dense matrix, an hvp closure, or a
-SlackHessian: the Hessian of a GLM over a slack-column design [B, I_n],
-whose n x n slack block is diagonal.  A SlackHessian is solved by
-eliminating that block, so only the Schur complement on B's columns is
-ever factored.  Every dense factorization of a solver, here and in prox, is
-one LAPACK potrf/potrs pair: cholesky and cho_solve.
+Every entry passes H through _operator, the one place that decides its kind,
+and then uses only h @ v, h.shape and _factor(h).  A structured H has @,
+shape, __array__ and solver() (rhs -> H^-1 rhs), like the slack-column GLM
+Hessian below; an operator is a scipy LinearOperator (a bare hvp callable
+becomes one); anything else is a dense array.  Every dense factorization of
+a solver, here and in prox, is one LAPACK potrf/potrs pair: cholesky and
+cho_solve.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import get_lapack_funcs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
 
@@ -118,25 +119,29 @@ class SlackHessian:
         return solve
 
 
-def _as_matvec(h) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(h):
+def _operator(h, dim: int | None = None):
+    """h as one of the module's three kinds: structured and LinearOperator input as it is
+    (a LinearOperator is callable too), a bare matvec callable wrapped in a (dim, dim)
+    LinearOperator whose float dtype spares scipy's probe product (ParameterError
+    without dim), anything else as a float array."""
+    if hasattr(h, "solver") or isinstance(h, LinearOperator):
         return h
-    if isinstance(h, SlackHessian):
-        return h.__matmul__
-    hmat = np.asarray(h, dtype=float)
-    return lambda v: hmat @ v
+    if callable(h):
+        if dim is None:
+            raise ParameterError("operator input needs dim")
+        return LinearOperator((dim, dim), matvec=h, dtype=float)
+    return np.asarray(h, dtype=float)
 
 
 def _factor(h) -> Callable[[np.ndarray], np.ndarray]:
-    """rhs -> H^-1 rhs for a symmetric PD matrix or SlackHessian, factored once.
-
-    A dense H takes one Cholesky factorization, a SlackHessian one of its
-    Schur complement (SlackHessian.solver).  Raises NotPositiveDefiniteError
-    when the factorization fails.
-    """
-    if isinstance(h, SlackHessian):
+    """rhs -> H^-1 rhs for an _operator-normalized H: its own solver() when structured,
+    one Cholesky factorization when dense, a ParameterError for an operator.  Raises
+    NotPositiveDefiniteError when the factorization fails."""
+    if hasattr(h, "solver"):
         return h.solver()
-    cho = cholesky(np.asarray(h, dtype=float), lower=True)
+    if isinstance(h, LinearOperator):
+        raise ParameterError("cholesky method needs a dense Hessian")
+    cho = cholesky(h, lower=True)
     return lambda rhs: cho_solve(cho, rhs)
 
 
@@ -147,7 +152,7 @@ def _start_vector(dim: int) -> np.ndarray:
 
 @dataclass
 class NewtonSystem:
-    """H n = -g with H a symmetric PD matrix, a SlackHessian or an hvp closure."""
+    """H n = -g with H symmetric PD: a dense matrix, a structured H or an operator (_operator)."""
 
     h: object
     g: np.ndarray
@@ -163,28 +168,24 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
                      max_iter: int | None = None, warm_start: np.ndarray | None = None) -> NewtonDirection:
     """Solve H n = -g and return (n, lambda) with lambda = sqrt(max(0, -g' n)).
 
-    method "cholesky" needs a dense H or a SlackHessian, which it solves by
-    block elimination: one Cholesky factorization of the (m x m) Schur
-    complement, then the diagonal slack block, in O(n m^2 + m^3) time and
-    O(n m) memory (_factor).  "cg" works with any operator and stops at
-    ||H n + g|| <= tol ||g||; "auto" picks Cholesky unless H is an hvp
-    closure.
+    method "cholesky" needs a dense or structured H (_factor); the
+    slack-column GLM Hessian's solver() takes O(n m^2 + m^3) time and O(n m)
+    memory.  "cg" works with any H and stops at ||H n + g|| <= tol ||g||;
+    "auto" picks Cholesky unless H is an operator.
     """
     g = np.asarray(sys.g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ParameterError("gradient contains non-finite entries")
+    h = _operator(sys.h, g.size)
     if method == "auto":
-        method = "cg" if callable(sys.h) else "cholesky"
+        method = "cg" if isinstance(h, LinearOperator) else "cholesky"
 
     if method == "cholesky":
-        if callable(sys.h):
-            raise ParameterError("cholesky method needs a dense Hessian")
-        n = _factor(sys.h)(-g)
+        n = _factor(h)(-g)
         return NewtonDirection(n, math.sqrt(max(0.0, -float(g @ n))), 1)
 
     if method != "cg":
         raise ParameterError(f"unknown method {method!r}")
-    matvec = _as_matvec(sys.h)
     p = g.size
     if max_iter is None:
         max_iter = max(4 * p, 200)
@@ -192,14 +193,14 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
     gnorm = np.linalg.norm(g)
     if gnorm == 0.0:
         return NewtonDirection(np.zeros(p), 0.0, 0)
-    r = -g - matvec(x)
+    r = -g - h @ x
     d = r.copy()
     rs = float(r @ r)
     target = tol * gnorm
     for it in range(max_iter):
         if math.sqrt(rs) <= target:
             return NewtonDirection(x, math.sqrt(max(0.0, -float(g @ x))), it)
-        hd = matvec(d)
+        hd = h @ d
         curv = float(d @ hd)
         if curv <= CG_CURVATURE_TOL * float(d @ d):
             raise NotPositiveDefiniteError(
@@ -220,11 +221,11 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
 
 
 def local_norm(h, v) -> float:
-    """sqrt(v' H v) for PSD H (matrix or operator); 0 for v = 0."""
+    """sqrt(v' H v) for PSD H of any kind (_operator); 0 for v = 0."""
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         return 0.0
-    q = float(v @ _as_matvec(h)(v))
+    q = float(v @ (_operator(h, v.size) @ v))
     if q < -1e-12 * float(v @ v):
         raise NotPositiveDefiniteError(f"negative quadratic form {q:.3e}")
     return math.sqrt(max(0.0, q))
@@ -237,39 +238,33 @@ class EigenEstimate(NamedTuple):
 
 
 def smallest_eigenvalue(h, tol: float = 1e-6, max_iter: int = 500, dim: int | None = None) -> EigenEstimate:
-    """lambda_min of a symmetric PSD operator.
+    """lambda_min of a symmetric PSD H of any kind (_operator).
 
-    Dense or SlackHessian input: inverse power iteration on its
-    factorization (_factor), started off all-ones (_start_vector).
-    Operator input: Lanczos (scipy eigsh).  Non-convergence returns the
+    Dense or structured H: inverse power iteration on its factorization
+    (_factor), started off all-ones (_start_vector).  Operator: Lanczos
+    (scipy eigsh) from the same start vector.  Non-convergence returns the
     last estimate with converged=False instead of raising.
     """
-    if callable(h):
-        if dim is None:
-            raise ParameterError("operator input needs dim")
-        op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=h)
+    h = _operator(h, dim)
+    if isinstance(h, LinearOperator):
         try:
-            vals = scipy.sparse.linalg.eigsh(
-                op, k=1, which="SA", maxiter=max_iter, tol=tol,
-                return_eigenvectors=False,
-            )
+            vals = eigsh(h, k=1, which="SA", maxiter=max_iter, tol=tol,
+                         v0=_start_vector(h.shape[0]), return_eigenvectors=False)
             return EigenEstimate(float(vals[0]), True, max_iter)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        except ArpackNoConvergence as exc:
             est = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else math.nan
             return EigenEstimate(est, False, max_iter)
 
-    if not isinstance(h, SlackHessian):
-        h = np.asarray(h, dtype=float)
-        if h.shape[0] == 1:
-            return EigenEstimate(float(h[0, 0]), True, 0)
-    solve, matvec = _factor(h), _as_matvec(h)
+    if h.shape[0] == 1 and isinstance(h, np.ndarray):
+        return EigenEstimate(float(h[0, 0]), True, 0)
+    solve = _factor(h)
     v = _start_vector(h.shape[0])
     v /= np.linalg.norm(v)
-    lam = float(v @ matvec(v))
+    lam = float(v @ (h @ v))
     for it in range(max_iter):
         w = solve(v)
         w /= np.linalg.norm(w)
-        lam_new = float(w @ matvec(w))
+        lam_new = float(w @ (h @ w))
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return EigenEstimate(lam_new, True, it + 1)
         v, lam = w, lam_new
@@ -277,24 +272,20 @@ def smallest_eigenvalue(h, tol: float = 1e-6, max_iter: int = 500, dim: int | No
 
 
 def largest_eigenvalue(h, dim: int | None = None, tol: float = 1e-3, max_iter: int = 1000) -> float:
-    """Power-iteration estimate of lambda_max for a symmetric PSD operator.
+    """Power-iteration estimate of lambda_max for a symmetric PSD H of any kind (_operator).
 
-    One operator product per iteration: the Rayleigh quotient's product is
-    the next iteration's power step.
+    One H product per iteration: the Rayleigh quotient's product is the
+    next iteration's power step.
     """
-    matvec = _as_matvec(h)
-    if dim is None:
-        if callable(h):
-            raise ParameterError("operator input needs dim")
-        dim = h.shape[0] if isinstance(h, SlackHessian) else np.asarray(h).shape[0]
-    w = matvec(_start_vector(dim))
+    h = _operator(h, dim)
+    w = h @ _start_vector(h.shape[0])
     lam = 0.0
     for _ in range(max_iter):
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        w = matvec(v)
+        w = h @ v
         lam_new = float(v @ w)
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
             return lam_new

@@ -128,11 +128,10 @@ def linesearch_step(model, x, n, tau_floor: float, c1: float = ARMIJO_C1,
 
 
 def _hessian(model, x):
-    """The dense Hessian at x when the model has one (dim <= p_dense), else an hvp closure."""
+    """The Hessian at x when the model has one (dim <= p_dense), else its hvp operator."""
     if model.has_dense_hessian:
         return model.hessian(x)
-    x = x.copy()
-    return lambda v: model.hvp(x, v)
+    return linops._operator(partial(model.hvp, x.copy()), x.size)
 
 
 def _newton_step(model, step_rule: str, x, n, grad, f_x, tau_an):
@@ -189,7 +188,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
         if not in_full_phase and opts.phase2 == "strict_theorem":
             sigma = None
             if nu < 3.0:
-                est = linops.smallest_eigenvalue(h, dim=x.size)
+                est = linops.smallest_eigenvalue(h)
                 sigma = est.value if est.converged else None
             try:
                 in_full_phase = lam < threshold.entry_lambda_max(m, sigma)
@@ -284,6 +283,6 @@ def existence_check(model, x) -> ExistenceCheck:
         return ExistenceCheck(True, lam, math.inf)
     if nu == 3.0:
         return ExistenceCheck(lam < 2.0 / m, lam, 2.0 / m)
-    sigma = linops.smallest_eigenvalue(h, dim=x.size).value
+    sigma = linops.smallest_eigenvalue(h).value
     rhs = 2.0 * sigma ** ((3.0 - nu) / 2.0) / ((4.0 - nu) * m)
     return ExistenceCheck(lam < rhs, lam, rhs, sigma)

@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import NotPositiveDefiniteError, ParameterError, SubproblemError
-from .linops import _as_matvec, cho_solve, cholesky, largest_eigenvalue, local_norm
+from .linops import _operator, cho_solve, cholesky, largest_eigenvalue, local_norm
 
 EPS = np.finfo(float).eps
 #: iteration cap of the accelerated prox-gradient inner loop
@@ -133,16 +134,17 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
         start = np.asarray(start, dtype=float)
         if start.shape != x.shape or not g.feasible(start):
             raise ParameterError("start must be a point of x's shape feasible for g")
-    return _subproblem(h, np.asarray(grad, dtype=float), x, g, tol, l_h, start)[0]
+    return _subproblem(_operator(h, x.size), np.asarray(grad, dtype=float), x, g, tol, l_h,
+                       start)[0]
 
 
 def _subproblem(h, grad, x, g: ProxSpec, tol: float, l_h: float | None,
                 start=None) -> tuple[np.ndarray, float]:
     """scaled_prox_subproblem's z and lambda = ||z - x||_H, measured by its acceptance check.
-    grad, x and a given start are float arrays, the start feasible (prox_newton passes its
-    last z)."""
+    h is linops._operator-normalized; grad, x and a given start are float arrays, the start
+    feasible (prox_newton passes its last z)."""
     if l_h is None:
-        l_h = largest_eigenvalue(h, dim=x.size)
+        l_h = largest_eigenvalue(h)
     if l_h <= 0.0:
         raise ParameterError("subproblem needs a positive curvature bound")
     t, lam = tol, math.nan
@@ -157,9 +159,8 @@ def _subproblem(h, grad, x, g: ProxSpec, tol: float, l_h: float | None,
                 t = max(TOL_FLOOR, 0.01 * lam * lam)
         return res, max(t, floor)
 
-    if not callable(h) and g.kind in ("simplex", "box"):
-        hmat = np.asarray(h, dtype=float)
-        solved = _active_set_qp(hmat, grad, x, g, 1.0 / l_h, start)
+    if not isinstance(h, LinearOperator) and g.kind in ("simplex", "box"):
+        solved = _active_set_qp(np.asarray(h), grad, x, g, 1.0 / l_h, start)
         if solved is not None:
             z, gz = solved
             res, target = check(z, gz)
@@ -168,7 +169,7 @@ def _subproblem(h, grad, x, g: ProxSpec, tol: float, l_h: float | None,
             raise SubproblemError(
                 f"active-set subproblem solution has residual {res:.3e} (target {target:.1e})",
                 residual=res)
-    z = _fista(_as_matvec(h), grad, x, g, l_h, check)
+    z = _fista(h, grad, x, g, l_h, check)
     return z, lam
 
 
@@ -198,20 +199,18 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
     blocks.  At a stationary point of the working set the coordinate with
     the most negative bound multiplier (grad Q_i + nu at a lower bound, its
     negative at an upper one) is freed; when none is below the rounding
-    level the point is the minimizer.  Coordinates with lo == hi never
-    leave the working set.  Returns the minimizer z and grad Q(z), or None
-    when a free block of H is not numerically positive definite; raises
-    SubproblemError after 10 p iterations.
+    level the point is the minimizer.  A box with lo == hi is that one
+    point.  Returns the minimizer z and grad Q(z), or None when a free block
+    of H is not numerically positive definite; raises SubproblemError after
+    10 p iterations.
     """
     p = x.size
-    if g.kind == "simplex":
-        lo, hi = np.zeros(p), np.full(p, math.inf)
-    else:
-        lo, hi = np.full(p, g.lo), np.full(p, g.hi)
+    lo, hi = (0.0, math.inf) if g.kind == "simplex" else (g.lo, g.hi)
     z = prox_apply(g, x - s * grad, s) if start is None else np.clip(start, lo, hi)
-    at_lo, at_hi = z <= lo, z >= hi
-    fixed = at_lo & at_hi
     gz = grad + h @ (z - x)
+    if lo == hi:
+        return z, gz
+    at_lo, at_hi = z <= lo, z >= hi
     for _ in range(10 * p):
         free = ~(at_lo | at_hi)
         nu = 0.0
@@ -234,22 +233,22 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
             zf = z[idx]
             ratio = np.full(d.size, math.inf)
             dec, inc = d < 0.0, d > 0.0
-            ratio[dec] = (lo[idx[dec]] - zf[dec]) / d[dec]
-            ratio[inc] = (hi[idx[inc]] - zf[inc]) / d[inc]
+            ratio[dec] = (lo - zf[dec]) / d[dec]
+            ratio[inc] = (hi - zf[inc]) / d[inc]
             k = int(np.argmin(ratio))
             if ratio[k] < 1.0:
                 z[idx] = zf + max(ratio[k], 0.0) * d
                 i = idx[k]
                 if d[k] < 0.0:
-                    z[i], at_lo[i] = lo[i], True
+                    z[i], at_lo[i] = lo, True
                 else:
-                    z[i], at_hi[i] = hi[i], True
+                    z[i], at_hi[i] = hi, True
                 gz = grad + h @ (z - x)
                 continue
             z[idx] = zf + d
             gz = grad + h @ (z - x)
         mult = np.where(at_lo, gz + nu, -(gz + nu))
-        mult[free | fixed] = math.inf
+        mult[free] = math.inf
         j = int(np.argmin(mult))
         floor = EPS * (np.abs(z).sum() / s + np.abs(gz).sum() + np.abs(grad).sum())
         if not mult[j] < -floor:
@@ -261,7 +260,7 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
         residual=res)
 
 
-def _fista(matvec, grad, x, g: ProxSpec, l_h: float, check) -> np.ndarray:
+def _fista(h, grad, x, g: ProxSpec, l_h: float, check) -> np.ndarray:
     """Accelerated prox-gradient at step 1/L until check(z, gz) gives residual <= target.
 
     Restarts the momentum whenever the objective increases.  A point carries
@@ -271,7 +270,7 @@ def _fista(matvec, grad, x, g: ProxSpec, l_h: float, check) -> np.ndarray:
 
     def point(z):
         dz = z - x
-        hdz = matvec(dz)
+        hdz = h @ dz
         return z, grad + hdz, float(grad @ dz) + 0.5 * float(dz @ hdz) + g.value(z)
 
     z, gz, f = point(prox_apply(g, x - s * grad, s))
@@ -286,7 +285,7 @@ def _fista(matvec, grad, x, g: ProxSpec, l_h: float, check) -> np.ndarray:
                 f"prox subproblem stalled at residual {res:.3e} (target {target:.1e})",
                 residual=res)
         if gy is None:
-            gy = grad + matvec(y - x)
+            gy = grad + h @ (y - x)
         z_new, gz_new, f_new = point(prox_apply(g, y - s * gy, s))
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
         y, gy = z_new + ((t_m - 1.0) / t_new) * (z_new - z), None

@@ -65,7 +65,7 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
     def direction(k, x, grad):
         nonlocal lam_prev, l_h, z
         h = _hessian(model, x)
-        l_h = linops.largest_eigenvalue(h, dim=x.size)
+        l_h = linops.largest_eigenvalue(h)
         if gspec.kind == "zero":
             # the subproblem is exactly the Newton system; solve it directly
             n = linops.newton_direction(linops.NewtonSystem(h, grad)).n

@@ -176,6 +176,21 @@ def test_every_solver_rejects_a_bad_eps_or_max_iter(capsys, args):
     assert "eps must be" in out.err or "max_iter must be" in out.err
 
 
+@pytest.mark.parametrize("args", [
+    ["fit-logistic", "--synthetic", "n=50,p=5", "--solver", "fgm"],
+    ["portfolio", "--synthetic", "n=50,p=10", "--solver", "pg-bb"],
+    ["portfolio", "--synthetic", "n=50,p=10", "--solver", "fw"],
+    ["portfolio", "--synthetic", "n=50,p=10", "--solver", "fw-ls"],
+], ids=["fgm", "pg-bb", "fw", "fw-ls"])
+def test_first_order_solvers_reject_out(capsys, tmp_path, args):
+    # a first-order baseline records no trace, so --out is refused before it solves
+    out = tmp_path / "t.csv"
+    assert main(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --out")
+    assert not out.exists()
+
+
 def test_bench_subset(capsys):
     assert main(["bench", "--only", "2,3"]) == 0
     out = capsys.readouterr().out

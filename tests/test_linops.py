@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from gscopt import linops
 from gscopt.errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
 from gscopt.linops import NewtonSystem, SlackHessian, newton_direction
+from gscopt.prox import ProxSpec, scaled_prox_subproblem
 
 
 def slack_hessian(n=30, m=4, seed=6, sparse=False, q_block=1e-3):
@@ -300,3 +302,64 @@ def test_slack_hessian_rejects_negative_slack_curvatures(sparse):
         setattr(h, field, bad)
         with pytest.raises(ParameterError, match="nonnegative"):
             h.solver()
+
+
+def test_linear_operator_needs_no_dim():
+    # a LinearOperator knows its order: every entry takes it as it is, with the
+    # results of the bare callable given dim
+    rng = np.random.default_rng(11)
+    hmat = _spd(rng, 12)
+
+    def matvec(v):
+        return hmat @ v
+
+    op = scipy.sparse.linalg.LinearOperator((12, 12), matvec=matvec, dtype=float)
+    v, g, x = rng.normal(size=(3, 12))
+    assert linops.largest_eigenvalue(op) == linops.largest_eigenvalue(matvec, dim=12)
+    assert linops.smallest_eigenvalue(op) == linops.smallest_eigenvalue(matvec, dim=12)
+    assert linops.local_norm(op, v) == linops.local_norm(matvec, v)
+    assert np.array_equal(newton_direction(NewtonSystem(op, g)).n,
+                          newton_direction(NewtonSystem(matvec, g)).n)
+    spec = ProxSpec("l1", weight=0.1)
+    assert np.array_equal(scaled_prox_subproblem(op, g, x, spec),
+                          scaled_prox_subproblem(matvec, g, x, spec))
+    # a bare callable has no order of its own, and an operator no factorization
+    with pytest.raises(ParameterError, match="operator input needs dim"):
+        linops.largest_eigenvalue(matvec)
+    with pytest.raises(ParameterError, match="operator input needs dim"):
+        linops.smallest_eigenvalue(matvec)
+    with pytest.raises(ParameterError, match="cholesky method needs a dense Hessian"):
+        newton_direction(NewtonSystem(op, g), method="cholesky")
+
+
+class CountingStructured:
+    """A structured H over a dense SPD matrix (@, shape, solver(), __array__) that
+    counts its solver() calls."""
+
+    def __init__(self, mat):
+        self.mat, self.shape, self.solvers = mat, mat.shape, 0
+
+    def __matmul__(self, v):
+        return self.mat @ v
+
+    def __array__(self, dtype=None, copy=None):
+        return self.mat if dtype is None else self.mat.astype(dtype)
+
+    def solver(self):
+        self.solvers += 1
+        return lambda rhs: np.linalg.solve(self.mat, rhs)
+
+
+def test_structured_hessian_is_solved_by_its_own_solver():
+    rng = np.random.default_rng(12)
+    hmat = _spd(rng, 8)
+    h = CountingStructured(hmat)
+    g = rng.normal(size=8)
+    for method in ("auto", "cholesky"):
+        n = newton_direction(NewtonSystem(h, g), method=method).n
+        assert np.linalg.norm(hmat @ n + g) <= 1e-10 * np.linalg.norm(g)
+    assert h.solvers == 2
+    est = linops.smallest_eigenvalue(h, tol=1e-10)
+    assert h.solvers == 3
+    assert est.converged
+    assert est.value == pytest.approx(np.linalg.eigvalsh(hmat)[0], rel=1e-6)
