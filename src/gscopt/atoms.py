@@ -67,14 +67,16 @@ def atom_eval(atom: LossAtom, t, order: int = 0):
 # Atom constructors
 # ---------------------------------------------------------------------------
 
-def _sigmoid(t):
-    # expit without the scipy import; stable for both signs
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def _sigmoid_pair(t):
+    """(sigmoid(t), sigmoid(-t)) from one exp: expit without the scipy import.
+
+    With e = exp(-|t|), the sigmoid of the nonnegative one of t, -t is
+    1/(1+e) and the other is e/(1+e), so neither overflows.
+    """
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    big, small = 1.0 / d, e / d
+    return np.where(t >= 0, big, small), np.where(t <= 0, big, small)
 
 
 def logistic() -> LossAtom:
@@ -84,15 +86,15 @@ def logistic() -> LossAtom:
         return np.maximum(-t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
     def f1(t):
-        return -_sigmoid(-t)
+        return -_sigmoid_pair(t)[1]
 
     def f2(t):
-        s = _sigmoid(t)
-        return s * _sigmoid(-t)
+        s, s_neg = _sigmoid_pair(t)
+        return s * s_neg
 
     def f3(t):
-        s = _sigmoid(t)
-        return s * _sigmoid(-t) * (1.0 - 2.0 * s)
+        s, s_neg = _sigmoid_pair(t)
+        return s * s_neg * (1.0 - 2.0 * s)
 
     return LossAtom("logistic", GscParams(1.0, 2.0), (-math.inf, math.inf), (f0, f1, f2, f3), d2_sup=0.25)
 

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError
-from .models import is_feasible
+from .models import is_feasible, row_sq_norms
 from .newton import TRACE_SCHEMA, IterRecord
 from .prox import ProxSpec, prox_apply
 
@@ -108,10 +108,9 @@ def read_libsvm(path, normalize: bool = False, n_features: int | None = None) ->
         mapped = np.where(y == uniq[0], -1.0, 1.0)
         y = mapped
     if normalize and n:
-        norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
+        norms = np.sqrt(row_sq_norms(a))
         inv = np.where(norms > 0.0, 1.0 / np.maximum(norms, 1e-300), 0.0)
-        a = sp.diags(inv) @ a
-        a = sp.csr_matrix(a)
+        a.data *= np.repeat(inv, np.diff(a.indptr))
     return Dataset(a=a, labels=y, normalized=normalize)
 
 
@@ -119,38 +118,64 @@ def read_libsvm(path, normalize: bool = False, n_features: int | None = None) ->
 # Deterministic synthetic generators
 # ---------------------------------------------------------------------------
 
-def _splitmix64(seed: int, count: int) -> np.ndarray:
-    """count raw 64-bit outputs of the splitmix64 stream started at seed.
+#: uniform pairs per block of the streamed generators; a generator's working
+#: arrays are a few blocks (under 1 MB) whatever the size of its output
+_BLOCK = 1 << 13
 
-    The state advance is a plain counter (state_i = seed + i * golden mod 2^64),
-    so the whole stream vectorizes.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Overwrite the uint64 array out with outputs start, start + 1, ... of the stream of seed.
+
+    The state advance is a plain counter (state_i = seed + i * golden mod 2^64,
+    i counted from 1), so any stretch of the stream is computed on its own.
     """
-    golden = np.uint64(0x9E3779B97F4A7C15)
-    m1 = np.uint64(0xBF58476D1CE4E5B9)
-    m2 = np.uint64(0x94D049BB133111EB)
+    mix = np.empty_like(out)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed) + golden * np.arange(1, count + 1, dtype=np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * m1
-        z = (z ^ (z >> np.uint64(27))) * m2
-        return z ^ (z >> np.uint64(31))
-
-
-def _uniform01(seed: int, count: int) -> np.ndarray:
-    # top 53 bits -> [0, 1)
-    return (_splitmix64(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        np.multiply(np.arange(start + 1, start + 1 + out.size, dtype=np.uint64), _GOLDEN, out=out)
+        out += np.uint64(seed)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(out, np.uint64(shift), out=mix)
+            out ^= mix
+            out *= mult
+        np.right_shift(out, np.uint64(31), out=mix)
+        out ^= mix
+    return out
 
 
 def gaussian_stream(seed: int, count: int) -> np.ndarray:
-    """count standard normals via Box-Muller on consecutive uniform pairs."""
+    """count standard normals via Box-Muller on consecutive uniform pairs.
+
+    Normal 2j is r cos(2 pi u2) and normal 2j+1 is r sin(2 pi u2), with
+    r = sqrt(-2 ln u1) from uniforms 2j and 2j+1.  The pairs are made
+    _BLOCK at a time and written straight into the output, so memory is the
+    output plus one block of working arrays (under 1 MB).
+    """
+    out = np.empty(count)
     pairs = (count + 1) // 2
-    u = _uniform01(seed, 2 * pairs)
-    u1 = np.maximum(u[0::2], 2.0**-53)  # guard log(0)
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * math.pi * u2)
-    z[1::2] = r * np.sin(2.0 * math.pi * u2)
-    return z[:count]
+    bits = np.empty(2 * min(pairs, _BLOCK), dtype=np.uint64)
+    u = np.empty(bits.size)
+    r, angle, trig = (np.empty(bits.size // 2) for _ in range(3))
+    for j in range(0, pairs, _BLOCK):
+        m = min(_BLOCK, pairs - j)
+        bits, u, r, angle, trig = bits[:2 * m], u[:2 * m], r[:m], angle[:m], trig[:m]
+        _splitmix64(seed, 2 * j, bits)
+        np.right_shift(bits, np.uint64(11), out=bits)
+        np.multiply(bits, 2.0**-53, out=u)  # top 53 bits -> [0, 1)
+        np.maximum(u[0::2], 2.0**-53, out=r)  # guard log(0)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        np.multiply(u[1::2], 2.0 * math.pi, out=angle)
+        np.cos(angle, out=trig)
+        np.multiply(r, trig, out=out[2 * j:2 * (j + m):2])
+        np.sin(angle, out=trig)
+        odd = out[2 * j + 1:2 * (j + m):2]  # one short when count is odd
+        np.multiply(r[:odd.size], trig[:odd.size], out=odd)
+    return out
 
 
 def gen_portfolio(n: int, p: int, seed: int, sigma: float = 0.1, clamp: float = 1e-3) -> np.ndarray:
@@ -158,20 +183,32 @@ def gen_portfolio(n: int, p: int, seed: int, sigma: float = 0.1, clamp: float = 
 
     The clamp keeps the portfolio domain valid even for extreme draws (at
     sigma = 0.1 negative entries are ~1e-23 probable, but the guard makes
-    positivity certain).
+    positivity certain).  Scaled, shifted and clamped in place, so memory is
+    the output plus one gaussian_stream block.
     """
     if n < 1 or p < 1:
         raise ParameterError("gen_portfolio needs n, p >= 1")
-    w = 1.0 + sigma * gaussian_stream(seed, n * p).reshape(n, p)
-    return np.maximum(w, clamp)
+    w = gaussian_stream(seed, n * p).reshape(n, p)
+    w *= sigma
+    w += 1.0
+    return np.maximum(w, clamp, out=w)
 
 
 def gen_logistic(n: int, p: int, seed: int, normalize: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic binary classification rows (optionally unit-norm) and labels."""
+    """Synthetic binary classification rows (optionally unit-norm) and labels.
+
+    The rows, the true x and the label noise are one gaussian_stream; the
+    rows are a view of it, normalized in place a block of rows at a time, so
+    memory is the output plus one gaussian_stream block.
+    """
     z = gaussian_stream(seed, n * p + p + n)
     a = z[: n * p].reshape(n, p)
     if normalize:
-        a = a / np.linalg.norm(a, axis=1, keepdims=True)
+        rows = max(1, 2 * _BLOCK // max(p, 1))
+        for i in range(0, n, rows):
+            block = a[i:i + rows]
+            # the arithmetic of np.linalg.norm(block, axis=1, keepdims=True)
+            block /= np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True))
     x_true = z[n * p: n * p + p]
     noise = z[n * p + p:]
     labels = np.sign(a @ x_true + 0.1 * noise)

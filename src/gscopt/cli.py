@@ -95,7 +95,8 @@ def cmd_fit_logistic(args) -> int:
     if hasattr(a, "multiply"):
         rows = a.multiply(labels[:, None]).tocsr()
     else:
-        rows = a * labels[:, None]
+        rows = a
+        rows *= labels[:, None]  # in place: the unsigned rows are not used again
     model = models.GlmModel(rows, atoms.logistic(), q_diag=args.gamma)
     x0 = np.zeros(model.dim)
     if args.solver == "newton":

@@ -126,14 +126,27 @@ def _vector(v, size: int, name: str, default: float) -> np.ndarray:
 def _row_norms(a):
     """||a_i|| per row without an n x p temporary (a SlackDesign row adds its slack's 1)."""
     if isinstance(a, SlackDesign):
-        return np.sqrt(_row_sq_norms(a.block) + 1.0)
-    return np.sqrt(_row_sq_norms(a))
+        return np.sqrt(row_sq_norms(a.block) + 1.0)
+    return np.sqrt(row_sq_norms(a))
 
 
-def _row_sq_norms(a):
-    if sp.issparse(a):
-        return np.asarray(a.multiply(a).sum(axis=1)).ravel()
-    return np.einsum("ij,ij->i", a, a)
+def row_sq_norms(a):
+    """sum_j a_ij^2 per row of a dense or sparse matrix, without a second matrix.
+
+    A sparse row sums the squares of its stored values in column order;
+    a non-canonical CSR is canonicalized on a copy first, so duplicate
+    entries are added before they are squared.  Empty rows give 0.
+    """
+    if not sp.issparse(a):
+        return np.einsum("ij,ij->i", a, a)
+    a = a.tocsr()
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    out = np.zeros(a.shape[0])
+    rows = np.flatnonzero(np.diff(a.indptr))
+    out[rows] = np.add.reduceat(np.square(a.data), a.indptr[rows])
+    return out
 
 
 class SlackDesign:

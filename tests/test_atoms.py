@@ -24,6 +24,19 @@ def test_logistic_overflow_safe():
     assert np.isfinite(atoms.atom_eval(lg, -800.0, 2))
 
 
+def test_logistic_sigmoid_edges():
+    t = np.array([0.0, -0.0, np.inf, -np.inf, 700.0, -700.0, 710.0, -710.0, 800.0, -800.0])
+    s, s_neg = atoms._sigmoid_pair(t)
+    e700, e710 = math.exp(-700.0), math.exp(-710.0)
+    assert np.array_equal(s, [0.5, 0.5, 1.0, 0.0, 1.0, e700, 1.0, e710, 1.0, 0.0])
+    assert np.array_equal(s_neg, [0.5, 0.5, 0.0, 1.0, e700, 1.0, e710, 1.0, 0.0, 1.0])
+    lg = atoms.logistic()
+    d1, d2, d3 = (lg._derivs[k](t) for k in (1, 2, 3))
+    assert np.array_equal(d1, -s_neg)
+    assert np.array_equal(d2, [0.25, 0.25, 0.0, 0.0, e700, e700, e710, e710, 0.0, 0.0])
+    assert np.array_equal(d3, [0.0, 0.0, 0.0, 0.0, -e700, e700, -e710, e710, 0.0, 0.0])
+
+
 def test_entropy_values():
     en = atoms.entropy()
     assert atoms.atom_eval(en, 1.0, 0) == 0.0

@@ -1,14 +1,16 @@
 """Data ingestion, generators, baselines, and trace persistence."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gscopt import atoms, models
-from gscopt.bench_io import (TRACE_COLUMNS, LibsvmParseError, fast_gradient,
-                             frank_wolfe, gen_logistic, gen_portfolio, pg_bb,
-                             read_libsvm, read_trace, write_trace)
+from gscopt.bench_io import (_BLOCK, TRACE_COLUMNS, LibsvmParseError, fast_gradient,
+                             frank_wolfe, gaussian_stream, gen_logistic, gen_portfolio,
+                             pg_bb, read_libsvm, read_trace, write_trace)
 from gscopt.errors import ParameterError
 from gscopt.newton import IterRecord, SolveOptions, minimize
 from gscopt.prox import ProxSpec
@@ -108,6 +110,69 @@ def test_gen_logistic_normalized():
     a, labels = gen_logistic(40, 7, seed=5)
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
     assert set(np.unique(labels)) <= {-1.0, 1.0}
+
+
+# The generators stream their output in blocks; each must match the one-shot
+# formulas below bit for bit.  Both run on the same machine, since libm and
+# SIMD results may differ between machines.
+
+def _one_shot_gaussians(seed, count):
+    pairs = (count + 1) // 2
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed) + golden * np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(np.maximum(u[0::2], 2.0**-53)))
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(2.0 * math.pi * u[1::2])
+    out[1::2] = r * np.sin(2.0 * math.pi * u[1::2])
+    return out[:count]
+
+
+_SEEDS = [0, 1, 12345, 2**63 - 5]
+# a block holds _BLOCK uniform pairs, that is 2 * _BLOCK normals
+_COUNTS = [0, 1, 2, 7, 2 * _BLOCK - 2, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + 2,
+           6 * _BLOCK + 3]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_gaussian_stream_matches_one_shot(seed):
+    for count in _COUNTS:
+        assert np.array_equal(gaussian_stream(seed, count), _one_shot_gaussians(seed, count)), count
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (40, 7), (3, 2 * _BLOCK + 1), (2000, 33)])
+@pytest.mark.parametrize("seed", [5, 2**63 - 5])
+def test_generators_match_one_shot(n, p, seed):
+    z = _one_shot_gaussians(seed, n * p + p + n)
+    a = z[: n * p].reshape(n, p)
+    labels = np.sign(a @ z[n * p: n * p + p] + 0.1 * z[n * p + p:])
+    labels[labels == 0.0] = 1.0
+    got_a, got_labels = gen_logistic(n, p, seed=seed, normalize=False)
+    assert np.array_equal(got_a, a) and np.array_equal(got_labels, labels)
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    labels = np.sign(a @ z[n * p: n * p + p] + 0.1 * z[n * p + p:])
+    labels[labels == 0.0] = 1.0
+    got_a, got_labels = gen_logistic(n, p, seed=seed)
+    assert np.array_equal(got_a, a) and np.array_equal(got_labels, labels)
+    w = np.maximum(1.0 + 0.1 * _one_shot_gaussians(seed, n * p).reshape(n, p), 1e-3)
+    assert np.array_equal(gen_portfolio(n, p, seed=seed), w)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_logistic(2000, 400, seed=0),
+                                  lambda: (gen_portfolio(20000, 50, seed=0),)],
+                         ids=["logistic", "portfolio"])
+def test_generators_memory_is_output_plus_blocks(make):
+    tracemalloc.start()
+    try:
+        out = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sum(x.nbytes for x in out)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,22 @@ def test_row_norms_match_numpy_norm(kind):
     assert np.allclose(models._row_norms(design), want, rtol=1e-15, atol=0.0)
 
 
+def test_sparse_row_sq_norms_with_empty_rows_and_duplicates():
+    a = sp.random(300, 40, density=0.05, format="csr", random_state=34)
+    a.data = np.random.default_rng(34).normal(size=a.nnz)
+    assert (np.diff(a.indptr) == 0).any()
+    dense = a.toarray()
+    assert np.array_equal(models.row_sq_norms(a), np.asarray(a.multiply(a).sum(axis=1)).ravel())
+    assert np.allclose(models.row_sq_norms(a), (dense**2).sum(axis=1), rtol=1e-14, atol=0.0)
+    # duplicates are summed before squaring: row 0 is (1 + 2)^2 + 0.5^2
+    dup = sp.csr_matrix((np.array([1.0, 0.5, 2.0, 3.0]), np.array([2, 1, 2, 0]), np.array([0, 3, 3, 4])),
+                        shape=(3, 4))
+    data = dup.data.copy()
+    assert np.array_equal(models.row_sq_norms(dup), [9.25, 0.0, 9.0])
+    assert np.array_equal(dup.data, data)  # canonicalized on a copy
+    assert np.array_equal(models.row_sq_norms(sp.csr_matrix((2, 3))), [0.0, 0.0])
+
+
 def test_dense_build_makes_no_design_sized_temporary():
     a = np.random.default_rng(33).normal(size=(2000, 400))
     tracemalloc.start()
