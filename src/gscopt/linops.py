@@ -2,11 +2,15 @@
 
 Every entry passes H through _operator, the one place that decides its kind,
 and then uses only h @ v, h.shape and _factor(h).  A structured H has @,
-shape, __array__ and solver() (rhs -> H^-1 rhs), like the slack-column GLM
-Hessian below; an operator is a scipy LinearOperator (a bare hvp callable
-becomes one); anything else is a dense array.  Every dense factorization of
-a solver, here and in prox, is one LAPACK potrf/potrs pair: cholesky and
-cho_solve.
+shape and solver(free=None), like the slack-column GLM Hessian below; an
+operator is a scipy LinearOperator (a bare hvp callable becomes one);
+anything else is a dense array.  _factor(h, free) returns rhs -> H_FF^-1 rhs
+on the free coordinates free (all of them when None): a structured H's own
+solver(free), or one Cholesky factorization of the dense free block.  It is
+the only place a Hessian or a free block of one is factored (prox's active
+set calls it too), and every dense factorization of a solver, here, in
+quasi_newton and in acceptance, is one LAPACK potrf/potrs pair: cholesky
+and cho_solve.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
 #: CG curvature below this multiple of ||d||^2 is treated as a not-PD signal.
 CG_CURVATURE_TOL = 1e-14
 
+EPS = np.finfo(float).eps
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
@@ -46,6 +51,15 @@ def cho_solve(factor: tuple[np.ndarray, bool], rhs: np.ndarray) -> np.ndarray:
     return _POTRS(factor[0], rhs, lower=factor[1])[0]
 
 
+def _free_cholesky(a, *, lower: bool) -> tuple[np.ndarray, bool]:
+    """cholesky(a) of a free block, with a NotPositiveDefiniteError also when its smallest
+    pivot is at the rounding level: the rounding of a singular block, not curvature."""
+    cho = cholesky(a, lower=lower)
+    if np.diagonal(cho[0]).min() ** 2 <= a.shape[0] * EPS * a.diagonal().max():
+        raise NotPositiveDefiniteError("free block is singular to rounding")
+    return cho
+
+
 def weighted_gram(a, w, q_diag) -> np.ndarray:
     """A' diag(w) A + diag(q_diag) as a dense array, for a dense or sparse A."""
     if sp.issparse(a):
@@ -62,7 +76,8 @@ class SlackHessian:
 
     The Hessian of a GLM over the design [B, I_n] with weighted curvatures
     d = w phi''(z) and the diagonal regularizer diag(q_block, q_slack).
-    B (n x m) may be dense or sparse; H is formed only by np.asarray.
+    B (n x m) may be dense or sparse.  The solvers use only @ and solver();
+    the dense H that np.asarray forms is for tests.
     """
 
     def __init__(self, block, d, q_block, q_slack):
@@ -86,36 +101,51 @@ class SlackHessian:
         out[self.m:, :self.m] = out[:self.m, self.m:].T
         return out if dtype is None else out.astype(dtype, copy=False)
 
-    def solver(self) -> Callable[[np.ndarray], np.ndarray]:
-        """rhs -> H^-1 rhs by eliminating the slack block.
+    def solver(self, free=None) -> Callable[[np.ndarray], np.ndarray]:
+        """rhs -> H_FF^-1 rhs on the ascending coordinates free (all when None) by
+        eliminating the free slack rows.
 
         One Cholesky factorization of the Schur complement
-        S = B' diag(e) B + diag(q_block) with e = d q_slack / (d + q_slack),
-        written in that form because B' D B - B' D^2 / (d + q_slack) B
+        S = B_F' diag(e) B_F + diag(q_block,F) over the free block columns F,
+        with e = d q_slack / (d + q_slack) on free slack rows and e = d on
+        fixed ones, written in that form because B' D B - B' D^2 / (d + q_slack) B
         cancels.  For a dense B only S's lower triangle is formed, by one
-        dsyrk on (sqrt(e) B)', which is Fortran-ordered and so not copied;
-        a sparse B goes through weighted_gram.  H is positive definite
-        exactly when d + q_slack > 0 and S is; a negative d or q_slack is a
-        ParameterError.
+        dsyrk on (sqrt(e) B_F)', which is Fortran-ordered and so not copied;
+        a sparse B goes through weighted_gram.  A free block factors with
+        _free_cholesky's rounding-pivot test, and one with no block column is
+        its diagonal.  H is positive definite exactly when d + q_slack > 0
+        and S is; a negative d or q_slack is a ParameterError.
         """
-        b, d, m = self.block, self.d, self.m
+        b, d, q_block = self.block, self.d, self.q_block
         if np.any(d < 0.0) or np.any(self.q_slack < 0.0):
             raise ParameterError("slack curvatures d and q_slack must be nonnegative")
         s_diag = d + self.q_slack
         if not np.all(s_diag > 0.0):
             raise NotPositiveDefiniteError("slack block of the Hessian is not positive")
         e = d * self.q_slack / s_diag
+        b_rows, d_rows, s_rows = b, d, s_diag
+        if free is not None:
+            k = int(np.searchsorted(free, self.m))
+            rows = free[k:] - self.m
+            fixed = np.ones(d.size, dtype=bool)
+            fixed[rows] = False
+            e[fixed] = d[fixed]
+            b, q_block = b[:, free[:k]], q_block[free[:k]]
+            b_rows, d_rows, s_rows = b[rows], d[rows], s_diag[rows]
+        m = q_block.size
+        if m == 0:
+            return lambda rhs: rhs / s_rows
         if sp.issparse(b):
-            schur = weighted_gram(b, e, self.q_block)
+            schur = weighted_gram(b, e, q_block)
         else:
             schur = dsyrk(1.0, (np.sqrt(e)[:, None] * b).T, lower=1)
-            schur.flat[::m + 1] += self.q_block
-        cho = cholesky(schur, lower=True)
+            schur.flat[::m + 1] += q_block
+        cho = cholesky(schur, lower=True) if free is None else _free_cholesky(schur, lower=True)
 
         def solve(rhs):
             r1, r2 = rhs[:m], rhs[m:]
-            x1 = cho_solve(cho, r1 - b.T @ (d * r2 / s_diag))
-            return np.concatenate([x1, (r2 - d * (b @ x1)) / s_diag])
+            x1 = cho_solve(cho, r1 - b_rows.T @ (d_rows * r2 / s_rows))
+            return np.concatenate([x1, (r2 - d_rows * (b_rows @ x1)) / s_rows])
         return solve
 
 
@@ -133,15 +163,21 @@ def _operator(h, dim: int | None = None):
     return np.asarray(h, dtype=float)
 
 
-def _factor(h) -> Callable[[np.ndarray], np.ndarray]:
-    """rhs -> H^-1 rhs for an _operator-normalized H: its own solver() when structured,
-    one Cholesky factorization when dense, a ParameterError for an operator.  Raises
-    NotPositiveDefiniteError when the factorization fails."""
+def _factor(h, free=None, *, lower: bool = True) -> Callable[[np.ndarray], np.ndarray]:
+    """rhs -> H_FF^-1 rhs for an _operator-normalized H on the ascending coordinates free
+    (the whole H when None): its own solver(free) when structured, one Cholesky
+    factorization of the free block (gathered by take, factored in the lower or upper
+    triangle) when dense, a ParameterError for an operator.  Raises
+    NotPositiveDefiniteError when the factorization fails or, for a given free, when the
+    block is singular to rounding (_free_cholesky)."""
     if hasattr(h, "solver"):
-        return h.solver()
+        return h.solver() if free is None else h.solver(free)
     if isinstance(h, LinearOperator):
         raise ParameterError("cholesky method needs a dense Hessian")
-    cho = cholesky(h, lower=True)
+    if free is None:
+        cho = cholesky(h, lower=lower)
+    else:
+        cho = _free_cholesky(h.take(free, 0).take(free, 1), lower=lower)
     return lambda rhs: cho_solve(cho, rhs)
 
 

@@ -3,17 +3,18 @@
 prox_apply evaluates argmin_z g(z) + (1/(2 step)) ||z - u||^2 in closed form
 for the supported regularizers.  scaled_prox_subproblem minimizes the local
 quadratic model Q(z) + g(z) of a composite objective, which is the inner
-solve of the proximal Newton method.  A dense H with a simplex or box g is
-solved exactly by a primal active-set method with one Cholesky factorization
-of the free block per step (linops.cholesky, the solvers' one LAPACK
-potrf/potrs pair): accelerated prox-gradient converges slowly on an
-ill-conditioned H; it can start from a caller's feasible point, which the
-proximal Newton loop sets to the previous subproblem's solution, so a
-working set that barely changes between outer iterations costs few
-factorizations.  An operator H, an l1 g, or an H whose free block is not
-numerically positive definite runs the accelerated proximal-gradient loop
-(function-value restart).  One rule, _acceptance at an accuracy that follows
-the step, decides for both paths whether a point solves the subproblem.
+solve of the proximal Newton method.  A dense or structured H with a simplex
+or box g is solved exactly by a primal active-set method that solves on the
+free block once per step through linops._factor (for a SlackHessian, its
+Schur complement; prox factors nothing itself and never densifies H):
+accelerated prox-gradient converges slowly on an ill-conditioned H; it can
+start from a caller's feasible point, which the proximal Newton loop sets to
+the previous subproblem's solution, so a working set that barely changes
+between outer iterations costs few factorizations.  An operator H, an l1 g,
+or an H whose free block is not numerically positive definite runs the
+accelerated proximal-gradient loop (function-value restart).  One rule,
+_acceptance at an accuracy that follows the step, decides for both paths
+whether a point solves the subproblem.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .errors import NotPositiveDefiniteError, ParameterError, SubproblemError
-from .linops import _operator, cho_solve, cholesky, largest_eigenvalue, local_norm
+from .linops import _factor, _operator, largest_eigenvalue, local_norm
 
 EPS = np.finfo(float).eps
 #: iteration cap of the accelerated prox-gradient inner loop
@@ -110,11 +111,11 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
                            l_h: float | None = None, *, start=None) -> np.ndarray:
     """argmin_z <grad, z-x> + 1/2 (z-x)' H (z-x) + g(z).
 
-    A dense H with a simplex or box g takes the primal active-set method
-    (_active_set_qp), which ends at the exact minimizer in finitely many
-    steps.  It starts from start, a point feasible for g (ParameterError
-    otherwise), when one is given, and from the prox-gradient point
-    when not.  Every other input (an operator H, g = l1 or zero, or a free
+    A dense or structured H (linops._operator) with a simplex or box g
+    takes the primal active-set method (_active_set_qp), which ends at the
+    exact minimizer in finitely many steps.  It starts from start, a point
+    feasible for g (ParameterError otherwise), when one is given, and from
+    the prox-gradient point when not.  Every other input (an operator H, g = l1 or zero, or a free
     block of H that is not numerically positive definite) takes accelerated
     prox-gradient with function-value restart (_fista, at most
     FISTA_MAX_ITER iterations), which ignores start.
@@ -160,7 +161,7 @@ def _subproblem(h, grad, x, g: ProxSpec, tol: float, l_h: float | None,
         return res, max(t, floor)
 
     if not isinstance(h, LinearOperator) and g.kind in ("simplex", "box"):
-        solved = _active_set_qp(np.asarray(h), grad, x, g, 1.0 / l_h, start)
+        solved = _active_set_qp(h, grad, x, g, 1.0 / l_h, start)
         if solved is not None:
             z, gz = solved
             res, target = check(z, gz)
@@ -193,7 +194,8 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
     iteration's solution is often the final working set already.  Without
     one it starts from the prox-gradient point prox_g(x - s grad, s), which
     is feasible and already at most of the active bounds.  Each iteration
-    factors the free block H_FF once and takes the equality-constrained
+    solves on the free block H_FF through one linops._factor (h dense or
+    structured, never densified here) and takes the equality-constrained
     step on the free coordinates (for the simplex, with the sum multiplier
     nu from a second solve), or the part of it up to the first bound that
     blocks.  At a stationary point of the working set the coordinate with
@@ -212,40 +214,35 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
         return z, gz
     at_lo, at_hi = z <= lo, z >= hi
     for _ in range(10 * p):
-        free = ~(at_lo | at_hi)
+        free = np.flatnonzero(~(at_lo | at_hi))
         nu = 0.0
-        if free.any():
-            hff = h[free][:, free]
+        if free.size:
             try:
-                cho = cholesky(hff, lower=False)
+                solve = _factor(h, free, lower=False)
             except NotPositiveDefiniteError:
                 return None
-            # a tiny last pivot is the rounding of a singular block, not curvature
-            if np.diagonal(cho[0]).min() ** 2 <= hff.shape[0] * EPS * hff.diagonal().max():
-                return None
-            d = -cho_solve(cho, gz[free])
+            d = -solve(gz[free])
             if g.kind == "simplex":
                 # sum(d) = 1 - sum(z): a start off the simplex by rounding comes back to it
-                w = cho_solve(cho, np.ones(d.size))
+                w = solve(np.ones(d.size))
                 nu = (d.sum() - (1.0 - z.sum())) / w.sum()
                 d -= nu * w
-            idx = np.flatnonzero(free)
-            zf = z[idx]
+            zf = z[free]
             ratio = np.full(d.size, math.inf)
             dec, inc = d < 0.0, d > 0.0
             ratio[dec] = (lo - zf[dec]) / d[dec]
             ratio[inc] = (hi - zf[inc]) / d[inc]
             k = int(np.argmin(ratio))
             if ratio[k] < 1.0:
-                z[idx] = zf + max(ratio[k], 0.0) * d
-                i = idx[k]
+                z[free] = zf + max(ratio[k], 0.0) * d
+                i = free[k]
                 if d[k] < 0.0:
                     z[i], at_lo[i] = lo, True
                 else:
                     z[i], at_hi[i] = hi, True
                 gz = grad + h @ (z - x)
                 continue
-            z[idx] = zf + d
+            z[free] = zf + d
             gz = grad + h @ (z - x)
         mult = np.where(at_lo, gz + nu, -(gz + nu))
         mult[free] = math.inf

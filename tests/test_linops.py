@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from gscopt import linops
+from gscopt import linops, prox
 from gscopt.errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
 from gscopt.linops import NewtonSystem, SlackHessian, newton_direction
 from gscopt.prox import ProxSpec, scaled_prox_subproblem
@@ -363,3 +363,70 @@ def test_structured_hessian_is_solved_by_its_own_solver():
     assert h.solvers == 3
     assert est.converged
     assert est.value == pytest.approx(np.linalg.eigvalsh(hmat)[0], rel=1e-6)
+
+
+def _free_masks(dim, m, seed):
+    """Free coordinates of a SlackHessian with m block columns: block columns only, slack
+    rows only, single coordinates and random mixes (ascending index arrays)."""
+    rng = np.random.default_rng(seed)
+    masks = {"block": np.arange(m), "slack": np.arange(m, dim), "one-block": np.array([m - 1]),
+             "one-slack": np.array([m + 3]), "block-and-one-slack": np.array([0, 1, m + 5])}
+    for i in range(8):
+        masks[f"mix{i}"] = np.flatnonzero(rng.random(dim) < 0.5)
+    return masks
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_slack_hessian_free_block_solve_matches_dense(sparse):
+    # solver(free) eliminates the free slack rows around a Schur complement over the
+    # free block columns; it agrees with a dense solve of the free block H_FF.  The
+    # whole H (condition ~5e5, where the dense solve itself is off by ~5e-13) is the
+    # all-free case, which is solver() bit for bit
+    h = slack_hessian(sparse=sparse)
+    hmat, dim = np.asarray(h), h.shape[0]
+    rng = np.random.default_rng(13)
+    rhs = rng.normal(size=dim)
+    assert np.array_equal(h.solver(np.arange(dim))(rhs), h.solver()(rhs))
+    assert np.array_equal(linops._factor(h, np.arange(dim))(rhs), h.solver()(rhs))
+    for name, free in _free_masks(dim, h.m, seed=14).items():
+        r = rng.normal(size=free.size)
+        expected = np.linalg.solve(hmat[np.ix_(free, free)], r)
+        for solve in (h.solver(free), linops._factor(h, free)):
+            got = solve(r)
+            assert got.shape == (free.size,), name
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), name
+
+
+def test_dense_free_block_solve_matches_dense():
+    rng = np.random.default_rng(15)
+    hmat = _spd(rng, 12)
+    rhs = rng.normal(size=12)
+    assert np.array_equal(linops._factor(hmat)(rhs), linops._factor(hmat, np.arange(12))(rhs))
+    for lower in (True, False):
+        for free in (np.array([4]), np.array([0, 3, 7, 11]), np.arange(1, 12, 2)):
+            got = linops._factor(hmat, free, lower=lower)(rhs[free])
+            expected = np.linalg.solve(hmat[np.ix_(free, free)], rhs[free])
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_rounding_singular_schur_block_falls_back_to_fista():
+    # free block columns [0, 1] with the one slack row fixed: e = d = 1, so the Schur
+    # complement is [[1, 1], [1, 1 + eps]].  It factors, but its last pivot^2 = eps
+    # is the rounding of a singular block, as in the dense active set
+    h = SlackHessian(np.ones((1, 2)), np.ones(1), np.array([0.0, np.finfo(float).eps]),
+                     np.ones(1))
+    linops.cholesky(np.asarray(h)[:2, :2], lower=True)
+    free = np.array([0, 1])
+    with pytest.raises(NotPositiveDefiniteError, match="singular to rounding"):
+        h.solver(free)
+    with pytest.raises(NotPositiveDefiniteError, match="singular to rounding"):
+        linops._factor(np.asarray(h), free)
+    # so the active set, started with the slack coordinate at its bound, hands over to FISTA
+    spec = ProxSpec("box", lo=-1.0, hi=1.0)
+    x, start = np.zeros(3), np.array([0.0, 0.0, 1.0])
+    grad = np.array([0.1, -0.3, -2.0])
+    l_h = linops.largest_eigenvalue(h, tol=1e-12)
+    assert prox._active_set_qp(h, grad, x, spec, 1.0 / l_h, start) is None
+    z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-9, l_h=l_h, start=start)
+    res, floor = prox._acceptance(spec, z, grad + h @ (z - x), grad, l_h)
+    assert spec.feasible(z) and res <= max(1e-9, floor)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gscopt import linops, prox
 from gscopt.errors import ParameterError
@@ -343,8 +344,8 @@ def test_warm_start_reaches_the_cold_minimizer(monkeypatch, p, spec):
     # a feasible start changes where the active set begins, never where it ends
     rng = np.random.default_rng(100 + p)
     calls = []
-    factor = prox.cholesky
-    monkeypatch.setattr(prox, "cholesky", lambda *a, **k: calls.append(1) or factor(*a, **k))
+    factor = linops.cholesky
+    monkeypatch.setattr(linops, "cholesky", lambda *a, **k: calls.append(1) or factor(*a, **k))
     for trial in range(4):
         h = _pd(rng, p)
         x = rng.normal(size=p)
@@ -376,3 +377,46 @@ def test_warm_start_must_be_feasible(spec):
     op = lambda v: h @ v  # noqa: E731
     z = scaled_prox_subproblem(op, grad, x, spec, tol=1e-12)
     assert np.array_equal(scaled_prox_subproblem(op, grad, x, spec, tol=1e-12, start=corner), z)
+
+
+class _NoDenseForm:
+    """A structured H that delegates @ and solver(free) to a linops.SlackHessian and has
+    no dense form: np.asarray on it raises."""
+
+    def __init__(self, slack):
+        self.slack, self.shape = slack, slack.shape
+
+    def __matmul__(self, v):
+        return self.slack @ v
+
+    def solver(self, free=None):
+        return self.slack.solver(free)
+
+    def __array__(self, dtype=None, copy=None):
+        raise AssertionError("the active set densified a structured H")
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:4], ids=lambda s: f"{s.kind}[{s.lo},{s.hi}]")
+def test_active_set_never_densifies_a_structured_h(spec, sparse):
+    # the box and simplex active set solves each free block through solver(free) and
+    # ends where the active set on the dense H ends
+    rng = np.random.default_rng(31)
+    n, m = 40, 5
+    block = rng.normal(size=(n, m))
+    if sparse:
+        block = scipy.sparse.csr_matrix(np.where(np.abs(block) > 0.7, block, 0.0))
+    slack = linops.SlackHessian(block, 0.1 + 1.9 * rng.random(n), np.full(m, 1e-1),
+                                np.full(n, 1e-1))
+    h, hmat = _NoDenseForm(slack), np.asarray(slack)
+    p = n + m
+    l_h = linops.largest_eigenvalue(hmat, tol=1e-12)
+    for trial in range(4):
+        x = prox_apply(spec, rng.normal(size=p) * 0.2)
+        grad = rng.normal(size=p) * (3.0 if trial % 2 else 0.3)
+        z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-12, l_h=l_h)
+        z_dense = scaled_prox_subproblem(hmat, grad, x, spec, tol=1e-12, l_h=l_h)
+        assert spec.feasible(z)
+        assert np.max(np.abs(z - z_dense)) <= 1e-12 * max(1.0, np.max(np.abs(z_dense)))
+        # the structured solve is the exact active set, not the FISTA fallback
+        assert prox._active_set_qp(h, grad, x, spec, 1.0 / l_h) is not None

@@ -1,11 +1,12 @@
 """Proximal Newton on composite problems: reduction, references, feasibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gscopt import atoms, bench_io, linops, models, prox, prox_newton
+from gscopt import atoms, bench_io, linops, models, prox_newton
 from gscopt.errors import DomainError, ParameterError
 from gscopt.newton import SolveOptions, minimize
 from gscopt.prox import ProxSpec, project_simplex, prox_apply, prox_residual
@@ -145,7 +146,7 @@ def test_box_constrained_glm():
 
 def test_dwd_slack_hessian_composite():
     # the DWD Hessian is a linops.SlackHessian: g = zero solves it by elimination,
-    # the box's active-set subproblem takes its dense form
+    # the box's active-set subproblem by eliminating its free slack rows
     a, labels = bench_io.gen_logistic(40, 5, seed=8)
     model = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(40, 0.01), q=1.0,
                                               gammas=(1e-4, 1e-4, 1e-5)))
@@ -228,12 +229,17 @@ def test_portfolio_beyond_toy_size_matches_pg_bb(n, p):
     assert abs(port.value(res.x) - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
-def _box_dwd_200():
-    # the box-constrained DWD composite: a SlackHessian densified for the active set
-    a, labels = bench_io.gen_logistic(200, 20, seed=8)
-    model = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(200, 0.01), q=1.0,
+def _box_dwd(n):
+    # the box-constrained DWD composite: the active set solves its SlackHessian's free
+    # blocks by elimination
+    a, labels = bench_io.gen_logistic(n, 20, seed=8)
+    model = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(n, 0.01), q=1.0,
                                               gammas=(1e-4, 1e-4, 1e-5)))
-    return model, ProxSpec("box", lo=-5.0, hi=5.0), np.concatenate([np.zeros(21), np.ones(200)])
+    return model, ProxSpec("box", lo=-5.0, hi=5.0), np.concatenate([np.zeros(21), np.ones(n)])
+
+
+def _box_dwd_200():
+    return _box_dwd(200)
 
 
 def _portfolio_1000x100():
@@ -249,10 +255,26 @@ def test_warm_start_factorization_counts(monkeypatch, build, iterations, max_fac
     # factorization; a cold start from the prox-gradient point made 477 and
     # 913 (one per bound it added)
     calls = []
-    factor = prox.cholesky
-    monkeypatch.setattr(prox, "cholesky", lambda *a, **k: calls.append(1) or factor(*a, **k))
+    factor = linops.cholesky
+    monkeypatch.setattr(linops, "cholesky", lambda *a, **k: calls.append(1) or factor(*a, **k))
     model, spec, x0 = build()
     res = minimize_composite(CompositeProblem(model, spec, x0),
                              SolveOptions(eps=1e-9, record_time=False))
     assert res.status == "converged" and res.iterations == iterations
-    assert len(calls) <= max_factorizations
+    assert 0 < len(calls) <= max_factorizations
+
+
+def test_box_dwd_composite_memory_stays_o_np():
+    # the active set never forms the (p+1+n)^2 Hessian: 7.1 MB when it densified
+    # the SlackHessian, about 0.4 MB by eliminating the free slack rows
+    model, spec, x0 = _box_dwd(400)
+    tracemalloc.start()
+    try:
+        res = minimize_composite(CompositeProblem(model, spec, x0),
+                                 SolveOptions(eps=1e-9, record_time=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "converged" and res.iterations == 44
+    assert res.extra["prox_certificate"] <= 1e-6
+    assert peak <= 2e6
