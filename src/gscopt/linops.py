@@ -163,21 +163,21 @@ def _operator(h, dim: int | None = None):
     return np.asarray(h, dtype=float)
 
 
-def _factor(h, free=None, *, lower: bool = True) -> Callable[[np.ndarray], np.ndarray]:
+def _factor(h, free=None) -> Callable[[np.ndarray], np.ndarray]:
     """rhs -> H_FF^-1 rhs for an _operator-normalized H on the ascending coordinates free
     (the whole H when None): its own solver(free) when structured, one Cholesky
-    factorization of the free block (gathered by take, factored in the lower or upper
-    triangle) when dense, a ParameterError for an operator.  Raises
+    factorization when dense (the whole H in the lower triangle, a free block gathered by
+    take in the upper one), a ParameterError for an operator.  Raises
     NotPositiveDefiniteError when the factorization fails or, for a given free, when the
     block is singular to rounding (_free_cholesky)."""
     if hasattr(h, "solver"):
-        return h.solver() if free is None else h.solver(free)
+        return h.solver(free)
     if isinstance(h, LinearOperator):
         raise ParameterError("cholesky method needs a dense Hessian")
     if free is None:
-        cho = cholesky(h, lower=lower)
+        cho = cholesky(h, lower=True)
     else:
-        cho = _free_cholesky(h.take(free, 0).take(free, 1), lower=lower)
+        cho = _free_cholesky(h.take(free, 0).take(free, 1), lower=False)
     return lambda rhs: cho_solve(cho, rhs)
 
 

@@ -218,7 +218,7 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
         nu = 0.0
         if free.size:
             try:
-                solve = _factor(h, free, lower=False)
+                solve = _factor(h, free)
             except NotPositiveDefiniteError:
                 return None
             d = -solve(gz[free])
