@@ -6,11 +6,12 @@ shape and solver(free=None), like the slack-column GLM Hessian below; an
 operator is a scipy LinearOperator (a bare hvp callable becomes one);
 anything else is a dense array.  _factor(h, free) returns rhs -> H_FF^-1 rhs
 on the free coordinates free (all of them when None): a structured H's own
-solver(free), or one Cholesky factorization of the dense free block.  It is
-the only place a Hessian or a free block of one is factored (prox's active
-set calls it too), and every dense factorization of a solver, here, in
-quasi_newton and in acceptance, is one LAPACK potrf/potrs pair: cholesky
-and cho_solve.
+solver(free), CG (_cg, the one CG loop) on an operator's block, or one
+Cholesky factorization of the dense block; a free block singular to rounding
+is shifted, not refused.  It is the only place a Hessian or a free block is
+solved (prox's active set calls it too), and every dense factorization of a
+solver, here, in quasi_newton and in acceptance, is one LAPACK potrf/potrs
+pair: cholesky and cho_solve.
 """
 
 from __future__ import annotations
@@ -52,12 +53,18 @@ def cho_solve(factor: tuple[np.ndarray, bool], rhs: np.ndarray) -> np.ndarray:
 
 
 def _free_cholesky(a, *, lower: bool) -> tuple[np.ndarray, bool]:
-    """cholesky(a) of a free block, with a NotPositiveDefiniteError also when its smallest
-    pivot is at the rounding level: the rounding of a singular block, not curvature."""
-    cho = cholesky(a, lower=lower)
-    if np.diagonal(cho[0]).min() ** 2 <= a.shape[0] * EPS * a.diagonal().max():
-        raise NotPositiveDefiniteError("free block is singular to rounding")
-    return cho
+    """cholesky(a) of a free block a, which is scratch.  A block that fails, or whose
+    smallest pivot is at the rounding level (the rounding of a singular block, not
+    curvature), is factored again with n eps max(diag a) added to its diagonal in place;
+    NotPositiveDefiniteError when that fails too."""
+    try:
+        cho = cholesky(a, lower=lower)
+        if np.diagonal(cho[0]).min() ** 2 > a.shape[0] * EPS * a.diagonal().max():
+            return cho
+    except NotPositiveDefiniteError:
+        pass
+    a.flat[::a.shape[0] + 1] += a.shape[0] * EPS * a.diagonal().max()
+    return cholesky(a, lower=lower)
 
 
 def weighted_gram(a, w, q_diag) -> np.ndarray:
@@ -165,20 +172,90 @@ def _operator(h, dim: int | None = None):
 
 def _factor(h, free=None) -> Callable[[np.ndarray], np.ndarray]:
     """rhs -> H_FF^-1 rhs for an _operator-normalized H on the ascending coordinates free
-    (the whole H when None): its own solver(free) when structured, one Cholesky
-    factorization when dense (the whole H in the lower triangle, a free block gathered by
-    take in the upper one), a ParameterError for an operator.  Raises
-    NotPositiveDefiniteError when the factorization fails or, for a given free, when the
-    block is singular to rounding (_free_cholesky)."""
+    (the whole H when None): its own solver(free) when structured, CG on the block for
+    an operator (_cg_block), one Cholesky factorization when dense (the whole H in the
+    lower triangle, a free block gathered by take in the upper one).  A free block that
+    is singular to rounding is shifted (_free_cholesky); NotPositiveDefiniteError when
+    H or the block is not positive semidefinite."""
     if hasattr(h, "solver"):
         return h.solver(free)
     if isinstance(h, LinearOperator):
-        raise ParameterError("cholesky method needs a dense Hessian")
+        return _cg_block(h, free)
     if free is None:
         cho = cholesky(h, lower=True)
     else:
         cho = _free_cholesky(h.take(free, 0).take(free, 1), lower=False)
     return lambda rhs: cho_solve(cho, rhs)
+
+
+def _cg(matvec, rhs, tol: float, max_iter: int | None = None,
+        x=None) -> tuple[np.ndarray, int]:
+    """Conjugate gradients on H x = rhs from x (updated in place; zero, with no product,
+    when None) until ||rhs - H x|| <= tol ||rhs||; returns x and the iterations taken.
+    Curvature d' H d <= CG_CURVATURE_TOL ||d||^2 raises NotPositiveDefiniteError, and
+    max_iter (None: max(4 n, 200)) iterations without reaching tol ConvergenceError."""
+    if max_iter is None:
+        max_iter = max(4 * rhs.size, 200)
+    x, r = (np.zeros(rhs.size), rhs.copy()) if x is None else (x, rhs - matvec(x))
+    d = r.copy()
+    rs = float(r @ r)
+    target = tol * np.linalg.norm(rhs)
+    for it in range(max_iter + 1):
+        if math.sqrt(rs) <= target:
+            return x, it
+        if it == max_iter:
+            break
+        hd = matvec(d)
+        curv = float(d @ hd)
+        if curv <= CG_CURVATURE_TOL * float(d @ d):
+            raise NotPositiveDefiniteError(
+                f"CG met nonpositive curvature {curv:.3e} at iteration {it}"
+            )
+        alpha = rs / curv
+        x += alpha * d
+        r -= alpha * hd
+        rs_new = float(r @ r)
+        d = r + (rs_new / rs) * d
+        rs = rs_new
+    raise ConvergenceError(
+        f"CG did not reach tolerance {target:.3e} in {max_iter} iterations",
+        residual=math.sqrt(rs),
+    )
+
+
+def _cg_block(h, free=None) -> Callable[[np.ndarray], np.ndarray]:
+    """rhs -> H_FF^-1 rhs by CG (_cg) to ||H_FF x - rhs|| <= n eps ||rhs|| on the n free
+    coordinates of an operator H (all of H, with no gather, when free is None or covers
+    it).  CG that meets nonpositive curvature is run again, and for every later rhs, on
+    the block shifted by 100 n eps times its Rayleigh quotient at _start_vector(n), the
+    rounding level of a singular block, plus 10 CG_CURVATURE_TOL, which the shifted
+    curvature must clear on a small-scale H too; meeting it again raises
+    NotPositiveDefiniteError."""
+    dim = h.shape[0]
+    if free is None or free.size == dim:
+        block = h.__matmul__
+    else:
+        full = np.zeros(dim)
+
+        def block(v):
+            full[free] = v
+            return (h @ full)[free]
+    shift = 0.0
+
+    def solve(rhs):
+        nonlocal shift
+        n = rhs.size
+        try:
+            return _cg(lambda v: block(v) + shift * v, rhs, n * EPS)[0]
+        except NotPositiveDefiniteError:
+            v = _start_vector(n)
+            step = (100.0 * n * EPS * float(v @ block(v)) / float(v @ v)
+                    + 10.0 * CG_CURVATURE_TOL)
+            if shift or not step > 0.0:
+                raise
+            shift = step
+            return solve(rhs)
+    return solve
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -204,10 +281,11 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
                      max_iter: int | None = None, warm_start: np.ndarray | None = None) -> NewtonDirection:
     """Solve H n = -g and return (n, lambda) with lambda = sqrt(max(0, -g' n)).
 
-    method "cholesky" needs a dense or structured H (_factor); the
-    slack-column GLM Hessian's solver() takes O(n m^2 + m^3) time and O(n m)
-    memory.  "cg" works with any H and stops at ||H n + g|| <= tol ||g||;
-    "auto" picks Cholesky unless H is an operator.
+    method "cholesky" needs a dense or structured H (_factor; ParameterError
+    for an operator); the slack-column GLM Hessian's solver() takes
+    O(n m^2 + m^3) time and O(n m) memory.  "cg" (_cg) works with any H and
+    stops at ||H n + g|| <= tol ||g||; "auto" picks Cholesky unless H is an
+    operator.
     """
     g = np.asarray(sys.g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -217,43 +295,18 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
         method = "cg" if isinstance(h, LinearOperator) else "cholesky"
 
     if method == "cholesky":
+        if isinstance(h, LinearOperator):
+            raise ParameterError("cholesky method needs a dense Hessian")
         n = _factor(h)(-g)
         return NewtonDirection(n, math.sqrt(max(0.0, -float(g @ n))), 1)
 
     if method != "cg":
         raise ParameterError(f"unknown method {method!r}")
-    p = g.size
-    if max_iter is None:
-        max_iter = max(4 * p, 200)
-    x = np.zeros(p) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-    gnorm = np.linalg.norm(g)
-    if gnorm == 0.0:
-        return NewtonDirection(np.zeros(p), 0.0, 0)
-    r = -g - h @ x
-    d = r.copy()
-    rs = float(r @ r)
-    target = tol * gnorm
-    for it in range(max_iter):
-        if math.sqrt(rs) <= target:
-            return NewtonDirection(x, math.sqrt(max(0.0, -float(g @ x))), it)
-        hd = h @ d
-        curv = float(d @ hd)
-        if curv <= CG_CURVATURE_TOL * float(d @ d):
-            raise NotPositiveDefiniteError(
-                f"CG met nonpositive curvature {curv:.3e} at iteration {it}"
-            )
-        alpha = rs / curv
-        x += alpha * d
-        r -= alpha * hd
-        rs_new = float(r @ r)
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    if math.sqrt(rs) <= target:
-        return NewtonDirection(x, math.sqrt(max(0.0, -float(g @ x))), max_iter)
-    raise ConvergenceError(
-        f"CG did not reach tolerance {target:.3e} in {max_iter} iterations",
-        residual=math.sqrt(rs),
-    )
+    if not np.any(g):
+        return NewtonDirection(np.zeros(g.size), 0.0, 0)
+    x = None if warm_start is None else np.asarray(warm_start, dtype=float).copy()
+    x, it = _cg(h.__matmul__, -g, tol, max_iter, x)
+    return NewtonDirection(x, math.sqrt(max(0.0, -float(g @ x))), it)
 
 
 def local_norm(h, v) -> float:

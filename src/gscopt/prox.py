@@ -3,18 +3,18 @@
 prox_apply evaluates argmin_z g(z) + (1/(2 step)) ||z - u||^2 in closed form
 for the supported regularizers.  scaled_prox_subproblem minimizes the local
 quadratic model Q(z) + g(z) of a composite objective, which is the inner
-solve of the proximal Newton method.  A dense or structured H with a simplex
-or box g is solved exactly by a primal active-set method that solves on the
-free block once per step through linops._factor (for a SlackHessian, its
-Schur complement; prox factors nothing itself and never densifies H):
-accelerated prox-gradient converges slowly on an ill-conditioned H; it can
-start from a caller's feasible point, which the proximal Newton loop sets to
-the previous subproblem's solution, so a working set that barely changes
-between outer iterations costs few factorizations.  An operator H, an l1 g,
-or an H whose free block is not numerically positive definite runs the
-accelerated proximal-gradient loop (function-value restart).  One rule,
-_acceptance at an accuracy that follows the step, decides for both paths
-whether a point solves the subproblem.
+solve of the proximal Newton method.  One primal active-set method solves it
+for every g and every kind of H: a simplex or box over its bounds, l1 over
+the orthants (each coordinate's orthant is its box), and g = zero with no
+bound.  It solves on the free block once per step through linops._factor,
+which alone decides how (Cholesky for a dense H, a SlackHessian's Schur
+complement, CG for an operator; a block singular to rounding is shifted), so
+prox factors nothing itself, never densifies H and never asks what kind of H
+it holds.  It can start from a caller's feasible point, which the proximal
+Newton loop sets to the previous subproblem's solution, so a working set that
+barely changes between outer iterations costs few factorizations.  One rule,
+_acceptance at an accuracy that follows the step, decides whether its point
+solves the subproblem.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
-from .errors import NotPositiveDefiniteError, ParameterError, SubproblemError
+from .errors import ParameterError, SubproblemError
 from .linops import _factor, _operator, largest_eigenvalue, local_norm
 
 EPS = np.finfo(float).eps
-#: iteration cap of the accelerated prox-gradient inner loop
-FISTA_MAX_ITER = 20000
 #: smallest accuracy a subproblem is asked for (the proximal Newton tolerances' floor)
 TOL_FLOOR = 1e-12
 
@@ -111,30 +108,27 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
                            l_h: float | None = None, *, start=None) -> np.ndarray:
     """argmin_z <grad, z-x> + 1/2 (z-x)' H (z-x) + g(z).
 
-    A dense or structured H (linops._operator) with a simplex or box g
-    takes the primal active-set method (_active_set_qp), which ends at the
-    exact minimizer in finitely many steps.  It starts from start, a point
-    feasible for g (ParameterError otherwise), when one is given, and from
-    the prox-gradient point when not.  Every other input (an operator H, g = l1 or zero, or a free
-    block of H that is not numerically positive definite) takes accelerated
-    prox-gradient with function-value restart (_fista, at most
-    FISTA_MAX_ITER iterations), which ignores start.
+    H is of any kind linops._operator takes, and every g goes to the primal
+    active-set method (_active_set_qp), which ends at the exact minimizer in
+    finitely many steps.  It starts from start, a finite point feasible for g
+    (ParameterError otherwise), when one is given, and from the prox-gradient
+    point when not.  An H that is not positive semidefinite raises
+    NotPositiveDefiniteError.
 
-    Both paths answer to one rule, _acceptance at an accuracy t from tol:
-    when a z passes while t > max(TOL_FLOOR, 0.1 lambda^2), lambda =
+    The result answers to one rule, _acceptance at an accuracy t from tol:
+    when z passes while t > max(TOL_FLOOR, 0.1 lambda^2), lambda =
     ||z - x||_H, t becomes max(TOL_FLOOR, 0.01 lambda^2) and z is tested
-    against it.  FISTA goes on from a z that fails; the active-set path
-    raises SubproblemError.  For g = zero the result matches the Newton
-    system solve; for H = I it is a single exact prox step.  A NaN tol
-    raises ParameterError.
+    against it; a z that fails raises SubproblemError.  For g = zero the
+    result matches the Newton system solve; for H = I it is a single exact
+    prox step.  A NaN tol raises ParameterError.
     """
     if math.isnan(tol):
         raise ParameterError("tol must be a number, got nan")
     x = np.asarray(x, dtype=float)
     if start is not None:
         start = np.asarray(start, dtype=float)
-        if start.shape != x.shape or not g.feasible(start):
-            raise ParameterError("start must be a point of x's shape feasible for g")
+        if start.shape != x.shape or not (np.isfinite(start).all() and g.feasible(start)):
+            raise ParameterError("start must be a finite point of x's shape feasible for g")
     return _subproblem(_operator(h, x.size), np.asarray(grad, dtype=float), x, g, tol, l_h,
                        start)[0]
 
@@ -148,30 +142,17 @@ def _subproblem(h, grad, x, g: ProxSpec, tol: float, l_h: float | None,
         l_h = largest_eigenvalue(h)
     if l_h <= 0.0:
         raise ParameterError("subproblem needs a positive curvature bound")
-    t, lam = tol, math.nan
-
-    def check(z, gz):
-        """(residual, target) of z, tightening the accuracy t to z's step when z passes."""
-        nonlocal t, lam
-        res, floor = _acceptance(g, z, gz, grad, l_h)
-        if res <= max(t, floor):
-            lam = local_norm(h, z - x)
-            if t > TOL_FLOOR and t > 0.1 * lam * lam:
-                t = max(TOL_FLOOR, 0.01 * lam * lam)
-        return res, max(t, floor)
-
-    if not isinstance(h, LinearOperator) and g.kind in ("simplex", "box"):
-        solved = _active_set_qp(h, grad, x, g, 1.0 / l_h, start)
-        if solved is not None:
-            z, gz = solved
-            res, target = check(z, gz)
-            if res <= target:
-                return z, lam
-            raise SubproblemError(
-                f"active-set subproblem solution has residual {res:.3e} (target {target:.1e})",
-                residual=res)
-    z = _fista(h, grad, x, g, l_h, check)
-    return z, lam
+    z, gz = _active_set_qp(h, grad, x, g, 1.0 / l_h, start)
+    res, floor = _acceptance(g, z, gz, grad, l_h)
+    lam = local_norm(h, z - x)
+    if tol > TOL_FLOOR and tol > 0.1 * lam * lam:
+        tol = max(TOL_FLOOR, 0.01 * lam * lam)
+    target = max(tol, floor)
+    if res <= target:
+        return z, lam
+    raise SubproblemError(
+        f"active-set subproblem solution has residual {res:.3e} (target {target:.1e})",
+        residual=res)
 
 
 def _acceptance(g: ProxSpec, z, gz, grad, l_h: float) -> tuple[float, float]:
@@ -184,27 +165,26 @@ def _acceptance(g: ProxSpec, z, gz, grad, l_h: float) -> tuple[float, float]:
 
 
 def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
-                   start=None) -> tuple[np.ndarray, np.ndarray] | None:
-    """Primal active-set solve of min <grad, z-x> + 1/2 (z-x)' H (z-x) over a simplex or box.
+                   start=None) -> tuple[np.ndarray, np.ndarray]:
+    """Primal active-set solve of min <grad, z-x> + 1/2 (z-x)' H (z-x) + g(z).
 
-    Nocedal & Wright, Numerical Optimization, Algorithm 16.3, with the
-    working set made of coordinates at a bound.  It starts from start, a
-    feasible point whose at-bound coordinates form the first working set:
-    a warm start (N&W section 16.5), which for the previous outer
-    iteration's solution is often the final working set already.  Without
-    one it starts from the prox-gradient point prox_g(x - s grad, s), which
-    is feasible and already at most of the active bounds.  Each iteration
-    solves on the free block H_FF through one linops._factor (h dense or
-    structured, never densified here) and takes the equality-constrained
-    step on the free coordinates (for the simplex, with the sum multiplier
-    nu from a second solve), or the part of it up to the first bound that
-    blocks.  At a stationary point of the working set the coordinate with
-    the most negative bound multiplier (grad Q_i + nu at a lower bound, its
-    negative at an upper one) is freed; when none is below the rounding
-    level the point is the minimizer.  A box with lo == hi is that one
-    point.  Returns the minimizer z and grad Q(z), or None when a free block
-    of H is not numerically positive definite; raises SubproblemError after
-    10 p iterations.
+    Nocedal & Wright, Numerical Optimization, Algorithm 16.3; the working set
+    is the coordinates at a bound.  A simplex or box has scalar bounds,
+    g = zero (or l1 with weight 0) none, and for l1 each coordinate's orthant
+    is its box (Byrd, Chin, Nocedal & Oztoprak, Math. Program. 2016): a free
+    coordinate keeps its sign and adds w sign to its gradient, a zero one is
+    held.  The first working set is the at-bound (l1: zero) coordinates of
+    start, a feasible warm start (N&W section 16.5), or else of the
+    prox-gradient point prox_g(x - s grad, s).  Each iteration solves on the
+    free block through one linops._factor (h of any kind, never densified)
+    and takes the equality-constrained step (for the simplex, with the sum
+    multiplier nu from a second solve), or its part up to the first blocking
+    bound.  At a stationary point of the working set the most negative bound
+    multiplier (grad Q_i + nu at a lower bound, its negative at an upper one,
+    w - |grad Q_i| at an l1 zero, which enters the orthant -sign(grad Q_i))
+    is freed; when none is below the rounding level the point is the
+    minimizer.  A box with lo == hi is that one point.  Returns z and
+    grad Q(z); raises SubproblemError after 10 p iterations.
     """
     p = x.size
     lo, hi = (0.0, math.inf) if g.kind == "simplex" else (g.lo, g.hi)
@@ -213,23 +193,29 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
     if lo == hi:
         return z, gz
     at_lo, at_hi = z <= lo, z >= hi
+    w, sign = g.weight, None
+    if g.kind == "l1" and w > 0.0:
+        # each orthant's one bound is 0, where a coordinate is held (at_hi starts all False)
+        lo = hi = 0.0
+        sign = np.sign(z)
+        at_lo = sign == 0.0
     for _ in range(10 * p):
         free = np.flatnonzero(~(at_lo | at_hi))
         nu = 0.0
         if free.size:
-            try:
-                solve = _factor(h, free)
-            except NotPositiveDefiniteError:
-                return None
-            d = -solve(gz[free])
+            solve = _factor(h, free)
+            d = -solve(gz[free] if sign is None else gz[free] + w * sign[free])
             if g.kind == "simplex":
                 # sum(d) = 1 - sum(z): a start off the simplex by rounding comes back to it
-                w = solve(np.ones(d.size))
-                nu = (d.sum() - (1.0 - z.sum())) / w.sum()
-                d -= nu * w
+                v = solve(np.ones(d.size))
+                nu = (d.sum() - (1.0 - z.sum())) / v.sum()
+                d -= nu * v
             zf = z[free]
             ratio = np.full(d.size, math.inf)
             dec, inc = d < 0.0, d > 0.0
+            if sign is not None:
+                dec &= sign[free] > 0.0
+                inc &= sign[free] < 0.0
             ratio[dec] = (lo - zf[dec]) / d[dec]
             ratio[inc] = (hi - zf[inc]) / d[inc]
             k = int(np.argmin(ratio))
@@ -244,51 +230,16 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
                 continue
             z[free] = zf + d
             gz = grad + h @ (z - x)
-        mult = np.where(at_lo, gz + nu, -(gz + nu))
+        mult = np.where(at_lo, gz + nu, -(gz + nu)) if sign is None else w - np.abs(gz)
         mult[free] = math.inf
         j = int(np.argmin(mult))
         floor = EPS * (np.abs(z).sum() / s + np.abs(gz).sum() + np.abs(grad).sum())
         if not mult[j] < -floor:
             return z, gz
         at_lo[j] = at_hi[j] = False
+        if sign is not None:
+            sign[j] = -np.sign(gz[j])
     res = prox_residual(g, z, gz, s)
     raise SubproblemError(
         f"active-set subproblem did not finish in {10 * p} iterations (residual {res:.3e})",
         residual=res)
-
-
-def _fista(h, grad, x, g: ProxSpec, l_h: float, check) -> np.ndarray:
-    """Accelerated prox-gradient at step 1/L until check(z, gz) gives residual <= target.
-
-    Restarts the momentum whenever the objective increases.  A point carries
-    (z, grad Q(z), Q(z) + g(z)) from one H-product; a y without momentum reuses it.
-    """
-    s = 1.0 / l_h
-
-    def point(z):
-        dz = z - x
-        hdz = h @ dz
-        return z, grad + hdz, float(grad @ dz) + 0.5 * float(dz @ hdz) + g.value(z)
-
-    z, gz, f = point(prox_apply(g, x - s * grad, s))
-    y, gy = z, gz
-    t_m = 1.0
-    for it in range(FISTA_MAX_ITER + 1):
-        res, target = check(z, gz)
-        if res <= target:
-            return z
-        if it == FISTA_MAX_ITER:
-            raise SubproblemError(
-                f"prox subproblem stalled at residual {res:.3e} (target {target:.1e})",
-                residual=res)
-        if gy is None:
-            gy = grad + h @ (y - x)
-        z_new, gz_new, f_new = point(prox_apply(g, y - s * gy, s))
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
-        y, gy = z_new + ((t_m - 1.0) / t_new) * (z_new - z), None
-        if f_new > f:
-            # restart: drop momentum and retake a plain prox-gradient step
-            t_new = 1.0
-            z_new, gz_new, f_new = point(prox_apply(g, z - s * gz, s))
-            y, gy = z_new, gz_new
-        z, gz, f, t_m = z_new, gz_new, f_new, t_new

@@ -1,7 +1,8 @@
 """Proximal Newton method for composite objectives F = f + g with GSC smooth part.
 
 Each outer iteration solves the scaled-prox subproblem at the current
-Hessian and measures the proximal Newton decrement in the local metric;
+Hessian (for every g, g = zero included, by prox's one active-set solver)
+and measures the proximal Newton decrement in the local metric;
 that is the direction of newton._damped_newton, here with stop test
 lambda <= eps and the proximal-Newton phase-2 constants.  The damped update
 x+ = (1 - tau) x + tau z keeps iterates feasible whenever x and z are, and
@@ -51,7 +52,7 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
     early iterations are cheap and the quadratic tail is not polluted by
     inexact inner solves.  The subproblem starts from the previous
     iteration's solution z, which is feasible for g and equals x once steps
-    are full, so an active-set solve begins at the last working set; it
+    are full, so the active set begins at the last working set; it
     also returns lambda_k = ||z - x||_H from its acceptance check.  Step
     rules: "analytic" or "full".
     """
@@ -66,16 +67,9 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
         nonlocal lam_prev, l_h, z
         h = _hessian(model, x)
         l_h = linops.largest_eigenvalue(h)
-        if gspec.kind == "zero":
-            # the subproblem is exactly the Newton system; solve it directly
-            n = linops.newton_direction(linops.NewtonSystem(h, grad)).n
-            lam = linops.local_norm(h, n)
-        else:
-            inner_tol = max(TOL_FLOOR, min(0.1, lam_prev * lam_prev))
-            z, lam = _subproblem(h, grad, x, gspec, inner_tol, l_h, z)
-            n = z - x
-        lam_prev = lam
-        return n, lam, h
+        inner_tol = max(TOL_FLOOR, min(0.1, lam_prev * lam_prev))
+        z, lam_prev = _subproblem(h, grad, x, gspec, inner_tol, l_h, z)
+        return z - x, lam_prev, h
 
     result = _damped_newton(model, problem.x0.copy(), opts, params, direction,
                             lambda lam, _: lam <= opts.eps,

@@ -411,23 +411,21 @@ def test_dense_free_block_solve_matches_dense():
 
 
 def test_rounding_singular_schur_block_falls_back_to_fista():
-    # free block columns [0, 1] with the one slack row fixed: e = d = 1, so the Schur
-    # complement is [[1, 1], [1, 1 + eps]].  It factors, but its last pivot^2 = eps
-    # is the rounding of a singular block, as in the dense active set
+    # (named for the solver it once handed over to) free block columns [0, 1] with the
+    # one slack row fixed: e = d = 1, so the Schur complement is [[1, 1], [1, 1 + eps]].
+    # It factors, but its last pivot^2 = eps is the rounding of a singular block: it is
+    # factored again shifted by n eps max diag, as the dense free block is
     h = SlackHessian(np.ones((1, 2)), np.ones(1), np.array([0.0, np.finfo(float).eps]),
                      np.ones(1))
     linops.cholesky(np.asarray(h)[:2, :2], lower=True)
-    free = np.array([0, 1])
-    with pytest.raises(NotPositiveDefiniteError, match="singular to rounding"):
-        h.solver(free)
-    with pytest.raises(NotPositiveDefiniteError, match="singular to rounding"):
-        linops._factor(np.asarray(h), free)
-    # so the active set, started with the slack coordinate at its bound, hands over to FISTA
+    free, rhs = np.array([0, 1]), np.array([1.0, -1.0])
+    for solve in (h.solver(free), linops._factor(np.asarray(h), free)):
+        assert np.all(np.isfinite(solve(rhs)))
+    # so the active set, started with the slack coordinate at its bound, returns a point
     spec = ProxSpec("box", lo=-1.0, hi=1.0)
     x, start = np.zeros(3), np.array([0.0, 0.0, 1.0])
     grad = np.array([0.1, -0.3, -2.0])
     l_h = linops.largest_eigenvalue(h, tol=1e-12)
-    assert prox._active_set_qp(h, grad, x, spec, 1.0 / l_h, start) is None
     z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-9, l_h=l_h, start=start)
     res, floor = prox._acceptance(spec, z, grad + h @ (z - x), grad, l_h)
     assert spec.feasible(z) and res <= max(1e-9, floor)

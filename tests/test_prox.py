@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 
 from gscopt import linops, prox
-from gscopt.errors import ParameterError
+from gscopt.errors import NotPositiveDefiniteError, ParameterError
 from gscopt.prox import (ProxSpec, project_simplex, prox_apply, prox_residual,
                          scaled_prox_subproblem)
 
@@ -198,7 +198,8 @@ def test_scaled_prox_nonexpansive_in_h_norm():
 
 ACTIVE_SET_SPECS = [ProxSpec("simplex"), ProxSpec("box", lo=-0.3, hi=0.4),
                     ProxSpec("box", lo=-math.inf, hi=0.1), ProxSpec("box", lo=-0.1, hi=math.inf),
-                    ProxSpec("box", lo=0.25, hi=0.25)]
+                    ProxSpec("box", lo=0.25, hi=0.25), ProxSpec("l1", weight=0.3),
+                    ProxSpec("zero")]
 
 
 def _pd(rng, p):
@@ -207,8 +208,13 @@ def _pd(rng, p):
 
 
 def _bound_multipliers(spec, h, grad, x, z):
-    """KKT multipliers of the bounds at z; nu is the simplex sum multiplier."""
+    """KKT multipliers of the bounds at z (for l1, w - |grad Q_i| at a zero coordinate)
+    and the gradient of the working set's objective on the free coordinates, which is
+    zero at a stationary point; nu is the simplex sum multiplier."""
     gz = grad + h @ (z - x)
+    if spec.kind == "l1":
+        held = z == 0.0
+        return spec.weight - np.abs(gz[held]), (gz + spec.weight * np.sign(z))[~held]
     if spec.kind == "simplex":
         at_lo, at_hi = z <= 0.0, np.zeros(z.size, dtype=bool)
         nu = -float(np.mean(gz[~at_lo]))
@@ -216,24 +222,28 @@ def _bound_multipliers(spec, h, grad, x, z):
         at_lo, at_hi = z <= spec.lo, z >= spec.hi
         nu = 0.0
     keep = at_lo ^ at_hi          # lo == hi fixes a coordinate: its multiplier is free
-    return np.where(at_lo, gz + nu, -(gz + nu))[keep], gz + nu
+    return np.where(at_lo, gz + nu, -(gz + nu))[keep], (gz + nu)[~(at_lo | at_hi)]
 
 
 @pytest.mark.parametrize("p", [1, 2, 6, 40])
 @pytest.mark.parametrize("spec", ACTIVE_SET_SPECS, ids=lambda s: f"{s.kind}[{s.lo},{s.hi}]")
 def test_active_set_matches_fista(p, spec):
-    # a dense H takes the active-set path; the same H as an operator runs FISTA
+    # (named for the solver the operator path once took) the active set's dense
+    # (Cholesky) back-end against its operator (CG) back-end, each point checked against
+    # the KKT conditions: feasible, bound multipliers nonnegative, stationary when free
     rng = np.random.default_rng(p)
     for trial in range(6):
         h = _pd(rng, p)
         x = rng.normal(size=p)
         grad = rng.normal(size=p) * (3.0 if trial % 2 else 0.3)
         z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-12)
-        z_ref = scaled_prox_subproblem(lambda v, h=h: h @ v, grad, x, spec, tol=1e-12)
-        assert np.max(np.abs(z - z_ref)) <= 1e-9
-        assert spec.feasible(z)
-        mult, _ = _bound_multipliers(spec, h, grad, x, z)
-        assert np.all(mult >= 0.0)
+        z_cg = scaled_prox_subproblem(lambda v, h=h: h @ v, grad, x, spec, tol=1e-12)
+        assert np.max(np.abs(z - z_cg)) <= 1e-9
+        for point in (z, z_cg):
+            assert spec.feasible(point)
+            mult, stationarity = _bound_multipliers(spec, h, grad, x, point)
+            assert np.all(mult >= 0.0)
+            assert np.all(np.abs(stationarity) <= 1e-9)
 
 
 @pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:2], ids=["simplex", "box"])
@@ -262,6 +272,9 @@ def test_active_set_vertex_and_interior_optima(spec):
 
 @pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:2], ids=["simplex", "box"])
 def test_rank_deficient_h_falls_back_to_fista(spec):
+    # (named for the solver it once handed over to) a rank-3 H: the singular free blocks
+    # are shifted at the rounding level, by linops._free_cholesky for the dense H and by
+    # the CG back-end for the operator, and both active sets return the same point
     rng = np.random.default_rng(12)
     p = 8
     base = rng.normal(size=(p, 3))
@@ -269,27 +282,58 @@ def test_rank_deficient_h_falls_back_to_fista(spec):
     x = np.full(p, 1.0 / p)
     grad = rng.normal(size=p)
     l_h = linops.largest_eigenvalue(h, dim=p)
-    assert prox._active_set_qp(h, grad, x, spec, 1.0 / l_h) is None
     z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-9, l_h=l_h)
-    assert spec.feasible(z)
-    assert prox_residual(spec, z, grad + h @ (z - x), 1.0 / l_h) <= 1e-9
+    z_cg = scaled_prox_subproblem(lambda v: h @ v, grad, x, spec, tol=1e-9, l_h=l_h)
+    assert np.max(np.abs(z - z_cg)) <= 1e-12
+    for point in (z, z_cg):
+        assert spec.feasible(point)
+        assert prox_residual(spec, point, grad + h @ (point - x), 1.0 / l_h) <= 1e-9
 
 
 @pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:2], ids=["simplex", "box"])
 def test_pivot_at_the_rounding_level_falls_back_to_fista(spec):
-    # the free block factors, but its last pivot^2 = eps is the rounding of a
-    # singular block: the operator-H (FISTA) path answers instead
+    # (named for the solver it once handed over to) the free block factors, but its
+    # last pivot^2 = eps is the rounding of a singular block: linops._free_cholesky
+    # shifts it, CG on the operator shifts its own, and both give the same point
     h = np.array([[1.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]])
     linops.cholesky(h, lower=False)
     x = np.array([0.0, 0.1])
     grad = np.array([0.1, -0.3])
     l_h = linops.largest_eigenvalue(h, dim=2)
-    assert prox._active_set_qp(h, grad, x, spec, 1.0 / l_h) is None
     z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-9, l_h=l_h)
-    assert np.array_equal(z, scaled_prox_subproblem(lambda v: h @ v, grad, x, spec,
-                                                    tol=1e-9, l_h=l_h))
-    res, floor = prox._acceptance(spec, z, grad + h @ (z - x), grad, l_h)
-    assert spec.feasible(z) and res <= max(1e-9, floor)
+    z_cg = scaled_prox_subproblem(lambda v: h @ v, grad, x, spec, tol=1e-9, l_h=l_h)
+    assert np.max(np.abs(z - z_cg)) <= 1e-12
+    for point in (z, z_cg):
+        res, floor = prox._acceptance(spec, point, grad + h @ (point - x), grad, l_h)
+        assert spec.feasible(point) and res <= max(1e-9, floor)
+
+
+@pytest.mark.parametrize("operator", [False, True], ids=["dense", "operator"])
+@pytest.mark.parametrize("spec", [ProxSpec("box", lo=-1.0, hi=1.0), ProxSpec("simplex"),
+                                  ProxSpec("l1", weight=0.1)], ids=["box", "simplex", "l1"])
+def test_indefinite_h_raises(spec, operator):
+    # every coordinate starts free, so the first free block holds the negative curvature:
+    # its Cholesky factorization fails even after the rounding-level shift, and CG meets
+    # it.  An l1 solve once returned a z holding -5.8e307 here
+    hmat = np.diag([3.0, 1.0, -0.5, 2.0])
+    h = (lambda v: hmat @ v) if operator else hmat
+    x, grad = np.full(4, 0.25), np.array([0.01, -0.02, 0.01, 0.0])
+    with pytest.raises(NotPositiveDefiniteError):
+        scaled_prox_subproblem(h, grad, x, spec, tol=1e-10)
+
+
+@pytest.mark.parametrize("operator", [False, True], ids=["dense", "operator"])
+def test_l1_with_weight_zero_is_the_newton_step(operator):
+    # l1 with weight 0 has no bounds, as g = zero: z = x - H^-1 grad
+    rng = np.random.default_rng(8)
+    p = 7
+    hmat = _pd(rng, p)
+    h = (lambda v: hmat @ v) if operator else hmat
+    x, grad = rng.normal(size=p), rng.normal(size=p)
+    z = scaled_prox_subproblem(h, grad, x, ProxSpec("l1", weight=0.0), tol=1e-12)
+    assert np.array_equal(z, scaled_prox_subproblem(h, grad, x, ProxSpec("zero"), tol=1e-12))
+    newton = x - np.linalg.solve(hmat, grad)
+    assert np.max(np.abs(z - newton)) <= 1e-12 * max(1.0, np.max(np.abs(newton)))
 
 
 @pytest.mark.parametrize("spec", [ProxSpec("l1", weight=0.1), ProxSpec("simplex")],
@@ -316,9 +360,9 @@ def test_subproblem_accuracy_follows_its_step():
     l_h = linops.largest_eigenvalue(h, dim=p)
     x_l1 = np.array([0.5, -0.4, 0.0, 0.0, 0.7, 0.0])
     x_simplex = np.array([0.1, 0.2, 0.15, 0.25, 0.2, 0.1])
-    cases = [(ProxSpec("l1", weight=0.3), x_l1,  # FISTA
+    cases = [(ProxSpec("l1", weight=0.3), x_l1,
               -0.3 * np.sign(x_l1) + 0.15 * np.array([0, 0, -1, 1, 0, 1.0])),
-             (ProxSpec("simplex"), x_simplex, -np.ones(p))]  # active set
+             (ProxSpec("simplex"), x_simplex, -np.ones(p))]
     for spec, x, grad in cases:
         grad = grad + 1e-3 * rng.normal(size=p)
         z = scaled_prox_subproblem(h, grad, x, spec, tol=0.1, l_h=l_h)
@@ -330,7 +374,10 @@ def test_subproblem_accuracy_follows_its_step():
 
 def _starts(spec, p):
     """A corner start (every coordinate of a box at one of two values), an interior one
-    and, on the simplex, one whose sum is off by less than ProxSpec.feasible allows."""
+    and, on the simplex, one whose sum is off by less than ProxSpec.feasible allows.  For
+    l1 and zero, which take any finite point, one of mixed signs and zeros and the origin."""
+    if spec.kind in ("l1", "zero"):
+        return np.where(np.arange(p) % 3 == 0, 0.0, (-1.0) ** np.arange(p)), np.zeros(p)
     if spec.kind == "simplex":
         return np.eye(p)[p - 1], np.full(p, 1.0 / p), np.full(p, (1.0 + 5e-10) / p)
     lo = spec.lo if math.isfinite(spec.lo) else spec.hi - 1.0
@@ -373,10 +420,12 @@ def test_warm_start_must_be_feasible(spec):
     for start in (outside, np.full(p, math.nan), corner[:-1]):
         with pytest.raises(ParameterError):
             scaled_prox_subproblem(h, grad, x, spec, tol=1e-12, start=start)
-    # an operator H runs FISTA, which ignores a feasible start
+    # an operator H takes the active set too, so a feasible start changes where it
+    # begins, not where it ends
     op = lambda v: h @ v  # noqa: E731
     z = scaled_prox_subproblem(op, grad, x, spec, tol=1e-12)
-    assert np.array_equal(scaled_prox_subproblem(op, grad, x, spec, tol=1e-12, start=corner), z)
+    z_warm = scaled_prox_subproblem(op, grad, x, spec, tol=1e-12, start=corner)
+    assert np.max(np.abs(z_warm - z)) <= 1e-12
 
 
 class _NoDenseForm:
@@ -397,10 +446,11 @@ class _NoDenseForm:
 
 
 @pytest.mark.parametrize("sparse", [False, True])
-@pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:4], ids=lambda s: f"{s.kind}[{s.lo},{s.hi}]")
+@pytest.mark.parametrize("spec", [s for s in ACTIVE_SET_SPECS if s.lo < s.hi],
+                         ids=lambda s: f"{s.kind}[{s.lo},{s.hi}]")
 def test_active_set_never_densifies_a_structured_h(spec, sparse):
-    # the box and simplex active set solves each free block through solver(free) and
-    # ends where the active set on the dense H ends
+    # the active set solves each free block through solver(free) and ends where the
+    # active set on the dense H ends
     rng = np.random.default_rng(31)
     n, m = 40, 5
     block = rng.normal(size=(n, m))
@@ -418,5 +468,5 @@ def test_active_set_never_densifies_a_structured_h(spec, sparse):
         z_dense = scaled_prox_subproblem(hmat, grad, x, spec, tol=1e-12, l_h=l_h)
         assert spec.feasible(z)
         assert np.max(np.abs(z - z_dense)) <= 1e-12 * max(1.0, np.max(np.abs(z_dense)))
-        # the structured solve is the exact active set, not the FISTA fallback
+        # the active set itself returns a point on the structured H
         assert prox._active_set_qp(h, grad, x, spec, 1.0 / l_h) is not None

@@ -18,17 +18,21 @@ def portfolio_toy(n=50, p=10, seed=7):
 
 
 def test_zero_g_reduces_to_newton():
+    # the subproblem with no bounds is the Newton system: a dense H and, with
+    # p_dense=0, an hvp operator that the active set solves by CG
     a, labels = bench_io.gen_logistic(120, 8, seed=13)
-    model = models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=1e-4)
     x0 = np.zeros(8)
     opts = SolveOptions(eps=1e-10, record_time=False)
-    rn = minimize(model, x0, opts)
-    rp = minimize_composite(CompositeProblem(model, ProxSpec("zero"), x0), opts)
-    assert rn.iterations == rp.iterations
-    for a_rec, b_rec in zip(rn.trace, rp.trace):
-        assert b_rec.f == pytest.approx(a_rec.f, rel=1e-10, abs=1e-12)
-        assert b_rec.lam == pytest.approx(a_rec.lam, rel=1e-10, abs=1e-10)
-        assert b_rec.tau == pytest.approx(a_rec.tau, rel=1e-10)
+    for p_dense in (None, 0):
+        kw = {} if p_dense is None else {"p_dense": p_dense}
+        model = models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=1e-4, **kw)
+        rn = minimize(model, x0, opts)
+        rp = minimize_composite(CompositeProblem(model, ProxSpec("zero"), x0), opts)
+        assert rn.iterations == rp.iterations
+        for a_rec, b_rec in zip(rn.trace, rp.trace):
+            assert b_rec.f == pytest.approx(a_rec.f, rel=1e-10, abs=1e-12)
+            assert b_rec.lam == pytest.approx(a_rec.lam, rel=1e-10, abs=1e-10)
+            assert b_rec.tau == pytest.approx(a_rec.tau, rel=1e-10)
 
 
 def _projected_gradient(model, x0, tol=1e-10, max_iter=300000):
@@ -163,6 +167,39 @@ def test_dwd_slack_hessian_composite():
     assert rb.extra["prox_certificate"] <= 1e-6
 
 
+def test_dwd_l1_composite_matches_pg_bb():
+    # an l1 term on the ill-conditioned DWD Hessian: the orthant active set solves each
+    # free block by eliminating its slack rows, where accelerated prox-gradient stalled
+    a, labels = bench_io.gen_logistic(40, 5, seed=8)
+    model = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(40, 0.01), q=1.0,
+                                              gammas=(1e-4, 1e-4, 1e-5)))
+    spec = ProxSpec("l1", weight=1e-3)
+    x0 = np.concatenate([np.zeros(6), np.ones(40)])
+    res = minimize_composite(CompositeProblem(model, spec, x0),
+                             SolveOptions(eps=1e-9, record_time=False))
+    assert res.status == "converged" and model.feasible(res.x)
+    x_ref, _ = bench_io.pg_bb(model, spec, x0, eps=1e-12)
+    ref = model.value(x_ref) + spec.value(x_ref)
+    got = model.value(res.x) + spec.value(res.x)
+    assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_l1_with_a_singular_hvp_operator_matches_dense():
+    # n < p: the free blocks of the l1 active set are singular.  The CG back-end's
+    # shift must clear CG_CURVATURE_TOL on this small-scale H, where 100 n eps times its
+    # Rayleigh quotient alone did not (NotPositiveDefiniteError)
+    a, labels = bench_io.gen_logistic(50, 200, seed=1)
+    spec = ProxSpec("l1", weight=0.01 / math.sqrt(50))
+    opts = SolveOptions(eps=1e-9, record_time=False)
+    res = [minimize_composite(CompositeProblem(models.GlmModel(a * labels[:, None],
+                                                               atoms.logistic(), **kw),
+                                               spec, np.zeros(200)), opts)
+           for kw in ({}, {"p_dense": 0})]
+    assert all(r.status == "converged" for r in res)
+    assert res[1].iterations == res[0].iterations
+    assert res[1].trace[-1].f == pytest.approx(res[0].trace[-1].f, rel=1e-12)
+
+
 @pytest.mark.parametrize("rule", ["linesearch_floor", "exact"])
 def test_unsupported_step_rules_raise(rule):
     port = portfolio_toy()
@@ -177,8 +214,7 @@ class _HvpOnlyPortfolio(models.PortfolioModel):
 
 
 def test_cg_inner_method_uses_hvp():
-    # on 200x20 FISTA meets the 1e-12 tol only through the rounding floor of
-    # the acceptance rule the active-set path uses
+    # with p_dense=0 the active set solves its free blocks by CG on the hvp operator
     for n, p, seed in [(50, 10, 7), (200, 20, 0)]:
         w = bench_io.gen_portfolio(n, p, seed=seed)
         x0 = np.full(p, 1.0 / p)
@@ -194,8 +230,8 @@ def test_cg_inner_method_uses_hvp():
 def test_exact_subproblem_is_not_resolved(monkeypatch):
     # one subproblem call per outer iteration.  An active-set z passes the
     # acceptance rule at any tighter tol (at seed 0 one residual lies above
-    # the 1e-12 tol but below the rounding floor); FISTA (the l1 logistic
-    # and p_dense=0 inputs) tightens its tolerance inside the same call
+    # the 1e-12 tol but below the rounding floor), for the l1 logistic and the
+    # p_dense=0 (CG) inputs too
     calls = []
     solve = prox_newton._subproblem
     monkeypatch.setattr(prox_newton, "_subproblem",
@@ -215,11 +251,18 @@ def test_exact_subproblem_is_not_resolved(monkeypatch):
         assert len(calls) == len(res.trace), (model, spec)
 
 
-@pytest.mark.parametrize("n,p", [(200, 20), (1000, 100)])
-def test_portfolio_beyond_toy_size_matches_pg_bb(n, p):
-    # FISTA stalled above its 1e-12 target on these; the active-set inner
-    # solve finishes exactly
-    port = models.PortfolioModel(bench_io.gen_portfolio(n, p, seed=0))
+@pytest.mark.parametrize("n,p,seed,p_dense", [
+    pytest.param(200, 20, 0, None, id="200-20"),
+    pytest.param(1000, 100, 0, None, id="1000-100"),
+    pytest.param(1000, 100, 0, 0, id="1000-100-p_dense0"),
+    pytest.param(50, 100, 2, 0, id="50-100-seed2-p_dense0"),
+])
+def test_portfolio_beyond_toy_size_matches_pg_bb(n, p, seed, p_dense):
+    # accelerated prox-gradient inner solves stalled above their 1e-12 target on all of
+    # these, with a dense H and with p_dense=0; the active set finishes exactly, solving
+    # by CG on the hvp operator for p_dense=0 (whose 50x100 H is singular)
+    kw = {} if p_dense is None else {"p_dense": p_dense}
+    port = models.PortfolioModel(bench_io.gen_portfolio(n, p, seed=seed), **kw)
     x0 = np.full(p, 1.0 / p)
     res = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), x0),
                              SolveOptions(record_time=False))
