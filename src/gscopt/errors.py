@@ -41,4 +41,4 @@ class UnboundedError(GscError):
 
 
 class SubproblemError(ConvergenceError):
-    """The proximal Newton subproblem was not solved to tolerance."""
+    """The proximal Newton subproblem failed its acceptance check or its step budget."""

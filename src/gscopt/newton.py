@@ -152,10 +152,13 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
     step(x, n, grad, f, tau_analytic) -> (tau, f(x + tau n) or None, value
     calls); the domain guard halves a step whose value it did not evaluate.
     objective is what the trace records (f, or f + g); solver picks the
-    phase-2 constants ("newton" | "prox_newton").  Oracle order: objective
-    at the start; per iterate grad and direction's calls; per step taken
-    step's calls, feasible... and objective unless step evaluated it.
+    phase-2 constants ("newton" | "prox_newton"); a non-finite x raises
+    DomainError.  Oracle order: objective at the start; per iterate grad and
+    direction's calls; per step taken step's calls, feasible... and
+    objective unless step evaluated it.
     """
+    if not np.isfinite(x).all():
+        raise DomainError("the start point has non-finite entries")
     nu, m = params.nu, params.m
     threshold = None
     if opts.phase2 == "strict_theorem":

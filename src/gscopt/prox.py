@@ -12,9 +12,9 @@ complement, CG for an operator; a block singular to rounding is shifted), so
 prox factors nothing itself, never densifies H and never asks what kind of H
 it holds.  It can start from a caller's feasible point, which the proximal
 Newton loop sets to the previous subproblem's solution, so a working set that
-barely changes between outer iterations costs few factorizations.  One rule,
-_acceptance at an accuracy that follows the step, decides whether its point
-solves the subproblem.
+barely changes between outer iterations costs few factorizations.  It ends
+at the exact minimizer, which one rule, _acceptance against the rounding
+floor of the active set's own stopping test, checks.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .errors import ParameterError, SubproblemError
 from .linops import _factor, _operator, largest_eigenvalue, local_norm
 
 EPS = np.finfo(float).eps
-#: smallest accuracy a subproblem is asked for (the proximal Newton tolerances' floor)
-TOL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,6 +49,8 @@ class ProxSpec:
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            return math.inf
         if self.kind == "l1":
             return self.weight * float(np.abs(x).sum())
         if self.kind == "simplex":
@@ -110,58 +110,55 @@ def scaled_prox_subproblem(h, grad, x, g: ProxSpec, tol: float = 1e-10,
 
     H is of any kind linops._operator takes, and every g goes to the primal
     active-set method (_active_set_qp), which ends at the exact minimizer in
-    finitely many steps.  It starts from start, a finite point feasible for g
+    finitely many steps.  It starts from start, a point feasible for g
     (ParameterError otherwise), when one is given, and from the prox-gradient
     point when not.  An H that is not positive semidefinite raises
-    NotPositiveDefiniteError.
-
-    The result answers to one rule, _acceptance at an accuracy t from tol:
-    when z passes while t > max(TOL_FLOOR, 0.1 lambda^2), lambda =
-    ||z - x||_H, t becomes max(TOL_FLOOR, 0.01 lambda^2) and z is tested
-    against it; a z that fails raises SubproblemError.  For g = zero the
-    result matches the Newton system solve; for H = I it is a single exact
-    prox step.  A NaN tol raises ParameterError.
+    NotPositiveDefiniteError.  tol never changes z: z whose _acceptance
+    residual exceeds max(tol, rounding floor) raises SubproblemError.  For
+    g = zero the result matches the Newton system solve; for H = I it is a
+    single exact prox step.  A NaN tol raises ParameterError.
     """
     if math.isnan(tol):
         raise ParameterError("tol must be a number, got nan")
     x = np.asarray(x, dtype=float)
     if start is not None:
         start = np.asarray(start, dtype=float)
-        if start.shape != x.shape or not (np.isfinite(start).all() and g.feasible(start)):
-            raise ParameterError("start must be a finite point of x's shape feasible for g")
+        if start.shape != x.shape or not g.feasible(start):
+            raise ParameterError("start must be a point of x's shape feasible for g")
     return _subproblem(_operator(h, x.size), np.asarray(grad, dtype=float), x, g, tol, l_h,
                        start)[0]
 
 
 def _subproblem(h, grad, x, g: ProxSpec, tol: float, l_h: float | None,
                 start=None) -> tuple[np.ndarray, float]:
-    """scaled_prox_subproblem's z and lambda = ||z - x||_H, measured by its acceptance check.
-    h is linops._operator-normalized; grad, x and a given start are float arrays, the start
-    feasible (prox_newton passes its last z)."""
+    """scaled_prox_subproblem's z and lambda = ||z - x||_H.  h is linops._operator-
+    normalized; grad, x and a given start are float arrays, the start feasible
+    (prox_newton passes its last z, and tol = 0: the rounding floor alone)."""
     if l_h is None:
         l_h = largest_eigenvalue(h)
     if l_h <= 0.0:
         raise ParameterError("subproblem needs a positive curvature bound")
     z, gz = _active_set_qp(h, grad, x, g, 1.0 / l_h, start)
     res, floor = _acceptance(g, z, gz, grad, l_h)
-    lam = local_norm(h, z - x)
-    if tol > TOL_FLOOR and tol > 0.1 * lam * lam:
-        tol = max(TOL_FLOOR, 0.01 * lam * lam)
     target = max(tol, floor)
     if res <= target:
-        return z, lam
+        return z, local_norm(h, z - x)
     raise SubproblemError(
         f"active-set subproblem solution has residual {res:.3e} (target {target:.1e})",
         residual=res)
 
 
+def _rounding_floor(z, gz, grad, s: float) -> float:
+    """Rounding level of a multiplier of _active_set_qp at z (gz = grad Q(z)), step s."""
+    return EPS * (np.abs(z).sum() / s + np.abs(gz).sum() + np.abs(grad).sum())
+
+
 def _acceptance(g: ProxSpec, z, gz, grad, l_h: float) -> tuple[float, float]:
-    """Gradient mapping of z at step 1/L (gz = grad Q(z)) and its rounding floor: the
-    rounding of z - (z - gz/L) and of gz at the exact minimizer.  z is accepted at
-    accuracy t when the residual is at most max(t, floor)."""
-    res = prox_residual(g, z, gz, 1.0 / l_h)
-    return res, 8.0 * z.size * EPS * (l_h * np.abs(z).sum() + np.abs(gz).sum()
-                                      + np.abs(grad).sum())
+    """Gradient mapping of z at step 1/L (gz = grad Q(z)) and its floor, 8 p times the
+    active set's: the rounding of z - (z - gz/L) and of gz at the exact minimizer.  z is
+    accepted at accuracy t when the residual is at most max(t, floor)."""
+    s = 1.0 / l_h
+    return prox_residual(g, z, gz, s), 8.0 * z.size * _rounding_floor(z, gz, grad, s)
 
 
 def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
@@ -233,8 +230,7 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
         mult = np.where(at_lo, gz + nu, -(gz + nu)) if sign is None else w - np.abs(gz)
         mult[free] = math.inf
         j = int(np.argmin(mult))
-        floor = EPS * (np.abs(z).sum() / s + np.abs(gz).sum() + np.abs(grad).sum())
-        if not mult[j] < -floor:
+        if not mult[j] < -_rounding_floor(z, gz, grad, s):
             return z, gz
         at_lo[j] = at_hi[j] = False
         if sign is not None:

@@ -1,8 +1,8 @@
 """Proximal Newton method for composite objectives F = f + g with GSC smooth part.
 
 Each outer iteration solves the scaled-prox subproblem at the current
-Hessian (for every g, g = zero included, by prox's one active-set solver)
-and measures the proximal Newton decrement in the local metric;
+Hessian exactly (for every g, g = zero included, by prox's one active-set
+solver) and measures the proximal Newton decrement in the local metric;
 that is the direction of newton._damped_newton, here with stop test
 lambda <= eps and the proximal-Newton phase-2 constants.  The damped update
 x+ = (1 - tau) x + tau z keeps iterates feasible whenever x and z are, and
@@ -23,7 +23,7 @@ from . import linops
 from .errors import DomainError, ParameterError
 from .newton import (SolveOptions, SolveResult, _damped_newton, _hessian, _newton_step,
                      resolve_params)
-from .prox import TOL_FLOOR, ProxSpec, _subproblem, prox_residual
+from .prox import ProxSpec, _subproblem, prox_residual
 
 
 @dataclass
@@ -46,30 +46,26 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
     """Damped/full-step proximal Newton iteration on F = f + g.
 
     Terminates at lambda_k <= eps (proximal Newton decrement) or max_iter.
-    Each iteration makes one subproblem call at the lagging tolerance
-    max(prox.TOL_FLOOR, min(0.1, lambda_{k-1}^2)), which the subproblem
-    tightens to 0.01 lambda_k^2 when its step is smaller than the lag allows:
-    early iterations are cheap and the quadratic tail is not polluted by
-    inexact inner solves.  The subproblem starts from the previous
-    iteration's solution z, which is feasible for g and equals x once steps
-    are full, so the active set begins at the last working set; it
-    also returns lambda_k = ||z - x||_H from its acceptance check.  Step
-    rules: "analytic" or "full".
+    Each iteration makes one subproblem call, which ends at the exact
+    minimizer z and is checked against the rounding floor alone (tol = 0).
+    It starts from the previous iteration's z, which is feasible for g and
+    equals x once steps are full, so the active set begins at the last
+    working set, and returns lambda_k = ||z - x||_H.  Step rules:
+    "analytic" or "full".
     """
     opts = opts or SolveOptions()
     if opts.step_rule not in ("analytic", "full"):
         raise ParameterError(f"step_rule {opts.step_rule!r} is not supported by minimize_composite")
     model, gspec = problem.model, problem.g
     params = resolve_params(model, opts.nu_choice)
-    lam_prev, l_h, z = math.inf, None, None
+    l_h, z = None, None
 
     def direction(k, x, grad):
-        nonlocal lam_prev, l_h, z
+        nonlocal l_h, z
         h = _hessian(model, x)
         l_h = linops.largest_eigenvalue(h)
-        inner_tol = max(TOL_FLOOR, min(0.1, lam_prev * lam_prev))
-        z, lam_prev = _subproblem(h, grad, x, gspec, inner_tol, l_h, z)
-        return z - x, lam_prev, h
+        z, lam = _subproblem(h, grad, x, gspec, 0.0, l_h, z)
+        return z - x, lam, h
 
     result = _damped_newton(model, problem.x0.copy(), opts, params, direction,
                             lambda lam, _: lam <= opts.eps,

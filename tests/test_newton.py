@@ -12,6 +12,9 @@ from gscopt import atoms, bench_io, kernel, linops, models
 from gscopt.errors import DomainError, ParameterError
 from gscopt.newton import (MAX_HALVINGS, SolveOptions, existence_check, linesearch_step,
                            minimize, resolve_params)
+from gscopt.prox import ProxSpec
+from gscopt.prox_newton import CompositeProblem, minimize_composite
+from gscopt.quasi_newton import minimize_qn
 
 
 def reg_logistic(n=2000, p=100, seed=42, gamma=1e-5):
@@ -189,6 +192,27 @@ def test_x0_outside_domain_raises():
     model = box_barrier(p=3)
     with pytest.raises(DomainError):
         minimize(model, np.array([2.0, 0.0, 0.0]), SolveOptions(record_time=False))
+
+
+def _composite_from(model, x0, opts):
+    # CompositeProblem refuses a non-finite x0 itself; set one after it to reach the loop
+    problem = CompositeProblem(model, ProxSpec("zero"), np.zeros(x0.size))
+    problem.x0 = x0
+    return minimize_composite(problem, opts)
+
+
+@pytest.mark.parametrize("solve", [minimize, minimize_qn, _composite_from],
+                         ids=["newton", "bfgs", "prox_newton"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_x0_raises(solve, bad):
+    # the shared loop refuses it: minimize_qn from inf reported "converged" with
+    # f = nan, from NaN it ran to max_iter, and minimize raised ParameterError
+    a, labels = bench_io.gen_logistic(50, 5, seed=0)
+    model = models.GlmModel(a * labels[:, None], atoms.logistic())
+    x0 = np.zeros(5)
+    x0[2] = bad
+    with pytest.raises(DomainError):
+        solve(model, x0, SolveOptions(record_time=False))
 
 
 def test_nu_choice_resolution_errors():

@@ -134,6 +134,11 @@ def test_infeasible_x0_raises():
     with pytest.raises(DomainError):
         CompositeProblem(port, ProxSpec("simplex"), bad_simplex)
     CompositeProblem(port, ProxSpec("simplex"), ok)
+    # g = zero looked at no x, so a NaN or inf x0 passed
+    glm = models.GlmModel(np.eye(3), atoms.logistic())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            CompositeProblem(glm, ProxSpec("zero"), np.array([0.0, bad, 0.0]))
 
 
 def test_box_constrained_glm():
@@ -249,6 +254,8 @@ def test_exact_subproblem_is_not_resolved(monkeypatch):
                                  SolveOptions(record_time=False))
         assert res.status == "converged"
         assert len(calls) == len(res.trace), (model, spec)
+        # each is checked against the rounding floor alone
+        assert set(calls) == {0.0}, (model, spec)
 
 
 @pytest.mark.parametrize("n,p,seed,p_dense", [
