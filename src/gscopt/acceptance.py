@@ -234,7 +234,7 @@ def bound_suite_violations(model, n_pairs=200, seed=123, d_max=0.9, slack=1e-8,
             violations += 1
         # (ii) Hessian eigenvalue sandwich
         # h and so its factor are finite (linops.cholesky checks h)
-        lfac = linops.cholesky(h, lower=True)[0]
+        lfac = linops.cholesky(h)
         half = solve_triangular(lfac, hy, lower=True, check_finite=False)
         mid = solve_triangular(lfac, half.T, lower=True, check_finite=False).T
         ev = np.linalg.eigvalsh(0.5 * (mid + mid.T))

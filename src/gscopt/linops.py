@@ -7,11 +7,11 @@ operator is a scipy LinearOperator (a bare hvp callable becomes one);
 anything else is a dense array.  _factor(h, free) returns rhs -> H_FF^-1 rhs
 on the free coordinates free (all of them when None): a structured H's own
 solver(free), CG (_cg, the one CG loop) on an operator's block, or one
-Cholesky factorization of the dense block; a free block singular to rounding
-is shifted, not refused.  It is the only place a Hessian or a free block is
-solved (prox's active set calls it too), and every dense factorization of a
-solver, here, in quasi_newton and in acceptance, is one LAPACK potrf/potrs
-pair: cholesky and cho_solve.
+Cholesky factorization (_psd_cholesky) of the dense H or block, shifted, not
+refused, when singular to rounding.  It is the only place a Hessian or a
+free block is solved (prox's active set calls it too), and every dense
+factorization, here, in quasi_newton and in acceptance, is one LAPACK
+potrf/potrs pair in the lower triangle: cholesky and cho_solve.
 """
 
 from __future__ import annotations
@@ -35,36 +35,35 @@ EPS = np.finfo(float).eps
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def cholesky(a, *, lower: bool) -> tuple[np.ndarray, bool]:
-    """(c, lower) with a symmetric PD a's Cholesky factor in c's lower (or upper) triangle
-    and a's entries in the other: one LAPACK potrf on a copy of a.  ParameterError
-    on a non-finite a; NotPositiveDefiniteError names the failing pivot."""
+def cholesky(a) -> np.ndarray:
+    """A symmetric PD a's Cholesky factor L in the lower triangle of a copy of a, whose
+    strict upper triangle keeps a's entries: one LAPACK potrf.  ParameterError on a
+    non-finite a; NotPositiveDefiniteError names the failing pivot."""
     if not np.isfinite(a).all():
         raise ParameterError("matrix to factor contains non-finite entries")
-    c, info = _POTRF(a, lower=lower, clean=0)
+    c, info = _POTRF(a, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefiniteError(f"Cholesky factorization failed at pivot {info}")
-    return c, lower
+    return c
 
 
-def cho_solve(factor: tuple[np.ndarray, bool], rhs: np.ndarray) -> np.ndarray:
-    """A^-1 rhs from cholesky(A): one LAPACK potrs."""
-    return _POTRS(factor[0], rhs, lower=factor[1])[0]
+def cho_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs from c = cholesky(A): one LAPACK potrs."""
+    return _POTRS(c, rhs, lower=1)[0]
 
 
-def _free_cholesky(a, *, lower: bool) -> tuple[np.ndarray, bool]:
-    """cholesky(a) of a free block a, which is scratch.  A block that fails, or whose
-    smallest pivot is at the rounding level (the rounding of a singular block, not
-    curvature), is factored again with n eps max(diag a) added to its diagonal in place;
-    NotPositiveDefiniteError when that fails too."""
+def _psd_cholesky(a) -> np.ndarray:
+    """cholesky(a) of a symmetric PSD a, or of a + s I when that fails or its smallest
+    pivot^2 is at most s = n eps max(diag a), the rounding of a singular a (Nocedal &
+    Wright, Numerical Optimization, section 3.4); a itself is never written."""
+    shift = a.shape[0] * EPS * a.diagonal().max()
     try:
-        cho = cholesky(a, lower=lower)
-        if np.diagonal(cho[0]).min() ** 2 > a.shape[0] * EPS * a.diagonal().max():
-            return cho
+        c = cholesky(a)
+        if c.diagonal().min() ** 2 > shift:
+            return c
     except NotPositiveDefiniteError:
         pass
-    a.flat[::a.shape[0] + 1] += a.shape[0] * EPS * a.diagonal().max()
-    return cholesky(a, lower=lower)
+    return cholesky(a + shift * np.eye(a.shape[0]))
 
 
 def weighted_gram(a, w, q_diag) -> np.ndarray:
@@ -118,10 +117,10 @@ class SlackHessian:
         fixed ones, written in that form because B' D B - B' D^2 / (d + q_slack) B
         cancels.  For a dense B only S's lower triangle is formed, by one
         dsyrk on (sqrt(e) B_F)', which is Fortran-ordered and so not copied;
-        a sparse B goes through weighted_gram.  A free block factors with
-        _free_cholesky's rounding-pivot test, and one with no block column is
-        its diagonal.  H is positive definite exactly when d + q_slack > 0
-        and S is; a negative d or q_slack is a ParameterError.
+        a sparse B goes through weighted_gram.  S factors like a dense H
+        (_psd_cholesky), and a block with no block column is its diagonal.
+        H is positive definite exactly when d + q_slack > 0 and S is; a
+        negative d or q_slack is a ParameterError.
         """
         b, d, q_block = self.block, self.d, self.q_block
         if np.any(d < 0.0) or np.any(self.q_slack < 0.0):
@@ -147,7 +146,7 @@ class SlackHessian:
         else:
             schur = dsyrk(1.0, (np.sqrt(e)[:, None] * b).T, lower=1)
             schur.flat[::m + 1] += q_block
-        cho = cholesky(schur, lower=True) if free is None else _free_cholesky(schur, lower=True)
+        cho = _psd_cholesky(schur)
 
         def solve(rhs):
             r1, r2 = rhs[:m], rhs[m:]
@@ -173,18 +172,14 @@ def _operator(h, dim: int | None = None):
 def _factor(h, free=None) -> Callable[[np.ndarray], np.ndarray]:
     """rhs -> H_FF^-1 rhs for an _operator-normalized H on the ascending coordinates free
     (the whole H when None): its own solver(free) when structured, CG on the block for
-    an operator (_cg_block), one Cholesky factorization when dense (the whole H in the
-    lower triangle, a free block gathered by take in the upper one).  A free block that
-    is singular to rounding is shifted (_free_cholesky); NotPositiveDefiniteError when
-    H or the block is not positive semidefinite."""
+    an operator (_cg_block), and when dense one Cholesky factorization of H or of the
+    block gathered by take.  An H or block singular to rounding is shifted
+    (_psd_cholesky); NotPositiveDefiniteError when it is not positive semidefinite."""
     if hasattr(h, "solver"):
         return h.solver(free)
     if isinstance(h, LinearOperator):
         return _cg_block(h, free)
-    if free is None:
-        cho = cholesky(h, lower=True)
-    else:
-        cho = _free_cholesky(h.take(free, 0).take(free, 1), lower=False)
+    cho = _psd_cholesky(h if free is None else h.take(free, 0).take(free, 1))
     return lambda rhs: cho_solve(cho, rhs)
 
 
@@ -312,9 +307,12 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
 def local_norm(h, v) -> float:
     """sqrt(v' H v) for PSD H of any kind (_operator); 0 for v = 0."""
     v = np.asarray(v, dtype=float)
-    if not np.any(v):
-        return 0.0
-    q = float(v @ (_operator(h, v.size) @ v))
+    return _form_norm(v, _operator(h, v.size) @ v) if np.any(v) else 0.0
+
+
+def _form_norm(v, hv) -> float:
+    """local_norm(h, v) from the product hv = H v."""
+    q = float(v @ hv)
     if q < -1e-12 * float(v @ v):
         raise NotPositiveDefiniteError(f"negative quadratic form {q:.3e}")
     return math.sqrt(max(0.0, q))
@@ -330,9 +328,9 @@ def smallest_eigenvalue(h, tol: float = 1e-6, max_iter: int = 500, dim: int | No
     """lambda_min of a symmetric PSD H of any kind (_operator).
 
     Dense or structured H: inverse power iteration on its factorization
-    (_factor), started off all-ones (_start_vector).  Operator: Lanczos
-    (scipy eigsh) from the same start vector.  Non-convergence returns the
-    last estimate with converged=False instead of raising.
+    (_factor) from _start_vector, until successive estimates agree to tol
+    relative or n eps |first estimate|.  Operator: Lanczos (scipy eigsh) from
+    the same start vector.  Non-convergence returns the last, converged=False.
     """
     h = _operator(h, dim)
     if isinstance(h, LinearOperator):
@@ -344,17 +342,16 @@ def smallest_eigenvalue(h, tol: float = 1e-6, max_iter: int = 500, dim: int | No
             est = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else math.nan
             return EigenEstimate(est, False, max_iter)
 
-    if h.shape[0] == 1 and isinstance(h, np.ndarray):
-        return EigenEstimate(float(h[0, 0]), True, 0)
     solve = _factor(h)
     v = _start_vector(h.shape[0])
     v /= np.linalg.norm(v)
     lam = float(v @ (h @ v))
+    floor = h.shape[0] * EPS * abs(lam)
     for it in range(max_iter):
         w = solve(v)
         w /= np.linalg.norm(w)
         lam_new = float(w @ (h @ w))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+        if abs(lam_new - lam) <= max(tol * abs(lam_new), floor):
             return EigenEstimate(lam_new, True, it + 1)
         v, lam = w, lam_new
     return EigenEstimate(lam, False, max_iter)

@@ -127,6 +127,15 @@ def linesearch_step(model, x, n, tau_floor: float, c1: float = ARMIJO_C1,
     return LinesearchResult(max(tau, tau_floor), nfval)
 
 
+def _start(model, x0) -> np.ndarray:
+    """A float copy of x0, refused (DomainError) if not finite before check_domain sees it."""
+    x = np.array(x0, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("the start point has non-finite entries")
+    model.check_domain(x)
+    return x
+
+
 def _hessian(model, x):
     """The Hessian at x when the model has one (dim <= p_dense), else its hvp operator."""
     if model.has_dense_hessian:
@@ -236,8 +245,7 @@ def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:
     if opts.step_rule == "exact":
         raise ParameterError("step_rule 'exact' is only meaningful for minimize_qn")
     params = resolve_params(model, opts.nu_choice)
-    x = np.asarray(x0, dtype=float).copy()
-    model.check_domain(x)
+    x = _start(model, x0)
     warm, lam_stop = None, None
 
     def direction(k, x, g):
@@ -268,24 +276,20 @@ def existence_check(model, x) -> ExistenceCheck:
     """Diagnostic for the solution-existence condition.
 
     lhs is the local dual gradient norm lambda(x), rhs the radius
-    2 sigma_min(x)^((3-nu)/2) / ((4-nu) M); rhs = inf when M = 0.  Never
-    gates the solver.
+    2 sigma_min(x)^((3-nu)/2) / ((4-nu) M): inf when M = 0, 0 when the estimate
+    of sigma_min is not positive (a singular H).  Never gates the solver.
     """
-    x = np.asarray(x, dtype=float)
-    model.check_domain(x)
-    params = model.params
-    nu, m = params.nu, params.m
-    g = model.grad(x)
-    h = _hessian(model, x)
+    x = _start(model, x)
+    nu, m = model.params.nu, model.params.m
+    g, h = model.grad(x), _hessian(model, x)
     try:
-        direction = linops.newton_direction(linops.NewtonSystem(h, g))
+        lam = linops.newton_direction(linops.NewtonSystem(h, g)).lam
     except linops.NotPositiveDefiniteError:
         return ExistenceCheck(False, math.inf, 0.0)
-    lam = direction.lam
     if m == 0.0:
         return ExistenceCheck(True, lam, math.inf)
     if nu == 3.0:
         return ExistenceCheck(lam < 2.0 / m, lam, 2.0 / m)
     sigma = linops.smallest_eigenvalue(h).value
-    rhs = 2.0 * sigma ** ((3.0 - nu) / 2.0) / ((4.0 - nu) * m)
+    rhs = 2.0 * sigma ** ((3.0 - nu) / 2.0) / ((4.0 - nu) * m) if sigma > 0.0 else 0.0
     return ExistenceCheck(lam < rhs, lam, rhs, sigma)

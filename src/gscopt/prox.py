@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SubproblemError
-from .linops import _factor, _operator, largest_eigenvalue, local_norm
+from .linops import _factor, _form_norm, _operator, largest_eigenvalue
 
 EPS = np.finfo(float).eps
 
@@ -138,11 +138,11 @@ def _subproblem(h, grad, x, g: ProxSpec, tol: float, l_h: float | None,
         l_h = largest_eigenvalue(h)
     if l_h <= 0.0:
         raise ParameterError("subproblem needs a positive curvature bound")
-    z, gz = _active_set_qp(h, grad, x, g, 1.0 / l_h, start)
+    z, gz, hv = _active_set_qp(h, grad, x, g, 1.0 / l_h, start)
     res, floor = _acceptance(g, z, gz, grad, l_h)
     target = max(tol, floor)
     if res <= target:
-        return z, local_norm(h, z - x)
+        return z, _form_norm(z - x, hv)
     raise SubproblemError(
         f"active-set subproblem solution has residual {res:.3e} (target {target:.1e})",
         residual=res)
@@ -162,7 +162,7 @@ def _acceptance(g: ProxSpec, z, gz, grad, l_h: float) -> tuple[float, float]:
 
 
 def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
-                   start=None) -> tuple[np.ndarray, np.ndarray]:
+                   start=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Primal active-set solve of min <grad, z-x> + 1/2 (z-x)' H (z-x) + g(z).
 
     Nocedal & Wright, Numerical Optimization, Algorithm 16.3; the working set
@@ -180,15 +180,15 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
     multiplier (grad Q_i + nu at a lower bound, its negative at an upper one,
     w - |grad Q_i| at an l1 zero, which enters the orthant -sign(grad Q_i))
     is freed; when none is below the rounding level the point is the
-    minimizer.  A box with lo == hi is that one point.  Returns z and
-    grad Q(z); raises SubproblemError after 10 p iterations.
+    minimizer.  A box with lo == hi is that one point.  Returns z, grad Q(z)
+    and H (z - x); raises SubproblemError after 10 p iterations.
     """
     p = x.size
     lo, hi = (0.0, math.inf) if g.kind == "simplex" else (g.lo, g.hi)
     z = prox_apply(g, x - s * grad, s) if start is None else np.clip(start, lo, hi)
-    gz = grad + h @ (z - x)
+    gz = grad + (hv := h @ (z - x))
     if lo == hi:
-        return z, gz
+        return z, gz, hv
     at_lo, at_hi = z <= lo, z >= hi
     w, sign = g.weight, None
     if g.kind == "l1" and w > 0.0:
@@ -223,15 +223,15 @@ def _active_set_qp(h, grad, x, g: ProxSpec, s: float,
                     z[i], at_lo[i] = lo, True
                 else:
                     z[i], at_hi[i] = hi, True
-                gz = grad + h @ (z - x)
+                gz = grad + (hv := h @ (z - x))
                 continue
             z[free] = zf + d
-            gz = grad + h @ (z - x)
+            gz = grad + (hv := h @ (z - x))
         mult = np.where(at_lo, gz + nu, -(gz + nu)) if sign is None else w - np.abs(gz)
         mult[free] = math.inf
         j = int(np.argmin(mult))
         if not mult[j] < -_rounding_floor(z, gz, grad, s):
-            return z, gz
+            return z, gz, hv
         at_lo[j] = at_hi[j] = False
         if sign is not None:
             sign[j] = -np.sign(gz[j])

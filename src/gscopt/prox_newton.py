@@ -22,7 +22,7 @@ import numpy as np
 from . import linops
 from .errors import DomainError, ParameterError
 from .newton import (SolveOptions, SolveResult, _damped_newton, _hessian, _newton_step,
-                     resolve_params)
+                     _start, resolve_params)
 from .prox import ProxSpec, _subproblem, prox_residual
 
 
@@ -33,8 +33,7 @@ class CompositeProblem:
     x0: np.ndarray
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
-        self.model.check_domain(self.x0)
+        self.x0 = _start(self.model, self.x0)
         if not self.g.feasible(self.x0):
             raise DomainError("x0 is infeasible for the regularizer")
 

@@ -29,7 +29,7 @@ from scipy.linalg import blas
 
 from .errors import DomainError, NotPositiveDefiniteError, ParameterError
 from .linops import cho_solve, cholesky
-from .newton import ARMIJO_C1, SolveOptions, SolveResult, _damped_newton, resolve_params
+from .newton import ARMIJO_C1, SolveOptions, SolveResult, _damped_newton, _start, resolve_params
 
 CURVATURE_GUARD = 1e-12
 
@@ -42,7 +42,7 @@ class BfgsState:
     @property
     def h(self) -> np.ndarray:
         """The Hessian approximation B^-1, formed afresh by one Cholesky solve: O(p^3)."""
-        return cho_solve(cholesky(self.b, lower=True), np.eye(self.b.shape[0]))
+        return cho_solve(cholesky(self.b), np.eye(self.b.shape[0]))
 
     @classmethod
     def identity(cls, p, scale=1.0):
@@ -117,8 +117,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     """
     opts = opts or SolveOptions()
     params = resolve_params(model, opts.nu_choice)
-    x = np.asarray(x0, dtype=float).copy()
-    model.check_domain(x)
+    x = _start(model, x0)
     p = x.size
     state = None
     if h0 is not None:
@@ -171,7 +170,7 @@ def _checked_h0(h0, p):
     if np.max(np.abs(h0 - h0.T), initial=0.0) > 1e-12 * np.max(np.abs(h0), initial=0.0):
         raise ParameterError("h0 must be symmetric")
     try:
-        return cholesky(h0, lower=True)
+        return cholesky(h0)
     except NotPositiveDefiniteError as exc:
         raise ParameterError(f"h0 must be positive definite: {exc}") from exc
 

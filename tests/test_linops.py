@@ -120,6 +120,23 @@ def test_smallest_eigenvalue():
     assert est_op.value == pytest.approx(1e-3, rel=1e-3)
 
 
+def test_smallest_eigenvalue_of_a_scalar():
+    # inverse iteration on a 1 x 1 H returns its entry after one step
+    est = linops.smallest_eigenvalue(np.array([[3.0]]))
+    assert est.value == 3.0 and est.converged and est.iterations == 1
+
+
+def test_smallest_eigenvalue_of_a_singular_hessian_stops_at_rounding():
+    # the estimate of a rank-2 H settles at the rounding level, where a relative test
+    # never holds: it stops once successive estimates agree to n eps |first estimate|
+    rng = np.random.default_rng(17)
+    base = rng.normal(size=(5, 2))
+    hmat = base @ base.T
+    est = linops.smallest_eigenvalue(hmat)
+    assert est.converged and est.iterations < 10
+    assert abs(est.value) <= 1e-12 * np.linalg.eigvalsh(hmat)[-1]
+
+
 def test_largest_eigenvalue():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
@@ -221,27 +238,30 @@ def _layouts(rng, p):
 
 
 @pytest.mark.parametrize("p", [1, 5, 51, 300])
-@pytest.mark.parametrize("lower", [True, False])
-def test_cholesky_pair_matches_scipy(p, lower):
+@pytest.mark.parametrize("whole", [True, False])
+def test_cholesky_pair_matches_scipy(p, whole):
+    # the lower-triangle LAPACK pair is scipy's, and a well-conditioned dense H goes
+    # through the same factorization unshifted, whole or gathered as an all-free block
     rng = np.random.default_rng(p)
     rhs = rng.normal(size=p)
     for name, a in _layouts(rng, p).items():
         before = a.copy()
-        factor = linops.cholesky(a, lower=lower)
-        ref = scipy.linalg.cho_factor(a, lower=lower)
-        assert factor[1] is lower
-        assert np.array_equal(factor[0], ref[0]), name
+        factor = linops.cholesky(a)
+        ref = scipy.linalg.cho_factor(a, lower=True)
+        assert np.array_equal(factor, ref[0]), name
         solved = linops.cho_solve(factor, rhs)
         assert np.array_equal(solved, scipy.linalg.cho_solve(ref, rhs)), name
+        solve = linops._factor(a) if whole else linops._factor(a, np.arange(p))
+        assert np.array_equal(solve(rhs), solved), name
         assert np.array_equal(a, before), name
 
 
-@pytest.mark.parametrize("lower", [True, False])
-def test_cholesky_names_the_failing_pivot(lower):
+@pytest.mark.parametrize("fortran", [True, False])
+def test_cholesky_names_the_failing_pivot(fortran):
     for a, pivot in [(np.diag([1.0, -1.0]), 2), (np.diag([0.0, 1.0]), 1),
                      (np.ones((3, 3)), 2)]:
         with pytest.raises(NotPositiveDefiniteError, match=f"failed at pivot {pivot}$"):
-            linops.cholesky(a, lower=lower)
+            linops.cholesky(np.asfortranarray(a) if fortran else a)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -249,11 +269,10 @@ def test_cholesky_rejects_nonfinite(bad):
     for i, j in [(0, 0), (1, 0), (0, 1)]:
         a = np.eye(3)
         a[i, j] = bad
-        for lower in (True, False):
-            with pytest.raises(ParameterError, match="non-finite"):
-                linops.cholesky(a, lower=lower)
-            with pytest.raises(ValueError):
-                linops.cholesky(a, lower=lower)
+        with pytest.raises(ParameterError, match="non-finite"):
+            linops.cholesky(a)
+        with pytest.raises(ValueError):
+            linops.cholesky(a)
 
 
 def _eliminate(h, schur, rhs):
@@ -402,12 +421,30 @@ def test_dense_free_block_solve_matches_dense():
     rng = np.random.default_rng(15)
     hmat = _spd(rng, 12)
     rhs = rng.normal(size=12)
-    # the whole H is factored in the lower triangle and a free block in the upper one,
-    # so the all-free block agrees with the whole-H solve to rounding, not bit for bit
     for free in (np.array([4]), np.array([0, 3, 7, 11]), np.arange(1, 12, 2), np.arange(12)):
         got = linops._factor(hmat, free)(rhs[free])
         expected = np.linalg.solve(hmat[np.ix_(free, free)], rhs[free])
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    # the whole H and a block factor in the same triangle: all free is the whole H
+    assert np.array_equal(linops._factor(hmat, np.arange(12))(rhs), linops._factor(hmat)(rhs))
+
+
+def test_singular_dense_hessian_is_shifted_like_a_free_block():
+    # a rank-2 H: cholesky refuses it, and _factor solves the whole H, like any block of
+    # it, shifted by n eps max diag, on a copy, never in the caller's matrix
+    rng = np.random.default_rng(16)
+    base = rng.normal(size=(5, 2))
+    hmat = base @ base.T
+    before = hmat.copy()
+    with pytest.raises(NotPositiveDefiniteError):
+        linops.cholesky(hmat)
+    rhs = hmat @ rng.normal(size=5)
+    got = linops._factor(hmat)(rhs)
+    assert np.array_equal(hmat, before)
+    assert np.array_equal(got, linops._factor(hmat, np.arange(5))(rhs))
+    assert np.linalg.norm(hmat @ got - rhs) <= 1e-6 * np.linalg.norm(rhs)
+    n, lam, _ = newton_direction(NewtonSystem(hmat, -rhs))
+    assert np.array_equal(n, got) and math.isfinite(lam)
 
 
 def test_rounding_singular_schur_block_falls_back_to_fista():
@@ -417,7 +454,7 @@ def test_rounding_singular_schur_block_falls_back_to_fista():
     # factored again shifted by n eps max diag, as the dense free block is
     h = SlackHessian(np.ones((1, 2)), np.ones(1), np.array([0.0, np.finfo(float).eps]),
                      np.ones(1))
-    linops.cholesky(np.asarray(h)[:2, :2], lower=True)
+    linops.cholesky(np.asarray(h)[:2, :2])
     free, rhs = np.array([0, 1]), np.array([1.0, -1.0])
     for solve in (h.solver(free), linops._factor(np.asarray(h), free)):
         assert np.all(np.isfinite(solve(rhs)))

@@ -205,14 +205,65 @@ def _composite_from(model, x0, opts):
                          ids=["newton", "bfgs", "prox_newton"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_x0_raises(solve, bad):
-    # the shared loop refuses it: minimize_qn from inf reported "converged" with
-    # f = nan, from NaN it ran to max_iter, and minimize raised ParameterError
+    # each entry refuses it, and the shared loop a CompositeProblem's replaced x0:
+    # minimize_qn from inf reported "converged" with f = nan, from NaN it ran to
+    # max_iter, and minimize raised ParameterError
     a, labels = bench_io.gen_logistic(50, 5, seed=0)
     model = models.GlmModel(a * labels[:, None], atoms.logistic())
     x0 = np.zeros(5)
     x0[2] = bad
     with pytest.raises(DomainError):
         solve(model, x0, SolveOptions(record_time=False))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_start_is_refused_before_the_model_sees_it(bad):
+    # each entry tests x0 before its first oracle call: the model's a @ x0 warned of an
+    # invalid matmul first, and existence_check from NaN raised ParameterError
+    model = models.GlmModel(np.eye(3), atoms.logistic())
+    x0 = np.array([0.0, bad, 0.0])
+    entries = {"minimize": lambda: minimize(model, x0),
+               "minimize_qn": lambda: minimize_qn(model, x0),
+               "existence_check": lambda: existence_check(model, x0),
+               "CompositeProblem": lambda: CompositeProblem(model, ProxSpec("zero"), x0)}
+    for name, entry in entries.items():
+        with pytest.raises(DomainError, match="non-finite"):
+            entry()
+
+
+def ridgeless_wide_logistic(n, p, seed, **kw):
+    """A logistic GLM with more columns than rows and q_diag = 0: its Hessian is singular."""
+    a, labels = bench_io.gen_logistic(n, p, seed=seed)
+    return models.GlmModel(a * labels[:, None], atoms.logistic(), **kw)
+
+
+RIDGELESS = [((20, 40, 0), 114), ((30, 60, 1), 121), ((10, 50, 2), 85)]
+
+
+@pytest.mark.parametrize("phase2", ["heuristic_tau", "strict_theorem"])
+@pytest.mark.parametrize("shape,iterations", RIDGELESS, ids=lambda v: str(v))
+def test_singular_hessian_solves_alike_on_every_path(shape, iterations, phase2):
+    # the dense Cholesky refused this H at iteration 0 while CG (p_dense = 0) and the
+    # free-block solve (g = zero) converged: p_dense picks only the system's form
+    opts = SolveOptions(record_time=False, phase2=phase2)
+    x0 = np.zeros(shape[1])
+    runs = {"dense": minimize(ridgeless_wide_logistic(*shape), x0, opts),
+            "cg": minimize(ridgeless_wide_logistic(*shape, p_dense=0), x0, opts),
+            "composite": minimize_composite(
+                CompositeProblem(ridgeless_wide_logistic(*shape), ProxSpec("zero"), x0), opts)}
+    for name, res in runs.items():
+        assert res.status == "converged" and res.iterations == iterations, name
+
+
+@pytest.mark.parametrize("shape", [s for s, _ in RIDGELESS], ids=str)
+def test_existence_check_on_a_singular_hessian(shape):
+    # sigma_min is at the rounding level, of either sign: no radius, and lhs is the
+    # decrement of the shifted solve
+    model = ridgeless_wide_logistic(*shape)
+    chk = existence_check(model, np.zeros(model.dim))
+    assert not chk.satisfied and math.isfinite(chk.lhs) and chk.lhs > 0.0
+    assert abs(chk.sigma_min) <= 1e-12
 
 
 def test_nu_choice_resolution_errors():
