@@ -211,7 +211,7 @@ def bound_suite_violations(model, n_pairs=200, seed=123, d_max=0.9, slack=1e-8,
         if base_point is not None:
             # jitter around the base point, staying inside the domain
             x = base_point + 0.05 * spread * rng.normal(size=p)
-            while not models.is_feasible(model, x):
+            while not model.feasible(x):
                 x = base_point + 0.05 * spread * rng.normal(size=p)
         else:
             x = spread * rng.normal(size=p)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ParameterError, UnboundedError
-from .kernel import GscParams
+from .kernel import GscParams, _bisect_increasing
 
 _LOG2 = math.log(2.0)
 
@@ -300,7 +300,7 @@ def certificate_passes(atom: LossAtom, interval: tuple[float, float], samples: i
 
 
 def numeric_conjugate(atom: LossAtom, t: float, tol: float = 1e-10, reflected: bool = False) -> float:
-    """sup_u { t u - phi(u) } solved numerically to tolerance tol.
+    """sup_u { t u - phi(u) }: the root u of phi'(u) = t by kernel bisection to width tol.
 
     With reflected=True the conjugate of u -> phi(-u) is computed instead
     (equal to the plain conjugate at -t), which turns the decreasing losses
@@ -338,25 +338,8 @@ def numeric_conjugate(atom: LossAtom, t: float, tol: float = 1e-10, reflected: b
             f"{atom.kind}: conjugate unbounded at t={-t if reflected else t} (slope range exceeded)"
         )
 
-    # Safeguarded Newton on phi'(u) - t = 0 within [a, b].
-    u = 0.5 * (a + b)
-    for _ in range(200):
-        g = dphi(u) - t
-        if g > 0.0:
-            b = u
-        else:
-            a = u
-        h = atom._derivs[2](np.asarray(u, dtype=float))
-        step_ok = h > 0.0 and math.isfinite(h)
-        u_new = u - g / h if step_ok else 0.5 * (a + b)
-        if not (a < u_new < b):
-            u_new = 0.5 * (a + b)
-        if abs(u_new - u) <= tol * (1.0 + abs(u)) and abs(g) <= tol * (1.0 + abs(t)):
-            u = u_new
-            break
-        u = u_new
-    val = t * u - float(atom._derivs[0](np.asarray(u, dtype=float)))
-    return val
+    u = _bisect_increasing(lambda u: dphi(u) - t, a, b, tol)
+    return t * u - float(atom._derivs[0](np.asarray(u, dtype=float)))
 
 
 #: Atoms with fixed parameters, used by certificates and the CLI.

@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError
-from .models import is_feasible, row_sq_norms
+from .kernel import _bisect_increasing
+from .models import row_sq_norms
 from .newton import TRACE_SCHEMA, IterRecord
 from .prox import ProxSpec, prox_apply
 
@@ -258,7 +259,7 @@ def pg_bb(model, prox_spec: ProxSpec, x0, eps: float = 1e-6, max_iter: int = 100
     hist = []
     for k in range(max_iter):
         x_new = prox_apply(prox_spec, x - step * g, step)
-        if not is_feasible(model, x_new):
+        if not model.feasible(x_new):
             step *= 0.5
             continue
         hist.append((k, model.value(x_new), float(np.linalg.norm(x_new - x))))
@@ -301,8 +302,8 @@ def frank_wolfe(model, x0, eps: float = 1e-4, max_iter: int = 100000,
     return x, hist
 
 
-def _segment_linesearch(model, x, d, iters=60):
-    """t in [0, 1] minimizing the convex restriction via derivative bisection."""
+def _segment_linesearch(model, x, d):
+    """t in [0, 1] minimizing the convex restriction: kernel bisection on its derivative."""
     def dphi(t):
         return float(model.grad(x + t * d) @ d)
 
@@ -310,18 +311,11 @@ def _segment_linesearch(model, x, d, iters=60):
         return 0.0
     t_hi = 1.0
     # keep strictly feasible for barrier-type objectives
-    while t_hi > 1e-16 and not is_feasible(model, x + t_hi * d):
+    while t_hi > 1e-16 and not model.feasible(x + t_hi * d):
         t_hi *= 0.5
     if dphi(t_hi) <= 0.0:
         return t_hi
-    lo, hi = 0.0, t_hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if dphi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_increasing(dphi, 0.0, t_hi, t_hi * 2.0**-60)
 
 
 # ---------------------------------------------------------------------------

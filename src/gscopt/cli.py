@@ -1,8 +1,9 @@
 """Command-line front end: fit models, run the portfolio benchmark, print kernels.
 
-Exit codes: 0 converged / all passed, 2 not converged / criteria failed,
-1 usage or data errors.  `--deterministic` zeroes the timing column so that
-identical configurations produce byte-identical trace files.
+Exit codes: 0 converged / all passed, 2 not converged (an inner failure
+included, its error printed) / criteria failed, 1 usage or data errors.
+`--deterministic` zeroes the timing column so that identical
+configurations produce byte-identical trace files.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ def _finish(args, result, margins=None):
         err = float(np.mean(1.0 - np.sign(margins)) / 2.0)
         summary.append(f"train_error={err:.4f}")
     print("  ".join(summary))
+    if "error" in result.extra:
+        print(f"error: {result.extra['error']}", file=sys.stderr)
     if args.out:
         fmt = "json" if args.out.endswith(".json") else "csv"
         bench_io.write_trace(result.trace, args.out, fmt)

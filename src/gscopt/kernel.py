@@ -5,7 +5,8 @@ Everything here is a pure function of its arguments.  The omega family
 profile functions that control all function-value / gradient / Hessian
 sandwich bounds; step_size and descent_estimate implement the analytic
 damped Newton step; phase2_threshold computes the entry constants of the
-full-step (quadratic) phase.
+full-step (quadratic) phase by _bisect_increasing, the package's one
+scalar root finder.
 
 Branch conventions: nu == 2 is the exponential regime, nu > 2 the
 (1 - tau)-power regime with domain tau < 1.  All four 0/0 formulas use a
@@ -367,12 +368,20 @@ def conjugate_params(p: GscParams, dim: int) -> GscParams:
 # ---------------------------------------------------------------------------
 
 def _bisect_increasing(fn, lo, hi, tol=1e-10, max_iter=200):
-    """Root of an increasing function on [lo, hi] by bisection."""
+    """Root of an increasing function on [lo, hi] by bisection, to hi - lo <= tol.
+
+    The package's one scalar root finder: the phase-2 constants here,
+    atoms.numeric_conjugate and the Frank-Wolfe segment search call it.  It
+    also stops once lo and hi are adjacent floats, where no midpoint lies
+    between them and further steps would change nothing.
+    """
     flo, fhi = fn(lo), fn(hi)
     if flo > 0.0 or fhi < 0.0:
         raise ParameterError("bisection bracket does not contain a sign change")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if fn(mid) <= 0.0:
             lo = mid
         else:
@@ -390,14 +399,15 @@ class PhaseTwoThreshold:
     printed, otherwise the bisection root); equation_root is the root of the
     defining contraction-factor equation, exposed for inspection because it
     does not match the printed constant in the proximal nu = 2 case.
-    radius_rule describes the entry test implemented by entry_lambda_max.
+    For nu < 3 the entry radius scales with sigma_min(x)^((3-nu)/2), so it
+    is 0 (no lambda qualifies) when sigma_min is missing, not positive or
+    NaN, as on a singular Hessian.
     """
 
     solver: str
     nu: float
     d_star: float
     equation_root: float
-    radius_rule: str
 
     def entry_lambda_max(self, m: float, sigma_min: float | None = None) -> float:
         """Largest decrement lambda for which full steps are certified."""
@@ -405,8 +415,8 @@ class PhaseTwoThreshold:
             return math.inf
         if self.nu == 3.0:
             return min(2.0 * self.d_star, 0.5) / m
-        if sigma_min is None or sigma_min <= 0.0:
-            raise ParameterError("entry test with nu < 3 needs sigma_min > 0")
+        if sigma_min is None or not sigma_min > 0.0:
+            return 0.0
         if self.nu == 2.0:
             return self.d_star * math.sqrt(sigma_min) / m
         scale = sigma_min ** ((3.0 - self.nu) / 2.0)
@@ -433,10 +443,7 @@ def phase2_threshold(nu: float, solver: str = "newton") -> PhaseTwoThreshold:
     if solver == "newton":
         if nu == 2.0:
             root = _bisect_increasing(lambda t: r_nu(2.0, t) * math.exp(t) - 2.0, 1e-8, 0.9)
-            return PhaseTwoThreshold(
-                solver, nu, D2_STAR_NEWTON, root,
-                "sigma_min(x)^(-1/2) lambda < d_star / M",
-            )
+            return PhaseTwoThreshold(solver, nu, D2_STAR_NEWTON, root)
         rexp = (4.0 - nu) / (nu - 2.0)
         root = _bisect_increasing(
             lambda d: (nu - 2.0) * r_nu(nu, d) - 4.0 * (1.0 - d) ** rexp,
@@ -444,11 +451,8 @@ def phase2_threshold(nu: float, solver: str = "newton") -> PhaseTwoThreshold:
         )
         if nu == 3.0:
             # the equation reduces to (1-d)^2 = 1/4
-            return PhaseTwoThreshold(solver, nu, 0.5, root, "lambda < 1/(2 M)")
-        return PhaseTwoThreshold(
-            solver, nu, root, root,
-            "sigma_min(x)^(-(3-nu)/2) lambda < min(2 d_star/(nu-2), 1/2) / M",
-        )
+            return PhaseTwoThreshold(solver, nu, 0.5, root)
+        return PhaseTwoThreshold(solver, nu, root, root)
 
     # proximal Newton
     if nu == 2.0:
@@ -457,10 +461,7 @@ def phase2_threshold(nu: float, solver: str = "newton") -> PhaseTwoThreshold:
             lambda d: r_nu(2.0, d) * math.exp(d) / (2.0 - math.exp(d)) - 2.0,
             1e-8, math.log(2.0) - 1e-8,
         )
-        return PhaseTwoThreshold(
-            solver, nu, D2_STAR_PROX, root,
-            "sigma_min(x)^(-1/2) lambda < d_star / M",
-        )
+        return PhaseTwoThreshold(solver, nu, D2_STAR_PROX, root)
     ub = 1.0 - 2.0 ** (-(nu - 2.0) / 2.0)
 
     def factor(d):
@@ -469,8 +470,5 @@ def phase2_threshold(nu: float, solver: str = "newton") -> PhaseTwoThreshold:
 
     root = _bisect_increasing(factor, 1e-8, ub - 1e-10)
     if nu == 3.0:
-        return PhaseTwoThreshold(solver, nu, D3_STAR_PROX, root, "lambda < 2 d_star / M")
-    return PhaseTwoThreshold(
-        solver, nu, root, root,
-        "sigma_min(x)^(-(3-nu)/2) lambda < min(2 d_star/(nu-2), 1/2) / M",
-    )
+        return PhaseTwoThreshold(solver, nu, D3_STAR_PROX, root)
+    return PhaseTwoThreshold(solver, nu, root, root)

@@ -4,14 +4,14 @@ objective, and the DWD objective, each carrying certified (M, nu) parameters.
 All models expose the same oracle surface:
 
     value(x), grad(x), hessian(x), hvp(x, v), dim, params,
-    check_domain(x)  (raises DomainError with the violating row)
+    check_domain(x)  (raises DomainError with the violating row),
+    feasible(x) -> bool
 
-and optionally feasible(x) -> bool (is_feasible treats a model without it
-as feasible everywhere).  The Hessian is formed only when the matrix a
-Newton solve factors has at most p_dense (default 2000) rows: all of it
-for a dense or sparse design, B's columns for a SlackDesign [B, I_n],
-whose Hessian is a linops.SlackHessian.  Larger problems are served
-through hvp (conjugate-gradient path).
+which the solvers call directly.  The Hessian is formed only when the
+matrix a Newton solve factors has at most p_dense (default 2000) rows: all
+of it for a dense or sparse design, B's columns for a SlackDesign
+[B, I_n], whose Hessian is a linops.SlackHessian.  Larger problems are
+served through hvp (conjugate-gradient path).
 
 Oracles at one point share one margin evaluation: GLM and portfolio models
 share one base (_MarginModel) and one record of the last x (_PointRecord),
@@ -34,11 +34,6 @@ from .errors import DomainError, ParameterError
 from .kernel import GscParams
 
 P_DENSE_DEFAULT = 2000
-
-
-def is_feasible(model, x) -> bool:
-    """model.feasible(x), or True for a model without a feasible method."""
-    return getattr(model, "feasible", lambda _: True)(x)
 
 
 def _frozen(a):

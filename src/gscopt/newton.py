@@ -25,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel, linops
-from .errors import DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError, ParameterError
 from .kernel import GscParams
-from .models import is_feasible, resolve_params
+from .models import resolve_params
 
 MAX_HALVINGS = 60
 #: Armijo sufficient-decrease constant of newton's and quasi_newton's line searches
@@ -80,7 +80,7 @@ TRACE_SCHEMA = (("iter", "k"), ("phase", "phase"), ("f", "f"), ("grad_norm", "gr
 class SolveResult:
     x: np.ndarray
     trace: list[IterRecord]
-    status: str         # "converged" | "max_iter" | "domain_error"
+    status: str         # "converged" | "max_iter" | "domain_error" | "inner_failure"
     params: GscParams
     grad_criterion_met: bool = False
     nfval: int = 0
@@ -162,9 +162,12 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
     calls); the domain guard halves a step whose value it did not evaluate.
     objective is what the trace records (f, or f + g); solver picks the
     phase-2 constants ("newton" | "prox_newton"); a non-finite x raises
-    DomainError.  Oracle order: objective at the start; per iterate grad and
-    direction's calls; per step taken step's calls, feasible... and
-    objective unless step evaluated it.
+    DomainError.  A ConvergenceError (SubproblemError included) or
+    NotPositiveDefiniteError from direction ends the solve at that iterate
+    with status "inner_failure": its record has NaN lam, beta and d_k, and
+    extra["error"] holds the error.  Oracle order: objective at the start;
+    per iterate grad and direction's calls; per step taken step's calls,
+    feasible... and objective unless step evaluated it.
     """
     if not np.isfinite(x).all():
         raise DomainError("the start point has non-finite entries")
@@ -176,6 +179,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
     t0 = time.perf_counter()
     trace: list[IterRecord] = []
     nfval = 0
+    extra = {}
     in_full_phase = False
     status = "max_iter"
     f_x = objective(x)
@@ -183,7 +187,15 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
     for k in range(opts.max_iter + 1):
         g = model.grad(x)
         gnorm = float(np.linalg.norm(g))
-        n, lam, h = direction(k, x, g)
+        try:
+            n, lam, h = direction(k, x, g)
+        except (ConvergenceError, NotPositiveDefiniteError) as exc:
+            cum = (time.perf_counter() - t0) if opts.record_time else 0.0
+            trace.append(IterRecord(k, f_x, gnorm, math.nan, math.nan, math.nan, 1.0,
+                                    "full" if in_full_phase else "damped", cum))
+            status = "inner_failure"
+            extra["error"] = f"{type(exc).__name__}: {exc}"
+            break
 
         beta = m * float(np.linalg.norm(n))
         tau_an, d_k = kernel.step_size(nu, m, lam, beta)
@@ -202,10 +214,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
             if nu < 3.0:
                 est = linops.smallest_eigenvalue(h)
                 sigma = est.value if est.converged else None
-            try:
-                in_full_phase = lam < threshold.entry_lambda_max(m, sigma)
-            except ParameterError:
-                pass
+            in_full_phase = lam < threshold.entry_lambda_max(m, sigma)
         if not in_full_phase and opts.phase2 == "heuristic_tau" \
                 and opts.step_rule != "full" and tau_an >= PHASE2_TAU_THRESHOLD:
             in_full_phase = True
@@ -218,7 +227,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
         # value evaluated by step already proves the point feasible.
         if f_new is None:
             for _ in range(MAX_HALVINGS):
-                if is_feasible(model, x + tau * n):
+                if model.feasible(x + tau * n):
                     break
                 tau *= 0.5
             else:
@@ -231,7 +240,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
         f_x = objective(x) if f_new is None else f_new
         nfval += f_new is None
 
-    return SolveResult(x=x, trace=trace, status=status, params=params, nfval=nfval)
+    return SolveResult(x=x, trace=trace, status=status, params=params, nfval=nfval, extra=extra)
 
 
 def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:

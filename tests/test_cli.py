@@ -1,9 +1,12 @@
 """End-to-end CLI runs through main(argv)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from gscopt import bench_io, models
+from gscopt import bench_io, linops, models
+from gscopt.errors import NotPositiveDefiniteError
 from gscopt.cli import main
 from gscopt.newton import SolveOptions, minimize
 
@@ -33,6 +36,22 @@ def test_fit_logistic_synthetic(tmp_path, capsys):
     assert "status=converged" in out and "train_error=" in out
     trace = bench_io.read_trace(out_path, "csv")
     assert trace and trace[-1].lam <= 1e-8 * max(1.0, trace[0].lam)
+
+
+def test_inner_failure_prints_the_error_and_exits_2(tmp_path, capsys, monkeypatch):
+    def failing_factor(*args):
+        raise NotPositiveDefiniteError("Cholesky factorization failed at pivot 1")
+
+    monkeypatch.setattr(linops, "_factor", failing_factor)
+    out_path = str(tmp_path / "trace.csv")
+    code = main(["fit-logistic", "--synthetic", "n=50,p=5", "--out", out_path,
+                 "--deterministic"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "status=inner_failure  iters=0" in captured.out
+    assert "error: NotPositiveDefiniteError: Cholesky factorization failed" in captured.err
+    trace = bench_io.read_trace(out_path, "csv")
+    assert len(trace) == 1 and math.isnan(trace[0].lam)
 
 
 def test_fit_logistic_deterministic_traces(tmp_path):

@@ -380,11 +380,21 @@ def test_phase2_prox_newton():
 def test_entry_rules():
     th = kernel.phase2_threshold(2.0, "newton")
     assert th.entry_lambda_max(2.0, sigma_min=4.0) == pytest.approx(0.12964)
-    with pytest.raises(ParameterError):
-        th.entry_lambda_max(2.0)  # nu < 3 needs sigma_min
     mid = kernel.phase2_threshold(2.5, "newton")
     lam_max = mid.entry_lambda_max(1.0, sigma_min=1.0)
     assert lam_max == pytest.approx(min(2.0 * mid.d_star / 0.5, 0.5))
+    # for nu < 3 the radius scales with sigma_min^((3-nu)/2): a missing, nonpositive or
+    # NaN estimate (a singular H) certifies no full step, and no rule raises
+    for solver in ("newton", "prox_newton"):
+        for nu in (2.0, 2.25, 2.5, 2.75, 3.0):
+            rule = kernel.phase2_threshold(nu, solver)
+            for sigma in (None, math.nan, -1e-19, 0.0, 1e-300, 1.0, 1e300):
+                for m in (0.0, 1e-3, 1.0, 1e3):
+                    radius = rule.entry_lambda_max(m, sigma)
+                    if nu < 3.0 and m > 0.0 and not (sigma is not None and sigma > 0.0):
+                        assert radius == 0.0
+                    else:
+                        assert radius > 0.0
 
 
 # ---------------------------------------------------------------------------

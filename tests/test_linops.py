@@ -447,11 +447,11 @@ def test_singular_dense_hessian_is_shifted_like_a_free_block():
     assert np.array_equal(n, got) and math.isfinite(lam)
 
 
-def test_rounding_singular_schur_block_falls_back_to_fista():
-    # (named for the solver it once handed over to) free block columns [0, 1] with the
-    # one slack row fixed: e = d = 1, so the Schur complement is [[1, 1], [1, 1 + eps]].
-    # It factors, but its last pivot^2 = eps is the rounding of a singular block: it is
-    # factored again shifted by n eps max diag, as the dense free block is
+def test_rounding_singular_schur_block_is_shifted():
+    # free block columns [0, 1] with the one slack row fixed: e = d = 1, so the Schur
+    # complement is [[1, 1], [1, 1 + eps]].  It factors, but its last pivot^2 = eps is
+    # the rounding of a singular block: it is factored again shifted by n eps max diag,
+    # as the dense free block is
     h = SlackHessian(np.ones((1, 2)), np.ones(1), np.array([0.0, np.finfo(float).eps]),
                      np.ones(1))
     linops.cholesky(np.asarray(h)[:2, :2])
@@ -466,3 +466,14 @@ def test_rounding_singular_schur_block_falls_back_to_fista():
     z = scaled_prox_subproblem(h, grad, x, spec, tol=1e-9, l_h=l_h, start=start)
     res, floor = prox._acceptance(spec, z, grad + h @ (z - x), grad, l_h)
     assert spec.feasible(z) and res <= max(1e-9, floor)
+
+
+def test_largest_eigenvalue_of_a_zero_matrix():
+    assert linops.largest_eigenvalue(np.zeros((3, 3))) == 0.0
+
+
+def test_cg_with_a_zero_gradient_returns_zero_without_iterating():
+    # a warm start is ignored: the Newton step of a zero gradient is zero
+    d = newton_direction(NewtonSystem(np.diag([1.0, 2.0, 3.0]), np.zeros(3)), method="cg",
+                         warm_start=np.ones(3))
+    assert np.array_equal(d.n, np.zeros(3)) and d.lam == 0.0 and d.iterations == 0

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from gscopt import atoms, bench_io, kernel, linops, models
-from gscopt.errors import DomainError, ParameterError
+from gscopt import atoms, bench_io, kernel, linops, models, prox
+from gscopt.errors import ConvergenceError, DomainError, ParameterError
 from gscopt.newton import (MAX_HALVINGS, SolveOptions, existence_check, linesearch_step,
                            minimize, resolve_params)
 from gscopt.prox import ProxSpec
@@ -157,6 +157,77 @@ def test_domain_guard_out_of_halvings_ends_with_the_trace():
     last = res.trace[-1]
     tau_an, _ = kernel.step_size(model.params.nu, model.params.m, last.lam, last.beta)
     assert last.phase == "damped" and last.tau == tau_an * 0.5 ** MAX_HALVINGS
+
+
+class _IndefiniteFrom:
+    """Delegating model proxy whose Hessian has h[0, 0] = -1 from its (calls + 1)-th call on."""
+
+    def __init__(self, model, calls):
+        self._model, self._left = model, calls
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def hessian(self, x):
+        self._left -= 1
+        h = self._model.hessian(x)
+        if self._left < 0:
+            h = h.copy()
+            h[0, 0] = -1.0
+        return h
+
+
+def _assert_failed_at_iterate_two(res, two, error):
+    """res ended at iterate 2 on error: two steps kept, x and f where two stopped."""
+    assert res.status == "inner_failure" and res.iterations == 2 and len(res.trace) == 3
+    assert res.extra["error"].startswith(error + ": ")
+    assert np.array_equal(res.x, two.x)
+    assert res.trace[:2] == two.trace[:2] and res.trace[2].f == two.trace[2].f
+    last = res.trace[2]
+    assert math.isnan(last.lam) and math.isnan(last.beta) and math.isnan(last.d_k)
+
+
+def test_indefinite_hessian_ends_the_solve_with_the_trace():
+    model = reg_logistic(n=300, p=20)
+    opts = SolveOptions(record_time=False)
+    two = minimize(model, np.zeros(model.dim), dataclasses.replace(opts, max_iter=2))
+    res = minimize(_IndefiniteFrom(model, 2), np.zeros(model.dim), opts)
+    _assert_failed_at_iterate_two(res, two, "NotPositiveDefiniteError")
+
+
+def test_cg_failure_ends_the_solve_with_the_trace(monkeypatch):
+    a, labels = bench_io.gen_logistic(300, 20, seed=42)
+    model = models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=1e-5, p_dense=0)
+    opts = SolveOptions(record_time=False)
+    two = minimize(model, np.zeros(model.dim), dataclasses.replace(opts, max_iter=2))
+    real_cg, calls = linops._cg, []
+
+    def cg_failing_at_iterate_two(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 2:
+            raise ConvergenceError("CG did not converge", residual=1.0)
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(linops, "_cg", cg_failing_at_iterate_two)
+    res = minimize(model, np.zeros(model.dim), opts)
+    _assert_failed_at_iterate_two(res, two, "ConvergenceError")
+
+
+def test_subproblem_failure_ends_the_composite_solve_with_the_trace(monkeypatch):
+    port = models.PortfolioModel(bench_io.gen_portfolio(50, 10, seed=7))
+    x0, opts = np.full(10, 0.1), SolveOptions(record_time=False)
+    two = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), x0),
+                             dataclasses.replace(opts, max_iter=2))
+    real_acceptance, calls = prox._acceptance, []
+
+    def acceptance_failing_at_iterate_two(*args):
+        # the subproblem's own check then refuses its point
+        calls.append(None)
+        return (math.inf, 0.0) if len(calls) > 2 else real_acceptance(*args)
+
+    monkeypatch.setattr(prox, "_acceptance", acceptance_failing_at_iterate_two)
+    res = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), x0), opts)
+    _assert_failed_at_iterate_two(res, two, "SubproblemError")
 
 
 def test_strict_theorem_phase2():
@@ -409,6 +480,11 @@ def test_existence_nu3_rhs_independent_of_sigma():
     x_int = 0.9 * res.x + 0.1 * x
     chk2 = existence_check(port, x_int)
     assert chk2.lhs >= 0.0
+
+
+def test_existence_check_on_an_indefinite_hessian():
+    chk = existence_check(models.QuadraticModel(np.diag([1.0, -1.0])), np.ones(2))
+    assert (chk.satisfied, chk.lhs, chk.rhs) == (False, math.inf, 0.0)
 
 
 def test_existence_logistic():

@@ -284,10 +284,10 @@ def test_active_set_vertex_and_interior_optima(spec):
 
 
 @pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:2], ids=["simplex", "box"])
-def test_rank_deficient_h_falls_back_to_fista(spec):
-    # (named for the solver it once handed over to) a rank-3 H: the singular free blocks
-    # are shifted at the rounding level, by linops._psd_cholesky for the dense H and by
-    # the CG back-end for the operator, and both active sets return the same point
+def test_rank_deficient_h_shifts_alike_on_both_back_ends(spec):
+    # a rank-3 H: the singular free blocks are shifted at the rounding level, by
+    # linops._psd_cholesky for the dense H and by the CG back-end for the operator,
+    # and both active sets return the same point
     rng = np.random.default_rng(12)
     p = 8
     base = rng.normal(size=(p, 3))
@@ -304,10 +304,10 @@ def test_rank_deficient_h_falls_back_to_fista(spec):
 
 
 @pytest.mark.parametrize("spec", ACTIVE_SET_SPECS[:2], ids=["simplex", "box"])
-def test_pivot_at_the_rounding_level_falls_back_to_fista(spec):
-    # (named for the solver it once handed over to) the free block factors, but its
-    # last pivot^2 = eps is the rounding of a singular block: linops._psd_cholesky
-    # shifts it, CG on the operator shifts its own, and both give the same point
+def test_pivot_at_the_rounding_level_shifts_alike_on_both_back_ends(spec):
+    # the free block factors, but its last pivot^2 = eps is the rounding of a singular
+    # block: linops._psd_cholesky shifts it, CG on the operator shifts its own, and both
+    # give the same point
     h = np.array([[1.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]])
     linops.cholesky(h)
     x = np.array([0.0, 0.1])

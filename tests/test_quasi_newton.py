@@ -7,7 +7,7 @@ import pytest
 from test_oracle_order import CallLog
 
 from gscopt import atoms, bench_io, models, quasi_newton
-from gscopt.errors import ParameterError
+from gscopt.errors import NotPositiveDefiniteError, ParameterError
 from gscopt.newton import SolveOptions, minimize
 from gscopt.quasi_newton import (BfgsState, bfgs_update, dennis_more_ratio,
                                  minimize_qn)
@@ -198,6 +198,30 @@ def test_floored_armijo_skips_trial_points_outside_the_domain():
     tau, f, evals = quasi_newton._floored_armijo(model, x, d, model.grad(x), model.value(x), 0.5)
     assert (tau, evals) == (0.25, 3)
     assert f == model.value(x + 0.25 * d)
+
+
+def test_exact_step_refuses_negative_curvature():
+    quad = models.QuadraticModel(-np.eye(2))
+    x = np.ones(2)
+    g = quad.grad(x)
+    with pytest.raises(NotPositiveDefiniteError):
+        quasi_newton._exact_quadratic_step(quad, x, g, g, quad.value(x), 0.5)
+
+
+def test_floored_armijo_needs_a_descent_direction():
+    quad = models.QuadraticModel(np.eye(2))
+    x = np.ones(2)
+    g = quad.grad(x)
+    with pytest.raises(ParameterError):
+        quasi_newton._floored_armijo(quad, x, g, g, quad.value(x), 0.5)
+
+
+def test_floored_armijo_gives_up_after_80_halvings():
+    # f0 = -1 lies below every value of f(x) = x^2 / 2, so no trial is accepted
+    quad = models.QuadraticModel(np.eye(1))
+    x = np.ones(1)
+    result = quasi_newton._floored_armijo(quad, x, -x, quad.grad(x), -1.0, 0.25)
+    assert result == (0.5 * 2.0**-80, None, 80)
 
 
 class _StaleGradient:
