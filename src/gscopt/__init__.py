@@ -19,8 +19,7 @@ from .kernel import (GscParams, combine_sum, conjugate_params, d_nu,
                      descent_estimate, kappa_bounds, omega, omega_bar,
                      omega_bar_bar, phase2_threshold, r_nu, reparam, step_size,
                      transform_affine)
-from .linops import (NewtonSystem, largest_eigenvalue, local_norm,
-                     newton_direction, smallest_eigenvalue)
+from .linops import NewtonSystem, largest_eigenvalue, local_norm, newton_direction
 from .models import (DwdModel, GlmModel, PortfolioModel, QuadraticModel,
                      dwd_as_glm, glm_gsc_params)
 from .newton import (IterRecord, SolveOptions, SolveResult, existence_check,

@@ -1,4 +1,4 @@
-"""Linear-algebra services: Newton-system solves, local norms, extreme eigenvalues.
+"""Linear-algebra services: Newton-system solves, local norms, the largest eigenvalue.
 
 Every entry passes H through _operator, the one place that decides its kind,
 and then uses only h @ v, h.shape and _factor(h).  A structured H has @,
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
 
@@ -316,45 +316,6 @@ def _form_norm(v, hv) -> float:
     if q < -1e-12 * float(v @ v):
         raise NotPositiveDefiniteError(f"negative quadratic form {q:.3e}")
     return math.sqrt(max(0.0, q))
-
-
-class EigenEstimate(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
-
-
-def smallest_eigenvalue(h, tol: float = 1e-6, max_iter: int = 500, dim: int | None = None) -> EigenEstimate:
-    """lambda_min of a symmetric PSD H of any kind (_operator).
-
-    Dense or structured H: inverse power iteration on its factorization
-    (_factor) from _start_vector, until successive estimates agree to tol
-    relative or n eps |first estimate|.  Operator: Lanczos (scipy eigsh) from
-    the same start vector.  Non-convergence returns the last, converged=False.
-    """
-    h = _operator(h, dim)
-    if isinstance(h, LinearOperator):
-        try:
-            vals = eigsh(h, k=1, which="SA", maxiter=max_iter, tol=tol,
-                         v0=_start_vector(h.shape[0]), return_eigenvectors=False)
-            return EigenEstimate(float(vals[0]), True, max_iter)
-        except ArpackNoConvergence as exc:
-            est = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else math.nan
-            return EigenEstimate(est, False, max_iter)
-
-    solve = _factor(h)
-    v = _start_vector(h.shape[0])
-    v /= np.linalg.norm(v)
-    lam = float(v @ (h @ v))
-    floor = h.shape[0] * EPS * abs(lam)
-    for it in range(max_iter):
-        w = solve(v)
-        w /= np.linalg.norm(w)
-        lam_new = float(w @ (h @ w))
-        if abs(lam_new - lam) <= max(tol * abs(lam_new), floor):
-            return EigenEstimate(lam_new, True, it + 1)
-        v, lam = w, lam_new
-    return EigenEstimate(lam, False, max_iter)
 
 
 def largest_eigenvalue(h, dim: int | None = None, tol: float = 1e-3, max_iter: int = 1000) -> float:

@@ -17,7 +17,8 @@ Oracles at one point share one margin evaluation: GLM and portfolio models
 share one base (_MarginModel) and one record of the last x (_PointRecord),
 with its margins z = A x + b (or W x) and what is derived from z, which
 every oracle at a bitwise-equal x reads.  resolve_params maps a model's
-certificate through a solver's nu_choice.
+certificate through a solver's nu_choice, and _sigma_min_bound gives the
+certified sigma_min bound the strict full-step entry reads.
 """
 
 from __future__ import annotations
@@ -324,6 +325,12 @@ def resolve_params(model, nu_choice: str) -> GscParams:
     if not isinstance(model, GlmModel):
         raise ParameterError(f"{nu_choice} needs a GLM model or a nu={nu} model")
     return glm_gsc_params(model, nu)
+
+
+def _sigma_min_bound(model) -> float:
+    """A certified lower bound on sigma_min of the model's Hessian at every x: min(q_diag)
+    for a GlmModel, whose H = A' D A + diag(q_diag) with D >= 0, and 0 for any other."""
+    return model.lambda_min_q() if isinstance(model, GlmModel) else 0.0
 
 
 class QuadraticModel:

@@ -3,11 +3,12 @@
 The damped phase uses the closed-form step size from the (M, nu) certificate,
 which guarantees a computable decrease without any line search.  Phase 2
 switches to full steps, either heuristically (analytic step at least
-PHASE2_TAU_THRESHOLD) or by checking the theorem entry radius with a
-smallest-eigenvalue estimate.  A floor-augmented Armijo line search
-(sufficient-decrease constant ARMIJO_C1) is available as an alternative step
-rule.  The model's p_dense alone picks the Newton system's form: the dense
-Hessian (Cholesky) up to p_dense columns, an hvp operator (CG) beyond.
+PHASE2_TAU_THRESHOLD) or inside the theorem's entry radius, computed once
+per solve from the model's certified sigma_min bound.  A floor-augmented
+Armijo line search (sufficient-decrease constant ARMIJO_C1) is available as
+an alternative step rule.  The model's p_dense alone picks the Newton
+system's form: the dense Hessian (Cholesky) up to p_dense columns, an hvp
+operator (CG) beyond.
 _damped_newton is the one loop of minimize, minimize_composite and
 quasi_newton.minimize_qn, each giving it a direction, a stop test and a step
 rule.  minimize's oracle order: value; per step grad, hessian | hvp...,
@@ -27,7 +28,7 @@ import numpy as np
 from . import kernel, linops
 from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError, ParameterError
 from .kernel import GscParams
-from .models import resolve_params
+from .models import _sigma_min_bound, resolve_params
 
 MAX_HALVINGS = 60
 #: Armijo sufficient-decrease constant of newton's and quasi_newton's line searches
@@ -155,26 +156,28 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
                    step, objective, solver: str) -> SolveResult:
     """The damped/full-step loop behind minimize, minimize_composite and minimize_qn.
 
-    direction(k, x, grad) -> (n, lam, H): the step at iterate k, its
-    decrement, and the Hessian (_hessian) the strict-theorem phase-2 entry
-    reads.  stop(lam, grad_norm) ends the loop.  Outside the full-step phase
-    step(x, n, grad, f, tau_analytic) -> (tau, f(x + tau n) or None, value
-    calls); the domain guard halves a step whose value it did not evaluate.
-    objective is what the trace records (f, or f + g); solver picks the
-    phase-2 constants ("newton" | "prox_newton"); a non-finite x raises
-    DomainError.  A ConvergenceError (SubproblemError included) or
-    NotPositiveDefiniteError from direction ends the solve at that iterate
-    with status "inner_failure": its record has NaN lam, beta and d_k, and
-    extra["error"] holds the error.  Oracle order: objective at the start;
-    per iterate grad and direction's calls; per step taken step's calls,
-    feasible... and objective unless step evaluated it.
+    direction(k, x, grad) -> (n, lam): the step at iterate k and its
+    decrement.  stop(lam, grad_norm) ends the loop.  Outside the full-step
+    phase step(x, n, grad, f, tau_analytic) -> (tau, f(x + tau n) or None,
+    value calls); the domain guard halves a step whose value it did not
+    evaluate.  objective is what the trace records (f, or f + g); solver picks
+    the phase-2 constants ("newton" | "prox_newton").  The strict-theorem
+    radius is taken once, at the model's certified sigma_min bound
+    (_sigma_min_bound): for nu < 3 and M > 0 a bound of 0 is a radius of 0,
+    never entered.  A non-finite x raises DomainError.  A ConvergenceError
+    (SubproblemError included) or NotPositiveDefiniteError from direction
+    ends the solve at that iterate with status "inner_failure": its record
+    has NaN lam, beta and d_k, and extra["error"] holds the error.  Oracle
+    order: objective at the start; per iterate grad and direction's calls; per
+    step taken step's calls, feasible... and objective unless step evaluated
+    it.
     """
     if not np.isfinite(x).all():
         raise DomainError("the start point has non-finite entries")
     nu, m = params.nu, params.m
-    threshold = None
+    radius = 0.0
     if opts.phase2 == "strict_theorem":
-        threshold = kernel.phase2_threshold(nu, solver)
+        radius = kernel.phase2_threshold(nu, solver).entry_lambda_max(m, _sigma_min_bound(model))
 
     t0 = time.perf_counter()
     trace: list[IterRecord] = []
@@ -188,7 +191,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
         g = model.grad(x)
         gnorm = float(np.linalg.norm(g))
         try:
-            n, lam, h = direction(k, x, g)
+            n, lam = direction(k, x, g)
         except (ConvergenceError, NotPositiveDefiniteError) as exc:
             cum = (time.perf_counter() - t0) if opts.record_time else 0.0
             trace.append(IterRecord(k, f_x, gnorm, math.nan, math.nan, math.nan, 1.0,
@@ -209,15 +212,9 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
             break
 
         # phase-2 entry
-        if not in_full_phase and opts.phase2 == "strict_theorem":
-            sigma = None
-            if nu < 3.0:
-                est = linops.smallest_eigenvalue(h)
-                sigma = est.value if est.converged else None
-            in_full_phase = lam < threshold.entry_lambda_max(m, sigma)
-        if not in_full_phase and opts.phase2 == "heuristic_tau" \
-                and opts.step_rule != "full" and tau_an >= PHASE2_TAU_THRESHOLD:
-            in_full_phase = True
+        in_full_phase = in_full_phase or lam < radius or (
+            opts.phase2 == "heuristic_tau" and opts.step_rule != "full"
+            and tau_an >= PHASE2_TAU_THRESHOLD)
 
         tau, f_new, evals = (1.0, None, 0) if in_full_phase else step(x, n, g, f_x, tau_an)
         nfval += evals
@@ -264,7 +261,7 @@ def minimize(model, x0, opts: SolveOptions | None = None) -> SolveResult:
         warm = d.n
         if k == 0:
             lam_stop = opts.eps * max(1.0, d.lam)
-        return d.n, d.lam, h
+        return d.n, d.lam
 
     result = _damped_newton(model, x, opts, params, direction, lambda lam, _: lam <= lam_stop,
                             partial(_newton_step, model, opts.step_rule), model.value, "newton")
@@ -285,8 +282,10 @@ def existence_check(model, x) -> ExistenceCheck:
     """Diagnostic for the solution-existence condition.
 
     lhs is the local dual gradient norm lambda(x), rhs the radius
-    2 sigma_min(x)^((3-nu)/2) / ((4-nu) M): inf when M = 0, 0 when the estimate
-    of sigma_min is not positive (a singular H).  Never gates the solver.
+    2 sigma^((3-nu)/2) / ((4-nu) M) at the model's certified lower bound sigma
+    on sigma_min (_sigma_min_bound, reported as sigma_min), so satisfied is a
+    proof: inf when M = 0, 0 when sigma is 0 (a ridge-less GLM or a model
+    with no bound).  Never gates the solver.
     """
     x = _start(model, x)
     nu, m = model.params.nu, model.params.m
@@ -299,6 +298,6 @@ def existence_check(model, x) -> ExistenceCheck:
         return ExistenceCheck(True, lam, math.inf)
     if nu == 3.0:
         return ExistenceCheck(lam < 2.0 / m, lam, 2.0 / m)
-    sigma = linops.smallest_eigenvalue(h).value
-    rhs = 2.0 * sigma ** ((3.0 - nu) / 2.0) / ((4.0 - nu) * m) if sigma > 0.0 else 0.0
+    sigma = _sigma_min_bound(model)
+    rhs = 2.0 * sigma ** ((3.0 - nu) / 2.0) / ((4.0 - nu) * m)
     return ExistenceCheck(lam < rhs, lam, rhs, sigma)

@@ -64,7 +64,7 @@ def minimize_composite(problem: CompositeProblem, opts: SolveOptions | None = No
         h = _hessian(model, x)
         l_h = linops.largest_eigenvalue(h)
         z, lam = _subproblem(h, grad, x, gspec, 0.0, l_h, z)
-        return z - x, lam, h
+        return z - x, lam
 
     result = _damped_newton(model, problem.x0.copy(), opts, params, direction,
                             lambda lam, _: lam <= opts.eps,

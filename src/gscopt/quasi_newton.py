@@ -148,7 +148,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
             state.b.flat[::p + 1] = 1.0
             d = -(state.b @ g)
             lam_hat = math.sqrt(max(0.0, -float(g @ d)))
-        return d, lam_hat, None
+        return d, lam_hat
 
     step = _exact_quadratic_step if opts.step_rule == "exact" else _floored_armijo
     result = _damped_newton(model, x, replace(opts, phase2="off"), params, direction, stop,

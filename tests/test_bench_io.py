@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,14 +237,14 @@ def test_csv_schema_and_roundtrip(tmp_path):
     trace = _demo_trace()
     path = str(tmp_path / "t.csv")
     write_trace(trace, path, "csv")
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text.splitlines()[0] == "iter,phase,f,grad_norm,lambda,beta,d_k,tau,cum_time_s"
     back = read_trace(path, "csv")
     assert back == trace  # every IterRecord field; floats bit-exact
     # byte-identical rewrite
     path2 = str(tmp_path / "t2.csv")
     write_trace(back, path2, "csv")
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
     # a file without its header row reads the same
     path3 = tmp_path / "t3.csv"
     path3.write_text(text.split("\n", 1)[1])
@@ -262,7 +263,7 @@ def test_json_roundtrip_bit_exact(tmp_path):
 def test_empty_trace(tmp_path):
     path = str(tmp_path / "empty.csv")
     write_trace([], path, "csv")
-    assert open(path).read() == "iter,phase,f,grad_norm,lambda,beta,d_k,tau,cum_time_s\n"
+    assert Path(path).read_text() == "iter,phase,f,grad_norm,lambda,beta,d_k,tau,cum_time_s\n"
     assert read_trace(path, "csv") == []
 
 
@@ -271,7 +272,7 @@ def test_three_records_four_lines(tmp_path):
              for k in range(3)]
     path = str(tmp_path / "three.csv")
     write_trace(trace, path, "csv")
-    assert len(open(path).read().splitlines()) == 4
+    assert len(Path(path).read_text().splitlines()) == 4
 
 
 def test_write_error_carries_path():

@@ -57,10 +57,10 @@ def test_inner_failure_prints_the_error_and_exits_2(tmp_path, capsys, monkeypatc
 def test_fit_logistic_deterministic_traces(tmp_path):
     args = ["fit-logistic", "--synthetic", "n=200,p=15", "--nu", "2", "--seed", "3",
             "--deterministic"]
-    p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    assert main(args + ["--out", p1]) == 0
-    assert main(args + ["--out", p2]) == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(p1)]) == 0
+    assert main(args + ["--out", str(p2)]) == 0
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_fit_logistic_from_file(tmp_path):

@@ -106,37 +106,6 @@ def test_local_norm():
         linops.local_norm(np.diag([1.0, -1.0]), np.array([0.0, 1.0]))
 
 
-def test_smallest_eigenvalue():
-    assert linops.smallest_eigenvalue(np.diag([4.0, 1.0])).value == pytest.approx(1.0, rel=1e-6)
-    assert linops.smallest_eigenvalue(np.eye(7)).value == pytest.approx(1.0, rel=1e-9)
-    rng = np.random.default_rng(4)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    h = q @ np.diag([9.0, 4.0, 1e-3]) @ q.T
-    est = linops.smallest_eigenvalue(h, tol=1e-8)
-    assert est.converged
-    assert est.value == pytest.approx(1e-3, rel=1e-4)
-    # operator path (Lanczos)
-    est_op = linops.smallest_eigenvalue(lambda v: h @ v, tol=1e-8, dim=3)
-    assert est_op.value == pytest.approx(1e-3, rel=1e-3)
-
-
-def test_smallest_eigenvalue_of_a_scalar():
-    # inverse iteration on a 1 x 1 H returns its entry after one step
-    est = linops.smallest_eigenvalue(np.array([[3.0]]))
-    assert est.value == 3.0 and est.converged and est.iterations == 1
-
-
-def test_smallest_eigenvalue_of_a_singular_hessian_stops_at_rounding():
-    # the estimate of a rank-2 H settles at the rounding level, where a relative test
-    # never holds: it stops once successive estimates agree to n eps |first estimate|
-    rng = np.random.default_rng(17)
-    base = rng.normal(size=(5, 2))
-    hmat = base @ base.T
-    est = linops.smallest_eigenvalue(hmat)
-    assert est.converged and est.iterations < 10
-    assert abs(est.value) <= 1e-12 * np.linalg.eigvalsh(hmat)[-1]
-
-
 def test_largest_eigenvalue():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
@@ -148,18 +117,6 @@ def test_largest_eigenvalue():
     h = np.array([[2.0, -1.0], [-1.0, 2.0]])
     assert linops.largest_eigenvalue(h) == pytest.approx(3.0, rel=1e-3)
     assert linops.largest_eigenvalue(lambda v: h @ v, dim=2) == pytest.approx(3.0, rel=1e-3)
-
-
-def test_smallest_eigenvalue_off_all_ones():
-    # the smallest eigenvector [1, -1] is orthogonal to the all-ones vector
-    h = np.array([[2.0, 1.0], [1.0, 2.0]])
-    # the same matrix as a SlackHessian: B = [[1]], d = [1], q_block = q_slack = [1]
-    structured = SlackHessian(np.ones((1, 1)), np.ones(1), np.ones(1), np.ones(1))
-    assert np.array_equal(np.asarray(structured), h)
-    for op in (h, structured):
-        est = linops.smallest_eigenvalue(op, tol=1e-10)
-        assert est.converged
-        assert est.value == pytest.approx(1.0, rel=1e-6)
 
 
 def test_largest_eigenvalue_one_product_per_iteration():
@@ -214,8 +171,6 @@ def test_slack_hessian_not_positive_definite():
         newton_direction(NewtonSystem(h, g))
     with pytest.raises(NotPositiveDefiniteError):
         newton_direction(NewtonSystem(h, g), method="cholesky")
-    with pytest.raises(NotPositiveDefiniteError):
-        linops.smallest_eigenvalue(h)
     # a nonpositive slack diagonal d + q_slack
     bad = SlackHessian(np.ones((2, 1)), np.array([1.0, 0.0]), np.ones(1), np.zeros(2))
     with pytest.raises(NotPositiveDefiniteError):
@@ -335,7 +290,6 @@ def test_linear_operator_needs_no_dim():
     op = scipy.sparse.linalg.LinearOperator((12, 12), matvec=matvec, dtype=float)
     v, g, x = rng.normal(size=(3, 12))
     assert linops.largest_eigenvalue(op) == linops.largest_eigenvalue(matvec, dim=12)
-    assert linops.smallest_eigenvalue(op) == linops.smallest_eigenvalue(matvec, dim=12)
     assert linops.local_norm(op, v) == linops.local_norm(matvec, v)
     assert np.array_equal(newton_direction(NewtonSystem(op, g)).n,
                           newton_direction(NewtonSystem(matvec, g)).n)
@@ -345,8 +299,6 @@ def test_linear_operator_needs_no_dim():
     # a bare callable has no order of its own, and an operator no factorization
     with pytest.raises(ParameterError, match="operator input needs dim"):
         linops.largest_eigenvalue(matvec)
-    with pytest.raises(ParameterError, match="operator input needs dim"):
-        linops.smallest_eigenvalue(matvec)
     with pytest.raises(ParameterError, match="cholesky method needs a dense Hessian"):
         newton_direction(NewtonSystem(op, g), method="cholesky")
 
@@ -379,10 +331,6 @@ def test_structured_hessian_is_solved_by_its_own_solver():
         n = newton_direction(NewtonSystem(h, g), method=method).n
         assert np.linalg.norm(hmat @ n + g) <= 1e-10 * np.linalg.norm(g)
     assert h.solvers == 2
-    est = linops.smallest_eigenvalue(h, tol=1e-10)
-    assert h.solvers == 3
-    assert est.converged
-    assert est.value == pytest.approx(np.linalg.eigvalsh(hmat)[0], rel=1e-6)
 
 
 def _free_masks(dim, m, seed):

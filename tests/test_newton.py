@@ -17,9 +17,9 @@ from gscopt.prox_newton import CompositeProblem, minimize_composite
 from gscopt.quasi_newton import minimize_qn
 
 
-def reg_logistic(n=2000, p=100, seed=42, gamma=1e-5):
+def reg_logistic(n=2000, p=100, seed=42, gamma=1e-5, **kw):
     a, labels = bench_io.gen_logistic(n, p, seed=seed)
-    return models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=gamma)
+    return models.GlmModel(a * labels[:, None], atoms.logistic(), q_diag=gamma, **kw)
 
 
 def box_barrier(p=4, seed=0, scale=0.05):
@@ -237,6 +237,26 @@ def test_strict_theorem_phase2():
                                 eps=1e-9, record_time=False))
     assert res.status == "converged"
     assert any(r.phase == "full" for r in res.trace)
+
+
+def test_strict_entry_is_certified_and_alike_on_every_path():
+    # the strict radius is taken once, at the certified bound min(q_diag) = 1e-5 on
+    # sigma_min: the dense and CG (p_dense = 0) solves enter the full-step phase at the
+    # same iterate, the first inside that radius, which is inside the exact sigma_min's too
+    opts = SolveOptions(nu_choice="force_2", phase2="strict_theorem", eps=1e-9,
+                        record_time=False)
+    model = reg_logistic(n=300, p=20)
+    dense = minimize(model, np.zeros(20), opts)
+    cg = minimize(reg_logistic(n=300, p=20, p_dense=0), np.zeros(20), opts)
+    assert [r.phase for r in dense.trace] == [r.phase for r in cg.trace]
+    m = resolve_params(model, "force_2").m
+    threshold = kernel.phase2_threshold(2.0)
+    first = next(r for r in dense.trace if r.phase == "full")
+    radius = threshold.entry_lambda_max(m, 1e-5)
+    assert first.k == next(r.k for r in dense.trace if r.lam < radius)
+    x_k = minimize(model, np.zeros(20), dataclasses.replace(opts, max_iter=first.k)).x
+    sigma_min = np.linalg.eigvalsh(model.hessian(x_k))[0]
+    assert 1e-5 <= sigma_min and first.lam < threshold.entry_lambda_max(m, sigma_min)
 
 
 def test_dwd_above_p_dense_solves_in_bounded_memory():
@@ -493,3 +513,5 @@ def test_existence_logistic():
     chk = existence_check(model, res.x)
     assert chk.satisfied
     assert chk.lhs < chk.rhs
+    # the radius is taken at the certified bound min(q_diag), so satisfied is a proof
+    assert chk.sigma_min == model.q_diag.min() <= np.linalg.eigvalsh(model.hessian(res.x))[0]

@@ -240,10 +240,10 @@ def _bound_multipliers(spec, h, grad, x, z):
 
 @pytest.mark.parametrize("p", [1, 2, 6, 40])
 @pytest.mark.parametrize("spec", ACTIVE_SET_SPECS, ids=lambda s: f"{s.kind}[{s.lo},{s.hi}]")
-def test_active_set_matches_fista(p, spec):
-    # (named for the solver the operator path once took) the active set's dense
-    # (Cholesky) back-end against its operator (CG) back-end, each point checked against
-    # the KKT conditions: feasible, bound multipliers nonnegative, stationary when free
+def test_active_set_back_ends_agree(p, spec):
+    # the active set's dense (Cholesky) back-end against its operator (CG) back-end,
+    # each point checked against the KKT conditions: feasible, bound multipliers
+    # nonnegative, stationary when free
     rng = np.random.default_rng(p)
     for trial in range(6):
         h = _pd(rng, p)
