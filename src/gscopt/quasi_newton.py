@@ -4,10 +4,15 @@ The inverse Hessian approximation B is the one working array: the Hessian
 approximation H = B^-1 is formed only on demand.  Updates are skipped (never
 damped) when the curvature pairing <y, s> fails its guard, since for GSC
 objectives the pairing is positive in exact arithmetic and a failure
-indicates numerics.  Each update is O(p^2): one matrix-vector product B y and
-one BLAS rank-two pass (dgemm with inner dimension 2) over B in place, with
-no p x p temporary.  minimize_qn owns one B for the whole solve and reports
-each iterate to an optional callback(k, x, state).
+indicates numerics.  Inside the loop B lives in the lower triangle of its
+C-contiguous array (the upper triangle of the Fortran view BLAS sees), and
+the loop's three B operations read or write that triangle only: the
+symmetric BLAS products B y and -B g (dsymv) and the rank-two update (dsyr2)
+in place, O(p^2) with no p x p temporary.  The upper triangle goes stale and
+is mirrored from the lower one, in place, wherever B leaves the loop: before
+each callback, into extra["state"], and in the functional bfgs_update.
+minimize_qn owns one B for the whole solve and reports each iterate to an
+optional callback(k, x, state).
 
 minimize_qn runs on newton._damped_newton with phase2 "off", a gradient-norm
 stop test and the direction -B grad of surrogate decrement lambda_hat =
@@ -51,13 +56,26 @@ class BfgsState:
         return cls(b=b)
 
 
+def _symv(b, v, alpha=1.0):
+    """alpha B v, read from the lower triangle of b alone (dsymv on the Fortran view)."""
+    return blas.dsymv(alpha, b.T, v)
+
+
+def _mirror(b):
+    """Copy the lower triangle of b onto its upper one, in place, a row at a time."""
+    for i in range(b.shape[0] - 1):
+        b[i, i + 1:] = b[i + 1:, i]
+
+
 def _bfgs_update_inplace(b, s, y) -> bool:
-    """Apply the BFGS update to the inverse approximation b in place; False if skipped.
+    """Apply the BFGS update to the lower triangle of b in place; False if skipped.
 
     With rho = 1/<y,s>, B' = B + s u' + u s' where u = (c/2) s - rho B y and
     c = rho^2 <y, B y> + rho (Nocedal & Wright, eq. 6.17), which equals
     V B V' + rho s s' with V = I - rho s y'.  Nothing changes when
     <y, s> <= guard ||y|| ||s||.  b must be a C-contiguous float64 array.
+    Only its lower triangle is read and written; the upper one is left as it
+    was, for _mirror to restore.
     """
     if not (b.flags.c_contiguous and b.dtype == np.float64):
         raise ParameterError("BFGS state array must be C-contiguous float64")
@@ -65,26 +83,27 @@ def _bfgs_update_inplace(b, s, y) -> bool:
     if ys <= CURVATURE_GUARD * np.linalg.norm(y) * np.linalg.norm(s):
         return False
     rho = 1.0 / ys
-    by = b @ y
+    by = _symv(b, y)
     c = rho * rho * float(y @ by) + rho
-    w = np.array([s, 0.5 * c * s - rho * by, s])
-    # b.T is the Fortran view BLAS updates in place: b.T += [s u] [u s]'
-    blas.dgemm(1.0, w[:2].T, w[1:].T, beta=1.0, c=b.T, trans_b=1, overwrite_c=1)
+    # b.T is the Fortran view BLAS updates in place: its upper triangle += s u' + u s'
+    blas.dsyr2(1.0, s, 0.5 * c * s - rho * by, a=b.T, overwrite_a=1)
     return True
 
 
 def bfgs_update(state: BfgsState, s, y) -> BfgsState:
     """Functional BFGS update: a new state, the input state left untouched.
 
-    Copies B and applies _bfgs_update_inplace to the copy.  When the
-    curvature guard fails the state is returned unchanged except for the
-    skip counter.
+    Copies B, applies _bfgs_update_inplace to the copy and mirrors its lower
+    triangle, so the new state.b is the full symmetric matrix.  state.b must
+    be symmetric: only its lower triangle is read.  When the curvature guard
+    fails the state is returned unchanged except for the skip counter.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     b = np.array(state.b, dtype=float, order="C")
     if not _bfgs_update_inplace(b, s, y):
         return replace(state, n_skipped=state.n_skipped + 1)
+    _mirror(b)
     return replace(state, b=b)
 
 
@@ -109,11 +128,14 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     (exact on quadratics), halved by the domain guard until feasible.
     Terminates on ||grad f|| <= eps max(1, ||grad f(x0)||).
 
+    The loop keeps B in the lower triangle of its working array and mirrors
+    it onto the upper one, in place, before each callback and at the end.
     callback(k, x, state) is called once per iterate, before its step.
-    state.b is the solver's working array, live: it is updated in place
-    after the call returns, so a consumer that keeps it must copy it.
-    state.h is a fresh B^-1, formed at O(p^3) on each access.
-    extra["state"] holds the final state.
+    state.b is the solver's working array, live and symmetric: it is updated
+    in place after the call returns, so a consumer that keeps it must copy
+    it.  A callback that writes into state.b must write a symmetric matrix,
+    since the loop reads only the lower triangle.  state.h is a fresh B^-1,
+    formed at O(p^3) on each access.  extra["state"] holds the final state.
     """
     opts = opts or SolveOptions()
     params = resolve_params(model, opts.nu_choice)
@@ -138,15 +160,16 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
             state = replace(state, n_skipped=state.n_skipped + 1)
         prev = x, g
         if callback is not None:
+            _mirror(state.b)
             callback(k, x, state)
-        d = -(state.b @ g)
+        d = _symv(state.b, g, -1.0)
         lam_hat = math.sqrt(max(0.0, -float(g @ d)))
         if lam_hat == 0.0 and not stop(lam_hat, float(np.linalg.norm(g))) \
                 and k < opts.max_iter:
             # B lost positive definiteness numerically: restart from the identity
             state.b[:] = 0.0
             state.b.flat[::p + 1] = 1.0
-            d = -(state.b @ g)
+            d = -g
             lam_hat = math.sqrt(max(0.0, -float(g @ d)))
         return d, lam_hat
 
@@ -156,6 +179,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
     if result.status == "converged":
         result.trace[-1].phase = "full"
     result.grad_criterion_met = result.status == "converged"
+    _mirror(state.b)
     result.extra.update(state=state, skipped_updates=state.n_skipped)
     return result
 

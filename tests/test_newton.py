@@ -357,6 +357,40 @@ def test_existence_check_on_a_singular_hessian(shape):
     assert abs(chk.sigma_min) <= 1e-12
 
 
+def unbounded_ridgeless_logistic(**kw):
+    """A 10 x 30 ridge-less logistic GLM with c = 0.1 v, v in the null space of A.
+
+    f falls without bound along v, and the gradient's v-part lies in H's null space.
+    """
+    a, labels = bench_io.gen_logistic(10, 30, seed=2)
+    a = a * labels[:, None]
+    v = np.linalg.svd(a)[2][-1]
+    return models.GlmModel(a, atoms.logistic(), c=0.1 * v, **kw), v
+
+
+def test_dense_step_along_the_null_space_is_the_gradient_over_the_shift():
+    model, v = unbounded_ridgeless_logistic()
+    x0 = np.zeros(model.dim)
+    g, h = model.grad(x0), model.hessian(x0)
+    shift = model.dim * linops.EPS * h.diagonal().max()
+    n = linops.newton_direction(linops.NewtonSystem(h, g)).n
+    assert float(n @ v) == pytest.approx(-float(g @ v) / shift, rel=3e-3)
+
+    res = minimize(model, x0, SolveOptions(max_iter=50, record_time=False))
+    fs = [r.f for r in res.trace]
+    assert res.status == "max_iter" and res.iterations == 50
+    assert np.isfinite(res.x).all()
+    assert all(b < a for a, b in zip(fs, fs[1:]))
+    assert fs[-1] == pytest.approx(-170.7, rel=1e-2)
+
+
+def test_cg_refuses_the_unbounded_ridgeless_model_at_the_start():
+    model, _ = unbounded_ridgeless_logistic(p_dense=0)
+    res = minimize(model, np.zeros(model.dim), SolveOptions(max_iter=50, record_time=False))
+    assert res.status == "inner_failure" and res.iterations == 0
+    assert res.extra["error"].startswith("NotPositiveDefiniteError")
+
+
 def test_nu_choice_resolution_errors():
     barrier = box_barrier(p=3)
     with pytest.raises(ParameterError):

@@ -95,6 +95,45 @@ def test_update_leaves_input_state_unchanged():
     new = bfgs_update(st, s, h @ s + 0.1 * s)
     assert new.h is not st.h and new.b is not st.b
     assert np.array_equal(st.h, h_before) and np.array_equal(st.b, b_before)
+    assert np.array_equal(new.b, new.b.T)
+
+
+def test_stale_upper_triangle_is_never_read():
+    # the loop keeps B in the lower triangle of its working array: NaN above
+    # the diagonal must reach neither the update nor the direction -B g
+    p = 20
+    rng = np.random.default_rng(9)
+    b = BfgsState.identity(p, 2.0).b
+    ref = b.copy()
+    for _ in range(10):
+        b[np.triu_indices(p, 1)] = np.nan
+        base = rng.normal(size=(p, p)) / np.sqrt(p)
+        s = rng.normal(size=p)
+        y = (base @ base.T + 0.5 * np.eye(p)) @ s
+        ref = reference_update(np.linalg.inv(ref), ref, s, y)[1]
+        assert quasi_newton._bfgs_update_inplace(b, s, y)
+        assert np.linalg.norm(np.tril(b) - np.tril(ref)) <= 1e-12 * np.linalg.norm(np.tril(ref))
+        g = rng.normal(size=p)
+        d = quasi_newton._symv(b, g, -1.0)
+        assert np.isfinite(d).all()
+        assert np.linalg.norm(d + ref @ g) <= 1e-12 * np.linalg.norm(ref @ g)
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["identity", "h0"])
+def test_every_public_view_of_b_is_symmetric(seeded):
+    # the h0 seed's inverse by cho_solve(L, I) is symmetric only to rounding
+    model = logistic_toy()
+    x0 = np.zeros(model.dim)
+    h0 = model.hessian(x0) if seeded else None
+    opts = SolveOptions(eps=1e-9, record_time=False)
+    symmetric = []
+    res = minimize_qn(model, x0, opts, h0=h0,
+                      callback=lambda k, x, st: symmetric.append(np.array_equal(st.b, st.b.T)))
+    assert res.status == "converged"
+    assert len(symmetric) == len(res.trace) and all(symmetric)
+    # with no callback the final state is mirrored once, on its way out
+    b = minimize_qn(model, x0, opts, h0=h0).extra["state"].b
+    assert np.array_equal(b, b.T)
 
 
 def traced_peak_of_solve(p):
