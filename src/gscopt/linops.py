@@ -3,9 +3,11 @@
 Every entry passes H through _operator, the one place that decides its kind,
 and then uses only h @ v, h.shape and _factor(h).  A structured H has @,
 shape and solver(free=None), like the slack-column GLM Hessian below; an
-operator is a scipy LinearOperator (a bare hvp callable becomes one);
-anything else is a dense array.  _factor(h, free) returns rhs -> H_FF^-1 rhs
-on the free coordinates free (all of them when None): a structured H's own
+operator is gscopt's own matrix-free type, _Operator, which holds shape and
+a matvec that @ calls bare, built from a callable plus dim or from any
+object with matvec and shape (a scipy LinearOperator among them); anything
+else is a dense array.  _factor(h, free) returns rhs -> H_FF^-1 rhs on the
+free coordinates free (all of them when None): a structured H's own
 solver(free), CG (_cg, the one CG loop) on an operator's block, or one
 Cholesky factorization (_psd_cholesky) of the dense H or block, shifted, not
 refused, when singular to rounding.  It is the only place a Hessian or a
@@ -24,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
 
@@ -155,17 +156,37 @@ class SlackHessian:
         return solve
 
 
+class _Operator:
+    """A matrix-free H of order dim: shape and @, one bare call to matvec."""
+
+    __slots__ = ("matvec", "shape")
+
+    def __init__(self, matvec: Callable[[np.ndarray], np.ndarray], dim: int):
+        self.matvec = matvec
+        self.shape = (dim, dim)
+
+    def __matmul__(self, v):
+        return self.matvec(v)
+
+
 def _operator(h, dim: int | None = None):
-    """h as one of the module's three kinds: structured and LinearOperator input as it is
-    (a LinearOperator is callable too), a bare matvec callable wrapped in a (dim, dim)
-    LinearOperator whose float dtype spares scipy's probe product (ParameterError
-    without dim), anything else as a float array."""
-    if hasattr(h, "solver") or isinstance(h, LinearOperator):
+    """h as one of the module's three kinds: a structured H and an _Operator as they are,
+    any object with matvec and shape (a scipy LinearOperator among them) as an _Operator
+    over its matvec, a bare matvec callable as a (dim, dim) _Operator (ParameterError
+    without dim), a scipy sparse matrix refused (ParameterError), anything else as a
+    float array."""
+    if hasattr(h, "solver") or isinstance(h, _Operator):
         return h
+    if hasattr(h, "matvec") and hasattr(h, "shape"):
+        return _Operator(h.matvec, h.shape[0])
     if callable(h):
         if dim is None:
             raise ParameterError("operator input needs dim")
-        return LinearOperator((dim, dim), matvec=h, dtype=float)
+        return _Operator(h, dim)
+    if sp.issparse(h):
+        raise ParameterError(
+            "H must be a dense array, a structured H with solver(), an object with matvec "
+            "and shape, or a matvec callable; a scipy sparse matrix is none of them")
     return np.asarray(h, dtype=float)
 
 
@@ -177,7 +198,7 @@ def _factor(h, free=None) -> Callable[[np.ndarray], np.ndarray]:
     (_psd_cholesky); NotPositiveDefiniteError when it is not positive semidefinite."""
     if hasattr(h, "solver"):
         return h.solver(free)
-    if isinstance(h, LinearOperator):
+    if isinstance(h, _Operator):
         return _cg_block(h, free)
     cho = _psd_cholesky(h if free is None else h.take(free, 0).take(free, 1))
     return lambda rhs: cho_solve(cho, rhs)
@@ -228,13 +249,13 @@ def _cg_block(h, free=None) -> Callable[[np.ndarray], np.ndarray]:
     NotPositiveDefiniteError."""
     dim = h.shape[0]
     if free is None or free.size == dim:
-        block = h.__matmul__
+        block = h.matvec
     else:
         full = np.zeros(dim)
 
         def block(v):
             full[free] = v
-            return (h @ full)[free]
+            return h.matvec(full)[free]
     shift = 0.0
 
     def solve(rhs):
@@ -287,10 +308,10 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
         raise ParameterError("gradient contains non-finite entries")
     h = _operator(sys.h, g.size)
     if method == "auto":
-        method = "cg" if isinstance(h, LinearOperator) else "cholesky"
+        method = "cg" if isinstance(h, _Operator) else "cholesky"
 
     if method == "cholesky":
-        if isinstance(h, LinearOperator):
+        if isinstance(h, _Operator):
             raise ParameterError("cholesky method needs a dense Hessian")
         n = _factor(h)(-g)
         return NewtonDirection(n, math.sqrt(max(0.0, -float(g @ n))), 1)

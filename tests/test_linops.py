@@ -1,6 +1,11 @@
 """Newton-system solves, local norms, and eigenvalue estimates."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -278,16 +283,20 @@ def test_slack_hessian_rejects_negative_slack_curvatures(sparse):
             h.solver()
 
 
-def test_linear_operator_needs_no_dim():
-    # a LinearOperator knows its order: every entry takes it as it is, with the
-    # results of the bare callable given dim
+@pytest.mark.parametrize("make", [
+    lambda matvec: scipy.sparse.linalg.LinearOperator((12, 12), matvec=matvec, dtype=float),
+    lambda matvec: types.SimpleNamespace(shape=(12, 12), matvec=matvec),
+], ids=["LinearOperator", "shape-and-matvec"])
+def test_linear_operator_needs_no_dim(make):
+    # an object with matvec and shape knows its order: every entry takes it as it
+    # is, with the results of the bare callable given dim
     rng = np.random.default_rng(11)
     hmat = _spd(rng, 12)
 
     def matvec(v):
         return hmat @ v
 
-    op = scipy.sparse.linalg.LinearOperator((12, 12), matvec=matvec, dtype=float)
+    op = make(matvec)
     v, g, x = rng.normal(size=(3, 12))
     assert linops.largest_eigenvalue(op) == linops.largest_eigenvalue(matvec, dim=12)
     assert linops.local_norm(op, v) == linops.local_norm(matvec, v)
@@ -301,6 +310,39 @@ def test_linear_operator_needs_no_dim():
         linops.largest_eigenvalue(matvec)
     with pytest.raises(ParameterError, match="cholesky method needs a dense Hessian"):
         newton_direction(NewtonSystem(op, g), method="cholesky")
+
+
+def test_sparse_hessian_is_refused_by_name():
+    # a scipy sparse H is none of the accepted kinds: every entry says so
+    h = sp.csr_array(_spd(np.random.default_rng(3), 6))
+    v = np.ones(6)
+    entries = [lambda: newton_direction(NewtonSystem(h, v)),
+               lambda: linops.local_norm(h, v),
+               lambda: linops.largest_eigenvalue(h),
+               lambda: scaled_prox_subproblem(h, v, v, ProxSpec("zero"))]
+    for entry in entries:
+        with pytest.raises(ParameterError, match="scipy sparse matrix"):
+            entry()
+
+
+def test_matrix_free_solve_leaves_scipy_sparse_linalg_unimported():
+    # the operator is gscopt's own type: a fresh interpreter that solves through hvp
+    # and CG (p_dense = 0) never loads scipy.sparse.linalg and its resident memory
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import gscopt",
+        "a, labels = gscopt.gen_logistic(300, 20, seed=42)",
+        "model = gscopt.GlmModel(a * labels[:, None], gscopt.logistic(), q_diag=1e-5, p_dense=0)",
+        "assert not model.has_dense_hessian",
+        "assert gscopt.minimize(model, np.zeros(model.dim)).status == 'converged'",
+        "print('scipy.sparse.linalg' in sys.modules)",
+    ])
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class CountingStructured:
