@@ -117,17 +117,20 @@ class SlackHessian:
         with e = d q_slack / (d + q_slack) on free slack rows and e = d on
         fixed ones, written in that form because B' D B - B' D^2 / (d + q_slack) B
         cancels.  For a dense B only S's lower triangle is formed, by one
-        dsyrk on (sqrt(e) B_F)', which is Fortran-ordered and so not copied;
-        a sparse B goes through weighted_gram.  S factors like a dense H
-        (_psd_cholesky), and a block with no block column is its diagonal.
-        H is positive definite exactly when d + q_slack > 0 and S is; a
-        negative d or q_slack is a ParameterError.
+        dsyrk with trans=1 on sqrt(e) B_F.  A Fortran-ordered B (as
+        models.SlackDesign holds it) makes the scaling run down contiguous
+        columns and the product, and the gather B_F, Fortran-ordered, so dsyrk
+        reads it with no copy; a C-ordered B gives the same triangle bit for
+        bit, after one copy.  A sparse B goes through weighted_gram.  S factors
+        like a dense H (_psd_cholesky), and a block with no block column is
+        its diagonal.  H is positive definite exactly when d + q_slack > 0 and
+        S is; a negative d or q_slack is a ParameterError.
         """
         b, d, q_block = self.block, self.d, self.q_block
-        if np.any(d < 0.0) or np.any(self.q_slack < 0.0):
+        if (d < 0.0).any() or (self.q_slack < 0.0).any():
             raise ParameterError("slack curvatures d and q_slack must be nonnegative")
         s_diag = d + self.q_slack
-        if not np.all(s_diag > 0.0):
+        if not (s_diag > 0.0).all():
             raise NotPositiveDefiniteError("slack block of the Hessian is not positive")
         e = d * self.q_slack / s_diag
         b_rows, d_rows, s_rows = b, d, s_diag
@@ -145,14 +148,16 @@ class SlackHessian:
         if sp.issparse(b):
             schur = weighted_gram(b, e, q_block)
         else:
-            schur = dsyrk(1.0, (np.sqrt(e)[:, None] * b).T, lower=1)
+            schur = dsyrk(1.0, np.sqrt(e)[:, None] * b, trans=1, lower=1)
             schur.flat[::m + 1] += q_block
         cho = _psd_cholesky(schur)
 
         def solve(rhs):
             r1, r2 = rhs[:m], rhs[m:]
-            x1 = cho_solve(cho, r1 - b_rows.T @ (d_rows * r2 / s_rows))
-            return np.concatenate([x1, (r2 - d_rows * (b_rows @ x1)) / s_rows])
+            out = np.empty(rhs.size)
+            x1 = out[:m] = cho_solve(cho, r1 - b_rows.T @ (d_rows * r2 / s_rows))
+            np.divide(r2 - d_rows * (b_rows @ x1), s_rows, out=out[m:])
+            return out
         return solve
 
 

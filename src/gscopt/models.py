@@ -150,12 +150,15 @@ class SlackDesign:
 
     Kept in factored form, so products cost O(nnz(B) + n) and a sparse B
     stays sparse; GlmModel.hessian returns a linops.SlackHessian, solved by
-    eliminating the diagonal slack block.  np.asarray gives the dense
-    n x (m + n) matrix.
+    eliminating the diagonal slack block.  A dense B is held Fortran-ordered:
+    the Schur complement of each Newton step scales B down contiguous columns
+    and dsyrk reads the product with trans=1, with no copy.  A Fortran-ordered
+    B is kept as it is and a C-ordered one is copied once, here.  np.asarray
+    gives the dense n x (m + n) matrix.
     """
 
     def __init__(self, block):
-        self.block = block if sp.issparse(block) else np.asarray(block, dtype=float)
+        self.block = block if sp.issparse(block) else np.asfortranarray(block, dtype=float)
         n, m = self.block.shape
         self.shape = (n, m + n)
 
@@ -428,19 +431,27 @@ def dwd_as_glm(model: DwdModel, p_dense=P_DENSE_DEFAULT) -> GlmModel:
     Rows become (a_i', y_i, e_i'), the loss atom is t^(-q)/weighted by 1/n,
     Q = diag(g1 1_p, g2, g3 1_n) and the linear slack cost sits on the xi
     block.  The design is the SlackDesign [B, I_n] with B = [A y], kept
-    factored (a sparse A stays sparse), so each Newton step factors only
-    the (p+1) x (p+1) Schur complement of the slack block: O(n p^2 + p^3)
-    time and O(n p) memory, and p_dense is compared with p + 1.  The
+    factored (a sparse A stays sparse, as CSR; a dense B is filled column by
+    column into the Fortran-ordered array SlackDesign keeps, so it is not
+    copied again), so each Newton step factors only the (p+1) x (p+1) Schur
+    complement of the slack block: O(n p^2 + p^3) time and O(n p) memory,
+    and p_dense is compared with p + 1.  The
     native parameters reproduce the closed-form constant
     M = (q+2)/(q(q+1))^(1/(q+2)) n^(1/(q+2)) max_i ||(a_i', y_i, e_i')||^(q/(q+2)).
     """
     y = np.asarray(model.y, dtype=float).ravel()
     n = y.size
+    if np.ndim(model.a) != 2 or np.shape(model.a)[0] != n:
+        raise ParameterError(f"DWD needs a 2-D A with one row per label, got A of shape "
+                             f"{np.shape(model.a)} and {n} labels")
     g1, g2, g3 = model.gammas
     if sp.issparse(model.a):
         block = sp.hstack([model.a, y[:, None]], format="csr")
     else:
-        block = np.hstack([np.asarray(model.a, dtype=float), y[:, None]])
+        a = np.asarray(model.a, dtype=float)
+        block = np.empty((n, a.shape[1] + 1), order="F")
+        block[:, :-1] = a
+        block[:, -1] = y
     p = block.shape[1] - 1
     q_diag = np.concatenate([np.full(p, g1), [g2], np.full(n, g3)])
     c_ext = np.concatenate([np.zeros(p + 1), np.asarray(model.c, dtype=float).ravel()])

@@ -189,7 +189,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
 
     for k in range(opts.max_iter + 1):
         g = model.grad(x)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(float(g @ g))
         try:
             n, lam = direction(k, x, g)
         except (ConvergenceError, NotPositiveDefiniteError) as exc:
@@ -200,7 +200,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
             extra["error"] = f"{type(exc).__name__}: {exc}"
             break
 
-        beta = m * float(np.linalg.norm(n))
+        beta = m * math.sqrt(float(n @ n))
         tau_an, d_k = kernel.step_size(nu, m, lam, beta)
         cum = (time.perf_counter() - t0) if opts.record_time else 0.0
         head = (k, f_x, gnorm, lam, beta, d_k)
@@ -221,19 +221,22 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
 
         # numerical domain guard: theory keeps analytic steps feasible, but
         # full steps on bounded domains may exit; halve until inside.  A
-        # value evaluated by step already proves the point feasible.
+        # value evaluated by step already proves the point feasible.  Each
+        # trial point is formed once and becomes the next iterate.
+        x_new = x + tau * n
         if f_new is None:
             for _ in range(MAX_HALVINGS):
-                if model.feasible(x + tau * n):
+                if model.feasible(x_new):
                     break
                 tau *= 0.5
+                x_new = x + tau * n
             else:
                 trace.append(IterRecord(*head, tau, "damped", cum))
                 status = "domain_error"
                 break
 
         trace.append(IterRecord(*head, min(tau, 1.0), "full" if tau >= 1.0 else "damped", cum))
-        x = x + tau * n
+        x = x_new
         f_x = objective(x) if f_new is None else f_new
         nfval += f_new is None
 

@@ -19,10 +19,11 @@ from gscopt.linops import NewtonSystem, SlackHessian, newton_direction
 from gscopt.prox import ProxSpec, scaled_prox_subproblem
 
 
-def slack_hessian(n=30, m=4, seed=6, sparse=False, q_block=1e-3):
-    """A random SlackHessian with curvatures d in (0.1, 2) and small diagonal regularizers."""
+def slack_hessian(n=30, m=4, seed=6, sparse=False, q_block=1e-3, order="C"):
+    """A random SlackHessian with curvatures d in (0.1, 2) and small diagonal regularizers;
+    a dense block is laid out in order ("C" or "F")."""
     rng = np.random.default_rng(seed)
-    block = rng.normal(size=(n, m))
+    block = np.asarray(rng.normal(size=(n, m)), order=order)
     if sparse:
         block = sp.csr_matrix(np.where(np.abs(block) > 0.7, block, 0.0))
     return SlackHessian(block, 0.1 + 1.9 * rng.random(n), np.full(m, q_block),
@@ -245,12 +246,15 @@ def _eliminate(h, schur, rhs):
     return np.concatenate([x1, (r2 - d * (b @ x1)) / s_diag])
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_slack_hessian_solve_is_scipy_elimination_bit_for_bit(sparse):
+@pytest.mark.parametrize("sparse,order", [(False, "C"), (False, "F"), (True, "C")],
+                         ids=["C", "F", "sparse"])
+def test_slack_hessian_solve_is_scipy_elimination_bit_for_bit(sparse, order):
     # the elimination written out with scipy's BLAS and Cholesky wrappers and numpy's
-    # diagonal indexing: a dense B's Schur complement is one dsyrk lower triangle
-    h = slack_hessian(sparse=sparse)
+    # diagonal indexing: a dense B's Schur complement is one dsyrk lower triangle, the
+    # same bit for bit whether B is C- or Fortran-ordered
+    h = slack_hessian(sparse=sparse, order=order)
     b = h.block
+    assert sparse or (b.flags.f_contiguous if order == "F" else b.flags.c_contiguous)
     w = h.d * h.q_slack / (h.d + h.q_slack)
     if sparse:
         schur = np.asarray(((b.multiply(w[:, None])).T @ b).todense())
@@ -281,6 +285,16 @@ def test_slack_hessian_rejects_negative_slack_curvatures(sparse):
         setattr(h, field, bad)
         with pytest.raises(ParameterError, match="nonnegative"):
             h.solver()
+        # a NaN is not negative: it fails the positivity of d + q_slack instead
+        bad[3] = math.nan
+        with pytest.raises(NotPositiveDefiniteError, match="not positive"):
+            h.solver()
+    # a negative entry is refused as such even next to a NaN
+    h = slack_hessian(sparse=sparse)
+    h.d = h.d.copy()
+    h.d[[2, 3]] = [math.nan, -1e-6]
+    with pytest.raises(ParameterError, match="nonnegative"):
+        h.solver()
 
 
 @pytest.mark.parametrize("make", [

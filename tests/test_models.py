@@ -152,6 +152,20 @@ def test_glm_gsc_params_native_and_forced():
             models.glm_gsc_params(gm, target)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_dwd_as_glm_refuses_labels_not_matching_the_rows(sparse):
+    # a block is filled, never broadcast: one label per row of A
+    for rows, labels in [(3, 1), (1, 3), (3, 4)]:
+        a = np.ones((rows, 2))
+        dwd = models.DwdModel(a=sp.csr_matrix(a) if sparse else a, y=np.ones(labels),
+                              c=np.zeros(labels), q=1.0, gammas=(1e-5, 1e-5, 1e-7))
+        with pytest.raises(ParameterError, match="one row per label"):
+            models.dwd_as_glm(dwd)
+    with pytest.raises(ParameterError, match="one row per label"):
+        models.dwd_as_glm(models.DwdModel(a=np.ones(3), y=np.ones(3), c=np.zeros(3), q=1.0,
+                                          gammas=(1e-5, 1e-5, 1e-7)))
+
+
 def test_dwd_as_glm_construction():
     a = np.array([[1.0]])
     dwd = models.DwdModel(a=a, y=np.array([1.0]), c=np.array([0.0]), q=1.0,
@@ -252,6 +266,14 @@ def test_dwd_slack_hessian_matches_dense(sparse, q):
     glm = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(40, 0.01), q=q,
                                             gammas=(1e-4, 1e-3, 1e-5)))
     assert isinstance(glm.a, models.SlackDesign) and sp.issparse(glm.a.block) == sparse
+    # a dense block is held Fortran-ordered for the Schur complement's column scaling;
+    # a sparse one stays CSR
+    block = glm.a.block
+    assert block.format == "csr" if sparse else block.flags.f_contiguous
+    if not sparse:
+        c_block = np.ascontiguousarray(block)
+        held = models.SlackDesign(c_block).block
+        assert held.flags.f_contiguous and np.array_equal(held, c_block)
     # the same GLM over the dense extended design [A y I_n]
     dense = models.GlmModel(np.asarray(glm.a), glm.atom, q_diag=glm.q_diag, c=glm.c)
     assert np.asarray(glm.a).shape == glm.a.shape == (40, 47)
