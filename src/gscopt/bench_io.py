@@ -153,8 +153,10 @@ def gaussian_stream(seed: int, count: int) -> np.ndarray:
     Normal 2j is r cos(2 pi u2) and normal 2j+1 is r sin(2 pi u2), with
     r = sqrt(-2 ln u1) from uniforms 2j and 2j+1.  The pairs are made
     _BLOCK at a time and written straight into the output, so memory is the
-    output plus one block of working arrays (under 1 MB).
+    output plus one block of working arrays (under 1 MB).  A seed is in [0, 2^64).
     """
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
     out = np.empty(count)
     pairs = (count + 1) // 2
     bits = np.empty(2 * min(pairs, _BLOCK), dtype=np.uint64)
@@ -202,6 +204,8 @@ def gen_logistic(n: int, p: int, seed: int, normalize: bool = True) -> tuple[np.
     rows are a view of it, normalized in place a block of rows at a time, so
     memory is the output plus one gaussian_stream block.
     """
+    if n < 1 or p < 1:
+        raise ParameterError("gen_logistic needs n, p >= 1")
     z = gaussian_stream(seed, n * p + p + n)
     a = z[: n * p].reshape(n, p)
     if normalize:

@@ -1,18 +1,18 @@
 """Linear-algebra services: Newton-system solves, local norms, the largest eigenvalue.
 
 Every entry passes H through _operator, the one place that decides its kind,
-and then uses only h @ v, h.shape and _factor(h).  A structured H has @,
-shape and solver(free=None), like the slack-column GLM Hessian below; an
-operator is gscopt's own matrix-free type, _Operator, which holds shape and
-a matvec that @ calls bare, built from a callable plus dim or from any
-object with matvec and shape (a scipy LinearOperator among them); anything
-else is a dense array.  _factor(h, free) returns rhs -> H_FF^-1 rhs on the
-free coordinates free (all of them when None): a structured H's own
-solver(free), CG (_cg, the one CG loop) on an operator's block, or one
-Cholesky factorization (_psd_cholesky) of the dense H or block, shifted, not
-refused, when singular to rounding.  It is the only place a Hessian or a
-free block is solved (prox's active set calls it too), and every dense
-factorization, here, in quasi_newton and in acceptance, is one LAPACK
+and then uses only h @ v, h.shape and _factor(h).  A structured H has @, shape
+and its own solver(free=None), and this module reads nothing of its structure;
+an operator is gscopt's own matrix-free type, _Operator, which holds shape and
+a matvec that @ calls bare, built from a callable plus dim or from any object
+with matvec and shape (a scipy LinearOperator among them); anything else is a
+dense array.  _factor(h, free) returns rhs -> H_FF^-1 rhs on the free
+coordinates free (all of them when None): a structured H's own solver(free),
+CG (_cg, the one CG loop) on an operator's block, or one Cholesky
+factorization (_psd_cholesky) of the dense H or block, shifted, not refused,
+when singular to rounding.  It is the only place a Hessian or a free block is
+solved (prox's active set calls it too), and every dense factorization, here,
+in a structured H's solver, in quasi_newton and in acceptance, is one LAPACK
 potrf/potrs pair in the lower triangle: cholesky and cho_solve.
 """
 
@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
@@ -65,100 +64,6 @@ def _psd_cholesky(a) -> np.ndarray:
     except NotPositiveDefiniteError:
         pass
     return cholesky(a + shift * np.eye(a.shape[0]))
-
-
-def weighted_gram(a, w, q_diag) -> np.ndarray:
-    """A' diag(w) A + diag(q_diag) as a dense array, for a dense or sparse A."""
-    if sp.issparse(a):
-        h = (a.multiply(w[:, None])).T @ a
-        h = np.asarray(h.todense())
-    else:
-        h = a.T @ (w[:, None] * a)
-    h.flat[::h.shape[0] + 1] += q_diag
-    return h
-
-
-class SlackHessian:
-    """H = [[B' D B + diag(q_block), B' D], [D B, diag(d + q_slack)]] with D = diag(d).
-
-    The Hessian of a GLM over the design [B, I_n] with weighted curvatures
-    d = w phi''(z) and the diagonal regularizer diag(q_block, q_slack).
-    B (n x m) may be dense or sparse.  The solvers use only @ and solver();
-    the dense H that np.asarray forms is for tests.
-    """
-
-    def __init__(self, block, d, q_block, q_slack):
-        self.block = block
-        self.d = d
-        self.q_block = q_block
-        self.q_slack = q_slack
-        self.m = block.shape[1]
-        self.shape = (self.m + d.size,) * 2
-
-    def __matmul__(self, v):
-        v1, v2 = v[:self.m], v[self.m:]
-        t = self.d * (self.block @ v1 + v2)
-        return np.concatenate([self.block.T @ t + self.q_block * v1, t + self.q_slack * v2])
-
-    def __array__(self, dtype=None, copy=None):
-        b = self.block.toarray() if sp.issparse(self.block) else self.block
-        out = np.diag(np.concatenate([self.q_block, self.d + self.q_slack]))
-        out[:self.m, :self.m] = weighted_gram(b, self.d, self.q_block)
-        out[:self.m, self.m:] = b.T * self.d
-        out[self.m:, :self.m] = out[:self.m, self.m:].T
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-    def solver(self, free=None) -> Callable[[np.ndarray], np.ndarray]:
-        """rhs -> H_FF^-1 rhs on the ascending coordinates free (all when None) by
-        eliminating the free slack rows.
-
-        One Cholesky factorization of the Schur complement
-        S = B_F' diag(e) B_F + diag(q_block,F) over the free block columns F,
-        with e = d q_slack / (d + q_slack) on free slack rows and e = d on
-        fixed ones, written in that form because B' D B - B' D^2 / (d + q_slack) B
-        cancels.  For a dense B only S's lower triangle is formed, by one
-        dsyrk with trans=1 on sqrt(e) B_F.  A Fortran-ordered B (as
-        models.SlackDesign holds it) makes the scaling run down contiguous
-        columns and the product, and the gather B_F, Fortran-ordered, so dsyrk
-        reads it with no copy; a C-ordered B gives the same triangle bit for
-        bit, after one copy.  A sparse B goes through weighted_gram.  S factors
-        like a dense H (_psd_cholesky), and a block with no block column is
-        its diagonal.  H is positive definite exactly when d + q_slack > 0 and
-        S is; a negative d or q_slack is a ParameterError.
-        """
-        b, d, q_block = self.block, self.d, self.q_block
-        if (d < 0.0).any() or (self.q_slack < 0.0).any():
-            raise ParameterError("slack curvatures d and q_slack must be nonnegative")
-        s_diag = d + self.q_slack
-        if not (s_diag > 0.0).all():
-            raise NotPositiveDefiniteError("slack block of the Hessian is not positive")
-        e = d * self.q_slack / s_diag
-        b_rows, d_rows, s_rows = b, d, s_diag
-        if free is not None:
-            k = int(np.searchsorted(free, self.m))
-            rows = free[k:] - self.m
-            fixed = np.ones(d.size, dtype=bool)
-            fixed[rows] = False
-            e[fixed] = d[fixed]
-            b, q_block = b[:, free[:k]], q_block[free[:k]]
-            b_rows, d_rows, s_rows = b[rows], d[rows], s_diag[rows]
-        m = q_block.size
-        if m == 0:
-            return lambda rhs: rhs / s_rows
-        if sp.issparse(b):
-            schur = weighted_gram(b, e, q_block)
-        else:
-            schur = dsyrk(1.0, np.sqrt(e)[:, None] * b, trans=1, lower=1)
-            schur.flat[::m + 1] += q_block
-        cho = _psd_cholesky(schur)
-
-        def solve(rhs):
-            r1, r2 = rhs[:m], rhs[m:]
-            out = np.empty(rhs.size)
-            x1 = out[:m] = cho_solve(cho, r1 - b_rows.T @ (d_rows * r2 / s_rows))
-            np.divide(r2 - d_rows * (b_rows @ x1), s_rows, out=out[m:])
-            return out
-        return solve
 
 
 class _Operator:
@@ -303,10 +208,8 @@ def newton_direction(sys: NewtonSystem, method: str = "auto", tol: float = 1e-10
     """Solve H n = -g and return (n, lambda) with lambda = sqrt(max(0, -g' n)).
 
     method "cholesky" needs a dense or structured H (_factor; ParameterError
-    for an operator); the slack-column GLM Hessian's solver() takes
-    O(n m^2 + m^3) time and O(n m) memory.  "cg" (_cg) works with any H and
-    stops at ||H n + g|| <= tol ||g||; "auto" picks Cholesky unless H is an
-    operator.
+    for an operator).  "cg" (_cg) works with any H and stops at
+    ||H n + g|| <= tol ||g||; "auto" picks Cholesky unless H is an operator.
     """
     g = np.asarray(sys.g, dtype=float)
     if not np.all(np.isfinite(g)):

@@ -9,9 +9,9 @@ All models expose the same oracle surface:
 
 which the solvers call directly.  The Hessian is formed only when the
 matrix a Newton solve factors has at most p_dense (default 2000) rows: all
-of it for a dense or sparse design, B's columns for a SlackDesign
-[B, I_n], whose Hessian is a linops.SlackHessian.  Larger problems are
-served through hvp (conjugate-gradient path).
+of it for a dense or sparse design, B's columns for a SlackDesign [B, I_n],
+whose Hessian is a SlackHessian over it, with its own solver.  Larger
+problems are served through hvp (conjugate-gradient path).
 
 Oracles at one point share one margin evaluation: GLM and portfolio models
 share one base (_MarginModel) and one record of the last x (_PointRecord),
@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyrk
 
 from . import kernel, linops
 from .atoms import LossAtom, inside, neg_power
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NotPositiveDefiniteError, ParameterError
 from .kernel import GscParams
 
 P_DENSE_DEFAULT = 2000
@@ -111,11 +112,15 @@ class _MarginModel:
 
 
 def _vector(v, size: int, name: str, default: float) -> np.ndarray:
-    """v (None gives the default, a scalar repeats) as a float vector of length size."""
-    v = np.asarray(default if v is None else v, dtype=float)
+    """v (None gives the default, a scalar repeats) as a finite float vector of length size."""
+    if v is None:
+        return np.full(size, float(default))
+    v = np.asarray(v, dtype=float)
     v = np.full(size, float(v)) if v.ndim == 0 else v.copy()
     if v.shape != (size,):
         raise ParameterError(f"{name} must be a scalar or a vector of length {size}")
+    if not np.isfinite(v).all():
+        raise ParameterError(f"{name} must be finite")
     return v
 
 
@@ -149,7 +154,7 @@ class SlackDesign:
     """The design [B, I_n] of a GLM whose last n variables are one slack per row.
 
     Kept in factored form, so products cost O(nnz(B) + n) and a sparse B
-    stays sparse; GlmModel.hessian returns a linops.SlackHessian, solved by
+    stays sparse; GlmModel.hessian returns a SlackHessian over it, solved by
     eliminating the diagonal slack block.  A dense B is held Fortran-ordered:
     the Schur complement of each Newton step scales B down contiguous columns
     and dsyrk reads the product with trans=1, with no copy.  A Fortran-ordered
@@ -186,6 +191,87 @@ class _SlackDesignT:
         return np.concatenate([self.block.T @ u, u])
 
 
+def weighted_gram(a, w, q_diag) -> np.ndarray:
+    """A' diag(w) A + diag(q_diag) as a dense array, for a dense or sparse A."""
+    if sp.issparse(a):
+        h = (a.multiply(w[:, None])).T @ a
+        h = np.asarray(h.todense())
+    else:
+        h = a.T @ (w[:, None] * a)
+    h.flat[::h.shape[0] + 1] += q_diag
+    return h
+
+
+class SlackHessian:
+    """H = A' diag(d) A + diag(q) of a GLM over a SlackDesign A = [B, I_n] (B n x m)
+    with curvatures d = w phi''(z) and q = (q_block (m), q_slack (n)).  The
+    solvers use only @ and solver(); the dense H of np.asarray is for tests."""
+
+    def __init__(self, design: SlackDesign, d, q):
+        self.design = design
+        self.d = d
+        self.q = q
+        self.m = design.block.shape[1]
+        self.shape = (design.shape[1],) * 2
+
+    def __matmul__(self, v):
+        return self.design.T @ (self.d * (self.design @ v)) + self.q * v
+
+    def __array__(self, dtype=None, copy=None):
+        out = weighted_gram(np.asarray(self.design), self.d, self.q)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def solver(self, free=None):
+        """rhs -> H_FF^-1 rhs on the ascending coordinates free (all when None or when
+        free covers H) by eliminating the free slack rows.
+
+        One Cholesky factorization of the Schur complement
+        S = B_F' diag(e) B_F + diag(q_block,F) over the free block columns F,
+        with e = d q_slack / (d + q_slack) on free slack rows and e = d on
+        fixed ones, written in that form because B' D B - B' D^2 / (d + q_slack) B
+        cancels.  For a dense B only S's lower triangle is formed, by one dsyrk
+        with trans=1 on sqrt(e) B_F (Fortran-ordered, as the design holds B); a
+        sparse B goes through weighted_gram.  S factors like a dense H
+        (linops._psd_cholesky), and a block with no block column is its
+        diagonal.  H is positive definite exactly when d + q_slack > 0 and S
+        is; a negative d or q_slack is a ParameterError.
+        """
+        b, d, m = self.design.block, self.d, self.m
+        q_block, q_slack = self.q[:m], self.q[m:]
+        if (d < 0.0).any() or (q_slack < 0.0).any():
+            raise ParameterError("slack curvatures d and q_slack must be nonnegative")
+        s_diag = d + q_slack
+        if not (s_diag > 0.0).all():
+            raise NotPositiveDefiniteError("slack block of the Hessian is not positive")
+        e = d * q_slack / s_diag
+        b_rows, d_rows, s_rows = b, d, s_diag
+        if free is not None and free.size < self.shape[0]:
+            k = int(np.searchsorted(free, m))
+            rows = free[k:] - m
+            fixed = np.ones(d.size, dtype=bool)
+            fixed[rows] = False
+            e[fixed] = d[fixed]
+            b, q_block = b[:, free[:k]], q_block[free[:k]]
+            b_rows, d_rows, s_rows = b[rows], d[rows], s_diag[rows]
+        m = q_block.size
+        if m == 0:
+            return lambda rhs: rhs / s_rows
+        if sp.issparse(b):
+            schur = weighted_gram(b, e, q_block)
+        else:
+            schur = dsyrk(1.0, np.sqrt(e)[:, None] * b, trans=1, lower=1)
+            schur.flat[::m + 1] += q_block
+        cho = linops._psd_cholesky(schur)
+
+        def solve(rhs):
+            r1, r2 = rhs[:m], rhs[m:]
+            out = np.empty(rhs.size)
+            x1 = out[:m] = linops.cho_solve(cho, r1 - b_rows.T @ (d_rows * r2 / s_rows))
+            np.divide(r2 - d_rows * (b_rows @ x1), s_rows, out=out[m:])
+            return out
+        return solve
+
+
 class GlmModel(_MarginModel):
     """f(x) = sum_i w_i phi(a_i' x + b_i) + (1/2) x' Q x + c' x with diagonal Q."""
 
@@ -195,6 +281,8 @@ class GlmModel(_MarginModel):
             a = np.asarray(a, dtype=float)
         self.a = a
         self.n, self.dim = self.a.shape
+        if self.n == 0 or self.dim == 0:
+            raise ParameterError(f"GLM design needs a row and a column, got shape {a.shape}")
         #: order of the matrix a Newton solve factors (B's columns for a SlackDesign)
         self.factor_dim = a.block.shape[1] if isinstance(a, SlackDesign) else self.dim
         self.atom = atom
@@ -236,9 +324,8 @@ class GlmModel(_MarginModel):
             )
         d = self._d2w(x)
         if isinstance(self.a, SlackDesign):
-            m = self.factor_dim
-            return linops.SlackHessian(self.a.block, d, self.q_diag[:m], self.q_diag[m:])
-        return linops.weighted_gram(self.a, d, self.q_diag)
+            return SlackHessian(self.a, d, self.q_diag)
+        return weighted_gram(self.a, d, self.q_diag)
 
     def hvp(self, x, v):
         d = self._d2w(x)
@@ -399,7 +486,7 @@ class PortfolioModel(_MarginModel):
         return -(self.w_mat.T @ self._inv(self._at(x)))
 
     def hessian(self, x):
-        return linops.weighted_gram(self.w_mat, self._inv2(self._at(x)), 0.0)
+        return weighted_gram(self.w_mat, self._inv2(self._at(x)), 0.0)
 
     def hvp(self, x, v):
         return self.w_mat.T @ (self._inv2(self._at(x)) * (self.w_mat @ v))
@@ -419,8 +506,10 @@ class DwdModel:
     gammas: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.q <= 0.0:
-            raise ParameterError("DWD requires q > 0")
+        if not 0.0 < self.q < math.inf:
+            raise ParameterError(f"DWD requires a finite q > 0, got {self.q}")
+        if not np.isfinite(np.asarray(self.c, dtype=float)).all():
+            raise ParameterError("DWD slack cost c must be finite")
         if len(self.gammas) != 3 or not all(0.0 < g < math.inf for g in self.gammas):
             raise ParameterError(f"DWD requires three positive regularizers, got {self.gammas}")
 

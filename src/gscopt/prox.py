@@ -2,19 +2,20 @@
 
 prox_apply evaluates argmin_z g(z) + (1/(2 step)) ||z - u||^2 in closed form
 for the supported regularizers.  scaled_prox_subproblem minimizes the local
-quadratic model Q(z) + g(z) of a composite objective, which is the inner
-solve of the proximal Newton method.  One primal active-set method solves it
-for every g and every kind of H: a simplex or box over its bounds, l1 over
-the orthants (each coordinate's orthant is its box), and g = zero with no
-bound.  It solves on the free block once per step through linops._factor,
-which alone decides how (Cholesky for a dense H, a SlackHessian's Schur
-complement, CG for an operator; a block singular to rounding is shifted), so
-prox factors nothing itself, never densifies H and never asks what kind of H
-it holds.  It can start from a caller's feasible point, which the proximal
-Newton loop sets to the previous subproblem's solution, so a working set that
-barely changes between outer iterations costs few factorizations.  It ends
-at the exact minimizer, which one rule, _acceptance against the rounding
-floor of the active set's own stopping test, checks.
+quadratic model Q(z) + g(z) of a composite objective, which is the inner solve
+of the proximal Newton method.  One primal active-set method solves it for
+every g and every kind of H: a simplex or box over its bounds, l1 over the
+orthants (each coordinate's orthant is its box), and g = zero with no bound.
+It solves on the free block once per step through linops._factor, which alone
+decides how (Cholesky for a dense H, a structured H's own solver, such as the
+Schur complement of models.SlackHessian, CG for an operator; a block singular
+to rounding is shifted), so prox factors nothing itself, never densifies H and
+never asks what kind of H it holds.  It can start from a caller's feasible
+point, which the proximal Newton loop sets to the previous subproblem's
+solution, so a working set that barely changes between outer iterations costs
+few factorizations.  It ends at the exact minimizer, which one rule,
+_acceptance against the rounding floor of the active set's own stopping test,
+checks.
 """
 
 from __future__ import annotations

@@ -107,6 +107,25 @@ def test_gen_portfolio_validation():
         gen_portfolio(0, 5, seed=1)
 
 
+@pytest.mark.parametrize("n, p", [(0, 5), (5, 0), (-1, 3)])
+def test_gen_logistic_validation(n, p):
+    with pytest.raises(ParameterError, match="gen_logistic needs n, p >= 1"):
+        gen_logistic(n, p, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seeds_outside_the_stream_are_refused(seed):
+    # the stream's state is seed mod 2^64: a seed it cannot hold is refused, by every
+    # generator, rather than raising numpy's OverflowError
+    for make in (lambda: gaussian_stream(seed, 4), lambda: gen_portfolio(3, 2, seed=seed),
+                 lambda: gen_logistic(3, 2, seed=seed)):
+        with pytest.raises(ParameterError, match=r"^seed must be in \[0, 2\*\*64\)"):
+            make()
+    # the ends of the range are seeds
+    assert np.array_equal(gaussian_stream(2**64 - 1, 5), _one_shot_gaussians(2**64 - 1, 5))
+    assert np.array_equal(gaussian_stream(0, 5), _one_shot_gaussians(0, 5))
+
+
 def test_gen_logistic_normalized():
     a, labels = gen_logistic(40, 7, seed=5)
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)

@@ -174,6 +174,32 @@ def test_malformed_specs_are_usage_errors(capsys, args, message):
     assert err.startswith("error: ") and err.rstrip("\n").endswith(message)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["portfolio", "--synthetic", "n=50,p=10", "--seed", "-1"], "seed must be in [0, 2**64)"),
+    (["fit-logistic", "--synthetic", "n=0,p=5"], "gen_logistic needs n, p >= 1"),
+    (["fit-logistic", "--synthetic", "n=50,p=5", "--gamma", "inf"], "q_diag must be finite"),
+    (["fit-dwd", "--synthetic", "n=50,p=5", "--slack-cost", "nan"], "c must be finite"),
+], ids=["negative-seed", "no-rows", "inf-gamma", "nan-slack-cost"])
+@pytest.mark.filterwarnings("error")
+def test_refused_inputs_print_one_error_line(capsys, args, message):
+    # refused when the data or the model is built, before any solve: one error line,
+    # no traceback and no numpy warning
+    assert main(args) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and message in out.err
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
+def test_empty_data_file_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    for command in ("fit-logistic", "fit-dwd"):
+        with pytest.warns(UserWarning, match="no data rows"):
+            assert main([command, "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: GLM design needs a row and a column, got shape (0, ")
+
+
 @pytest.mark.parametrize("args", [
     ["fit-logistic", "--synthetic", "n=50,p=5", "--max-iter", "-1"],
     ["fit-logistic", "--synthetic", "n=50,p=5", "--solver", "bfgs", "--eps", "nan"],

@@ -15,19 +15,21 @@ import scipy.sparse.linalg
 
 from gscopt import linops, prox
 from gscopt.errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
-from gscopt.linops import NewtonSystem, SlackHessian, newton_direction
+from gscopt.linops import NewtonSystem, newton_direction
+from gscopt.models import SlackDesign, SlackHessian
 from gscopt.prox import ProxSpec, scaled_prox_subproblem
 
 
 def slack_hessian(n=30, m=4, seed=6, sparse=False, q_block=1e-3, order="C"):
-    """A random SlackHessian with curvatures d in (0.1, 2) and small diagonal regularizers;
-    a dense block is laid out in order ("C" or "F")."""
+    """A random SlackHessian over a SlackDesign with curvatures d in (0.1, 2) and small
+    diagonal regularizers q = (q_block, 1e-4); a dense block is drawn in order ("C" or
+    "F") and held Fortran-ordered by the design."""
     rng = np.random.default_rng(seed)
     block = np.asarray(rng.normal(size=(n, m)), order=order)
     if sparse:
         block = sp.csr_matrix(np.where(np.abs(block) > 0.7, block, 0.0))
-    return SlackHessian(block, 0.1 + 1.9 * rng.random(n), np.full(m, q_block),
-                        np.full(n, 1e-4))
+    return SlackHessian(SlackDesign(block), 0.1 + 1.9 * rng.random(n),
+                        np.concatenate([np.full(m, q_block), np.full(n, 1e-4)]))
 
 
 def test_hand_solves():
@@ -178,7 +180,8 @@ def test_slack_hessian_not_positive_definite():
     with pytest.raises(NotPositiveDefiniteError):
         newton_direction(NewtonSystem(h, g), method="cholesky")
     # a nonpositive slack diagonal d + q_slack
-    bad = SlackHessian(np.ones((2, 1)), np.array([1.0, 0.0]), np.ones(1), np.zeros(2))
+    bad = SlackHessian(SlackDesign(np.ones((2, 1))), np.array([1.0, 0.0]),
+                       np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NotPositiveDefiniteError):
         newton_direction(NewtonSystem(bad, np.ones(3)))
 
@@ -238,8 +241,8 @@ def test_cholesky_rejects_nonfinite(bad):
 
 def _eliminate(h, schur, rhs):
     """H^-1 rhs by eliminating H's slack block around the Schur complement schur."""
-    b, d, m = h.block, h.d, h.m
-    s_diag = d + h.q_slack
+    b, d, m = h.design.block, h.d, h.m
+    s_diag = d + h.q[m:]
     cho = scipy.linalg.cho_factor(schur, lower=True)
     r1, r2 = rhs[:m], rhs[m:]
     x1 = scipy.linalg.cho_solve(cho, r1 - b.T @ (d * r2 / s_diag))
@@ -250,17 +253,22 @@ def _eliminate(h, schur, rhs):
                          ids=["C", "F", "sparse"])
 def test_slack_hessian_solve_is_scipy_elimination_bit_for_bit(sparse, order):
     # the elimination written out with scipy's BLAS and Cholesky wrappers and numpy's
-    # diagonal indexing: a dense B's Schur complement is one dsyrk lower triangle, the
-    # same bit for bit whether B is C- or Fortran-ordered
+    # diagonal indexing: a dense B's Schur complement is one dsyrk lower triangle.  The
+    # design holds B Fortran-ordered: an F-ordered B as it is, a C-ordered one copied
     h = slack_hessian(sparse=sparse, order=order)
-    b = h.block
-    assert sparse or (b.flags.f_contiguous if order == "F" else b.flags.c_contiguous)
-    w = h.d * h.q_slack / (h.d + h.q_slack)
+    b = h.design.block
+    if not sparse:
+        drawn = np.asarray(b, order=order)
+        held = SlackDesign(drawn).block
+        assert b.flags.f_contiguous and held.flags.f_contiguous
+        assert (held is drawn) == (order == "F") and np.array_equal(held, drawn)
+    q_block, q_slack = h.q[:h.m], h.q[h.m:]
+    w = h.d * q_slack / (h.d + q_slack)
     if sparse:
         schur = np.asarray(((b.multiply(w[:, None])).T @ b).todense())
     else:
         schur = scipy.linalg.blas.dsyrk(1.0, (np.sqrt(w)[:, None] * b).T, lower=1)
-    schur[np.diag_indices_from(schur)] += h.q_block
+    schur[np.diag_indices_from(schur)] += q_block
     rhs = np.random.default_rng(8).normal(size=h.shape[0])
     assert np.array_equal(h.solver()(rhs), _eliminate(h, schur, rhs))
 
@@ -269,24 +277,25 @@ def test_slack_hessian_solve_is_scipy_elimination_bit_for_bit(sparse, order):
 def test_slack_hessian_schur_matches_the_full_gram_form(m):
     # the dsyrk triangle agrees with the full gemm B' (e B) + diag(q_block) to rounding
     h = slack_hessian(n=500, m=m, seed=m)
-    b = h.block
-    e = h.d * h.q_slack / (h.d + h.q_slack)
+    b, q_slack = h.design.block, h.q[h.m:]
+    e = h.d * q_slack / (h.d + q_slack)
     rhs = np.random.default_rng(9).normal(size=h.shape[0])
-    expected = _eliminate(h, b.T @ (e[:, None] * b) + np.diag(h.q_block), rhs)
+    expected = _eliminate(h, b.T @ (e[:, None] * b) + np.diag(h.q[:h.m]), rhs)
     assert np.abs(h.solver()(rhs) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_slack_hessian_rejects_negative_slack_curvatures(sparse):
-    for field in ("d", "q_slack"):
+    for field in ("d", "q"):
         h = slack_hessian(sparse=sparse)
         bad = getattr(h, field).copy()
-        bad[3] = -1e-6
+        row = 3 if field == "d" else h.m + 3   # q's entry on slack row 3: q_slack[3]
+        bad[row] = -1e-6
         setattr(h, field, bad)
         with pytest.raises(ParameterError, match="nonnegative"):
             h.solver()
         # a NaN is not negative: it fails the positivity of d + q_slack instead
-        bad[3] = math.nan
+        bad[row] = math.nan
         with pytest.raises(NotPositiveDefiniteError, match="not positive"):
             h.solver()
     # a negative entry is refused as such even next to a NaN
@@ -456,8 +465,8 @@ def test_rounding_singular_schur_block_is_shifted():
     # complement is [[1, 1], [1, 1 + eps]].  It factors, but its last pivot^2 = eps is
     # the rounding of a singular block: it is factored again shifted by n eps max diag,
     # as the dense free block is
-    h = SlackHessian(np.ones((1, 2)), np.ones(1), np.array([0.0, np.finfo(float).eps]),
-                     np.ones(1))
+    h = SlackHessian(SlackDesign(np.ones((1, 2))), np.ones(1),
+                     np.array([0.0, np.finfo(float).eps, 1.0]))
     linops.cholesky(np.asarray(h)[:2, :2])
     free, rhs = np.array([0, 1]), np.array([1.0, -1.0])
     for solve in (h.solver(free), linops._factor(np.asarray(h), free)):

@@ -53,6 +53,39 @@ def test_glm_rejects_misshaped_vectors(field, size):
                                               q=1.0, gammas=(1e-5, 1e-5, 1e-7)))
 
 
+@pytest.mark.parametrize("field,size", [("b", 3), ("weights", 3), ("q_diag", 2), ("c", 2)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_glm_rejects_nonfinite_vectors(field, size, bad):
+    # NaN passes the weights' and q_diag's sign tests, so finiteness is its own check
+    a = np.ones((3, 2))
+    for v in (bad, np.where(np.arange(size) == 1, bad, 1.0)):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite$"):
+            models.GlmModel(a, atoms.logistic(), **{field: v})
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "slack"])
+def test_glm_rejects_an_empty_design(shape, kind):
+    # no rows leaves the default weights 1/n undefined; no columns leaves no variable
+    a = np.ones(shape)
+    a = {"dense": a, "sparse": sp.csr_matrix(a), "slack": models.SlackDesign(a)}[kind]
+    if kind == "slack" and shape[0] > 0:
+        # a slack per row: the design has columns even when its block has none
+        assert models.GlmModel(a, atoms.neg_power(1.0)).dim == shape[0]
+        return
+    with pytest.raises(ParameterError, match=rf"got shape \({a.shape[0]}, {a.shape[1]}\)$"):
+        models.GlmModel(a, atoms.logistic())
+
+
+@pytest.mark.parametrize("field,value", [("q", math.nan), ("q", math.inf), ("q", 0.0),
+                                         ("c", math.nan), ("c", math.inf)])
+def test_dwd_rejects_a_nonfinite_power_or_slack_cost(field, value):
+    kw = dict(a=np.eye(2), y=np.ones(2), c=np.zeros(2), q=1.0, gammas=(1e-5, 1e-5, 1e-7))
+    kw[field] = value if field == "q" else np.array([0.0, value])
+    with pytest.raises(ParameterError, match="finite q > 0" if field == "q" else "c must be finite"):
+        models.DwdModel(**kw)
+
+
 @pytest.mark.parametrize("make", [
     lambda: unit_row_logistic(),
     lambda: models.PortfolioModel(bench_io.gen_portfolio(30, 6, seed=3)),
@@ -289,7 +322,7 @@ def test_dwd_slack_hessian_matches_dense(sparse, q):
         assert glm.value(x) == pytest.approx(dense.value(x), rel=1e-14)
         assert np.allclose(g, dense.grad(x), rtol=1e-13, atol=1e-16)
         h = glm.hessian(x)
-        assert isinstance(h, linops.SlackHessian)
+        assert isinstance(h, models.SlackHessian)
         hmat = np.asarray(h)
         scale = np.abs(hmat).max()
         assert np.abs(hmat - dense.hessian(x)).max() <= 1e-14 * scale
@@ -301,6 +334,25 @@ def test_dwd_slack_hessian_matches_dense(sparse, q):
         assert lam == pytest.approx(ref.lam, rel=1e-12)
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_dwd_hessian_free_set_covering_it_is_the_whole_solve(sparse):
+    # a free set that covers H is the whole H: solver(all) is solver() bit for bit,
+    # also on the Fortran-ordered block the design holds, where a gathered B_F would
+    # not give solver()'s rounding
+    a, labels = bench_io.gen_logistic(30, 3, seed=6)
+    if sparse:
+        a = sp.csr_matrix(np.where(np.abs(a) > 0.3, a, 0.0))
+    glm = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(30, 0.01), q=1.0,
+                                            gammas=(1e-4, 1e-4, 1e-5)))
+    rng = np.random.default_rng(6)
+    x = np.concatenate([0.05 * rng.normal(size=4), 1.0 + rng.random(30)])
+    h = glm.hessian(x)
+    for _ in range(5):
+        rhs = rng.normal(size=glm.dim)
+        assert np.array_equal(h.solver(np.arange(glm.dim))(rhs), h.solver()(rhs))
+        assert np.array_equal(linops._factor(h, np.arange(glm.dim))(rhs), h.solver()(rhs))
+
+
 def test_dwd_newton_matrix_is_the_block_schur_complement():
     # n = 30 slack rows do not count against p_dense, the p + 1 = 4 block columns do
     a, labels = bench_io.gen_logistic(30, 3, seed=14)
@@ -308,7 +360,7 @@ def test_dwd_newton_matrix_is_the_block_schur_complement():
     x = np.concatenate([np.zeros(4), np.ones(30)])
     glm = models.dwd_as_glm(dwd, p_dense=4)
     assert glm.dim == 34 and glm.factor_dim == 4 and glm.has_dense_hessian
-    assert isinstance(glm.hessian(x), linops.SlackHessian)
+    assert isinstance(glm.hessian(x), models.SlackHessian)
     small = models.dwd_as_glm(dwd, p_dense=3)
     assert not small.has_dense_hessian
     with pytest.raises(ParameterError):
@@ -510,7 +562,7 @@ def test_returned_arrays_cannot_corrupt_the_record(make, x0):
     hv[:] = 0.0
     if model.has_dense_hessian:
         h = model.hessian(x0)
-        if isinstance(h, linops.SlackHessian):
+        if isinstance(h, models.SlackHessian):
             with pytest.raises(ValueError):   # its curvatures are the record's, read-only
                 h.d[0] = 0.0
         else:

@@ -274,7 +274,7 @@ def test_dwd_above_p_dense_solves_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert glm.dim > glm.p_dense and glm.has_dense_hessian
-    assert isinstance(glm.hessian(res.x), linops.SlackHessian)
+    assert isinstance(glm.hessian(res.x), models.SlackHessian)
     assert res.status == "converged" and res.grad_criterion_met
     assert peak < 40 * n * (p + 2) * 8
 

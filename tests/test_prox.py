@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from gscopt import linops, prox
+from gscopt import linops, models, prox
 from gscopt.errors import NotPositiveDefiniteError, ParameterError
 from gscopt.prox import (ProxSpec, project_simplex, prox_apply, prox_residual,
                          scaled_prox_subproblem)
@@ -442,7 +442,7 @@ def test_warm_start_must_be_feasible(spec):
 
 
 class _NoDenseForm:
-    """A structured H that delegates @ and solver(free) to a linops.SlackHessian and has
+    """A structured H that delegates @ and solver(free) to a models.SlackHessian and has
     no dense form: np.asarray on it raises."""
 
     def __init__(self, slack):
@@ -469,8 +469,8 @@ def test_active_set_never_densifies_a_structured_h(spec, sparse):
     block = rng.normal(size=(n, m))
     if sparse:
         block = scipy.sparse.csr_matrix(np.where(np.abs(block) > 0.7, block, 0.0))
-    slack = linops.SlackHessian(block, 0.1 + 1.9 * rng.random(n), np.full(m, 1e-1),
-                                np.full(n, 1e-1))
+    slack = models.SlackHessian(models.SlackDesign(block), 0.1 + 1.9 * rng.random(n),
+                                np.full(m + n, 1e-1))
     h, hmat = _NoDenseForm(slack), np.asarray(slack)
     p = n + m
     l_h = linops.largest_eigenvalue(hmat, tol=1e-12)

@@ -154,7 +154,7 @@ def test_box_constrained_glm():
 
 
 def test_dwd_slack_hessian_composite():
-    # the DWD Hessian is a linops.SlackHessian: g = zero solves it by elimination,
+    # the DWD Hessian is a models.SlackHessian: g = zero solves it by elimination,
     # the box's active-set subproblem by eliminating its free slack rows
     a, labels = bench_io.gen_logistic(40, 5, seed=8)
     model = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.full(40, 0.01), q=1.0,
