@@ -108,21 +108,23 @@ def exponential() -> LossAtom:
     )
 
 
+def _power(p):
+    """t^p and its first three derivatives: the closed forms of both power atoms."""
+    return (
+        lambda t: t**p,
+        lambda t: p * t ** (p - 1.0),
+        lambda t: p * (p - 1.0) * t ** (p - 2.0),
+        lambda t: p * (p - 1.0) * (p - 2.0) * t ** (p - 3.0),
+    )
+
+
 def neg_power(q: float) -> LossAtom:
     """phi(t) = t^(-q) on (0, inf); nu = 2(q+3)/(q+2), M = (q+2)/(q(q+1))^(1/(q+2))."""
     if q <= 0.0:
         raise ParameterError(f"neg_power requires q > 0, got {q}")
     nu = 2.0 * (q + 3.0) / (q + 2.0)
     m = (q + 2.0) / (q * (q + 1.0)) ** (1.0 / (q + 2.0))
-    return LossAtom(
-        f"neg_power(q={q})", GscParams(m, nu), (0.0, math.inf),
-        (
-            lambda t: t ** (-q),
-            lambda t: -q * t ** (-q - 1.0),
-            lambda t: q * (q + 1.0) * t ** (-q - 2.0),
-            lambda t: -q * (q + 1.0) * (q + 2.0) * t ** (-q - 3.0),
-        ),
-    )
+    return LossAtom(f"neg_power(q={q})", GscParams(m, nu), (0.0, math.inf), _power(-q))
 
 
 def entropy() -> LossAtom:
@@ -170,21 +172,28 @@ def positive_power(q: float) -> LossAtom:
         raise ParameterError(f"positive_power requires q in (1, 2), got {q}")
     nu = 2.0 * (3.0 - q) / (2.0 - q)
     m = (2.0 - q) / (q * (q - 1.0)) ** (1.0 / (2.0 - q))
-    return LossAtom(
-        f"positive_power(q={q})", GscParams(m, nu), (0.0, math.inf),
-        (
-            lambda t: t**q,
-            lambda t: q * t ** (q - 1.0),
-            lambda t: q * (q - 1.0) * t ** (q - 2.0),
-            lambda t: q * (q - 1.0) * (q - 2.0) * t ** (q - 3.0),
-        ),
-    )
+    return LossAtom(f"positive_power(q={q})", GscParams(m, nu), (0.0, math.inf), _power(q))
 
 
-def _log_cosh(u):
-    # ln(cosh u) = |u| + log1p(e^(-2|u|)) - ln 2, overflow-safe
-    a = np.abs(u)
-    return a + np.log1p(np.exp(-2.0 * a)) - _LOG2
+def _scaled_log_cosh(gamma):
+    """gamma ln cosh(t/gamma) and its first three derivatives, overflow-safe."""
+
+    def f0(t):
+        # ln cosh u = |u| + log1p(e^(-2|u|)) - ln 2
+        a = np.abs(t / gamma)
+        return gamma * (a + np.log1p(np.exp(-2.0 * a)) - _LOG2)
+
+    def f1(t):
+        return np.tanh(t / gamma)
+
+    def f2(t):
+        return (1.0 - np.tanh(t / gamma) ** 2) / gamma
+
+    def f3(t):
+        th = np.tanh(t / gamma)
+        return -2.0 * th * (1.0 - th**2) / gamma**2
+
+    return f0, f1, f2, f3
 
 
 def smoothed_l1(gamma: float, variant: str = "logsumexp") -> LossAtom:
@@ -199,23 +208,9 @@ def smoothed_l1(gamma: float, variant: str = "logsumexp") -> LossAtom:
     if gamma <= 0.0:
         raise ParameterError(f"smoothed_l1 requires gamma > 0, got {gamma}")
     if variant == "logsumexp":
-
-        def f0(t):
-            return gamma * _log_cosh(t / gamma)
-
-        def f1(t):
-            return np.tanh(t / gamma)
-
-        def f2(t):
-            return (1.0 - np.tanh(t / gamma) ** 2) / gamma
-
-        def f3(t):
-            th = np.tanh(t / gamma)
-            return -2.0 * th * (1.0 - th**2) / gamma**2
-
         return LossAtom(
             f"smoothed_l1_logsumexp(gamma={gamma})", GscParams(2.0 / gamma, 2.0),
-            (-math.inf, math.inf), (f0, f1, f2, f3), d2_sup=1.0 / gamma,
+            (-math.inf, math.inf), _scaled_log_cosh(gamma), d2_sup=1.0 / gamma,
         )
     if variant == "sqrt":
         g2 = gamma**2
@@ -240,32 +235,23 @@ def smoothed_l1(gamma: float, variant: str = "logsumexp") -> LossAtom:
 
 
 def smoothed_hinge(gamma: float) -> LossAtom:
-    """phi(t) = gamma ln((e^((1-t)/gamma) + e^(-(1-t)/gamma))/2) + (1-t)/2, nu = 2.
+    """phi(t) = f(1-t) + (1-t)/2 with f the logsumexp smoothed_l1(gamma), nu = 2.
 
-    M derivation: ln cosh is (2, 2); the affine argument (1-t)/gamma scales
-    M by (1/gamma)^(3-2) and the outer gamma weight leaves it unchanged at
-    nu = 2, so M = 2/gamma (the linear tail adds nothing).
+    The affine argument 1-t and the linear tail leave f's (M, nu) =
+    (2/gamma, 2) unchanged.
     """
     if gamma <= 0.0:
         raise ParameterError(f"smoothed_hinge requires gamma > 0, got {gamma}")
-
-    def f0(t):
-        s = (1.0 - t) / gamma
-        return gamma * _log_cosh(s) + (1.0 - t) / 2.0
-
-    def f1(t):
-        return -np.tanh((1.0 - t) / gamma) - 0.5
-
-    def f2(t):
-        return (1.0 - np.tanh((1.0 - t) / gamma) ** 2) / gamma
-
-    def f3(t):
-        th = np.tanh((1.0 - t) / gamma)
-        return 2.0 * th * (1.0 - th**2) / gamma**2
-
+    f0, f1, f2, f3 = _scaled_log_cosh(gamma)
     return LossAtom(
-        f"smoothed_hinge(gamma={gamma})", GscParams(2.0 / gamma, 2.0),
-        (-math.inf, math.inf), (f0, f1, f2, f3), d2_sup=1.0 / gamma,
+        f"smoothed_hinge(gamma={gamma})", GscParams(2.0 / gamma, 2.0), (-math.inf, math.inf),
+        (
+            lambda t: f0(1.0 - t) + (1.0 - t) / 2.0,
+            lambda t: -f1(1.0 - t) - 0.5,
+            lambda t: f2(1.0 - t),
+            lambda t: -f3(1.0 - t),
+        ),
+        d2_sup=1.0 / gamma,
     )
 
 

@@ -18,7 +18,6 @@ import io
 import json
 import math
 import typing
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +95,6 @@ def read_libsvm(path, normalize: bool = False, n_features: int | None = None) ->
                 data.append(val)
             indptr.append(len(indices))
     n = len(labels)
-    if n == 0:
-        warnings.warn(f"{path}: no data rows", stacklevel=2)
     p = n_features if n_features is not None else (max(indices) + 1 if indices else 0)
     a = sp.csr_matrix(
         (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),

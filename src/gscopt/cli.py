@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -80,21 +81,35 @@ def _finish_first_order(args, hist, tail):
     return 0 if status == "converged" else 2
 
 
-def _load_classification(args):
+def _load(args, read, generate):
+    """The input of every command: read(--data path) or generate(n, p, seed) for --synthetic."""
     if args.data:
-        ds = bench_io.read_libsvm(args.data, normalize=True)
-        a, labels = ds.a, ds.labels
-    elif args.synthetic:
+        return read(args.data)
+    if args.synthetic:
         dims = _parse_synthetic(args.synthetic)
-        a, labels = bench_io.gen_logistic(dims["n"], dims["p"], seed=args.seed)
-    else:
-        raise GscError("one of --data or --synthetic is required")
-    return a, labels
+        return generate(dims["n"], dims["p"], seed=args.seed)
+    raise GscError("one of --data or --synthetic is required")
+
+
+def _read_classification(path):
+    ds = bench_io.read_libsvm(path, normalize=True)
+    return ds.a, ds.labels
+
+
+def _read_returns(path):
+    """A CSV returns matrix, 2-D also for one row or one column.
+
+    An empty file reads as a matrix with no row, which PortfolioModel
+    refuses; loadtxt's warning about it is not printed.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def cmd_fit_logistic(args) -> int:
     opts = _solver_options(args, args.nu)
-    a, labels = _load_classification(args)
+    a, labels = _load(args, _read_classification, bench_io.gen_logistic)
     if hasattr(a, "multiply"):
         rows = a.multiply(labels[:, None]).tocsr()
     else:
@@ -106,19 +121,17 @@ def cmd_fit_logistic(args) -> int:
         res = minimize(model, x0, opts)
     elif args.solver == "bfgs":
         res = minimize_qn(model, x0, opts)
-    elif args.solver == "fgm":
+    else:  # fgm
         mu, lips = model.smoothness_bounds()
         x, hist = bench_io.fast_gradient(model, x0, mu, lips, eps=opts.eps, max_iter=opts.max_iter)
         return _finish_first_order(args, hist, f"f={model.value(x):.9e}")
-    else:
-        raise GscError(f"--solver {args.solver} is not valid for fit-logistic")
     margins = (rows @ res.x)
     return _finish(args, res, margins=np.asarray(margins).ravel())
 
 
 def cmd_fit_dwd(args) -> int:
     opts = _solver_options(args, args.nu)
-    a, labels = _load_classification(args)
+    a, labels = _load(args, _read_classification, bench_io.gen_logistic)
     n = a.shape[0]
     try:
         gammas = tuple(float(s) for s in args.gammas.split(","))
@@ -134,14 +147,7 @@ def cmd_fit_dwd(args) -> int:
 
 def cmd_portfolio(args) -> int:
     opts = _solver_options(args)
-    if args.data:
-        w = np.loadtxt(args.data, delimiter=",")
-    elif args.synthetic:
-        dims = _parse_synthetic(args.synthetic)
-        w = bench_io.gen_portfolio(dims["n"], dims["p"], seed=args.seed)
-    else:
-        raise GscError("one of --data or --synthetic is required")
-    model = models.PortfolioModel(w)
+    model = models.PortfolioModel(_load(args, _read_returns, bench_io.gen_portfolio))
     x0 = np.full(model.dim, 1.0 / model.dim)
     if args.solver == "prox-newton":
         prob = CompositeProblem(model, ProxSpec("simplex"), x0)
@@ -153,11 +159,9 @@ def cmd_portfolio(args) -> int:
         if args.solver == "pg-bb":
             x, hist = bench_io.pg_bb(model, ProxSpec("simplex"), x0, eps=opts.eps,
                                      max_iter=opts.max_iter)
-        elif args.solver in ("fw", "fw-ls"):
+        else:  # fw, fw-ls
             x, hist = bench_io.frank_wolfe(model, x0, eps=opts.eps, max_iter=opts.max_iter,
                                            linesearch=args.solver == "fw-ls")
-        else:
-            raise GscError(f"--solver {args.solver} is not valid for portfolio")
         code = _finish_first_order(args, hist, f"time={time.perf_counter()-t0:.3f}s  "
                                                 f"f={model.value(x):.9e}")
     print(f"simplex: sum={x.sum():.12f}  min={x.min():.3e}")

@@ -69,7 +69,7 @@ def _check_tau_domain(nu, tau, name="tau"):
 
 
 def _require_nu(nu):
-    if nu < 2.0:
+    if not nu >= 2.0:
         raise ParameterError(f"kernel functions require nu >= 2, got {nu}")
 
 
@@ -185,27 +185,21 @@ def kappa_bounds(nu: float, t: float) -> tuple[float, float]:
     """Sandwich constants for the mean Hessian int_0^1 H(x + s(y-x)) ds.
 
     Returns (lower, upper) with lower <= 1 <= upper; both tend to 1 as t -> 0.
+    The upper bound is omega_bar(nu, t), and for nu = 2 the lower one is
+    omega_bar(2, -t).
     """
     _require_nu(nu)
     if t < 0.0:
         raise DomainError(f"kappa_bounds requires t >= 0, got {t}")
     _check_tau_domain(nu, t, name="t")
     upper = omega_bar(nu, t)
-    if _use_series(nu, t):
-        if nu == 2.0:
-            a = [1.0, -1.0, 0.5, -1.0 / 6.0]
-        else:
-            c = 2.0 / (nu - 2.0)
-            # coefficients of (1-u)^c: (-1)^k binom(c, k)
-            a = [1.0, -c, c * (c - 1.0) / 2.0, -c * (c - 1.0) * (c - 2.0) / 6.0]
-        lower = sum(a[k] * t**k / (k + 1) for k in range(4))
-        return lower, upper
     if nu == 2.0:
-        lower = -math.expm1(-t) / t
-    else:
-        e = nu / (nu - 2.0)
-        lower = (nu - 2.0) / nu * (-math.expm1(e * math.log1p(-t))) / t
-    return lower, upper
+        return omega_bar(2.0, -t), upper
+    if _use_series(nu, t):
+        c = 2.0 / (nu - 2.0)
+        # (1-u)^c has the Taylor coefficients of _series_coeffs with -c for c
+        return sum(_rising(-c, k) / math.factorial(k) * t**k / (k + 1) for k in range(4)), upper
+    return (nu - 2.0) / nu * (-math.expm1(nu / (nu - 2.0) * math.log1p(-t))) / t, upper
 
 
 def r_nu(nu: float, t: float) -> float:
@@ -241,7 +235,7 @@ def d_nu(nu: float, m: float, dist2: float, distx: float) -> float:
     otherwise, with 0/0 treated as 0 at coincident points.
     """
     _require_nu(nu)
-    if m < 0.0 or dist2 < 0.0 or distx < 0.0:
+    if not (m >= 0.0 and dist2 >= 0.0 and distx >= 0.0):
         raise ParameterError("d_nu arguments must be nonnegative")
     if nu == 2.0:
         return m * dist2

@@ -459,10 +459,16 @@ class PortfolioModel(_MarginModel):
     """f(x) = -sum_i log(w_i' x) over the rows of a positive returns matrix; (M, nu) = (2, 3)."""
 
     def __init__(self, w_mat, p_dense=P_DENSE_DEFAULT):
-        self.w_mat = np.asarray(w_mat, dtype=float)
-        if np.any(self.w_mat <= 0.0):
+        w = self.w_mat = np.asarray(w_mat, dtype=float)
+        if w.ndim != 2 or w.size == 0:
+            raise ParameterError(
+                f"portfolio returns matrix needs a row and a column, got shape {w.shape}")
+        lo, hi = w.min(), w.max()  # a NaN entry makes both NaN
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ParameterError("portfolio returns matrix must be finite")
+        if lo <= 0.0:
             raise ParameterError("portfolio returns matrix must be strictly positive")
-        self.n, self.dim = self.w_mat.shape
+        self.n, self.dim = w.shape
         self.factor_dim = self.dim
         self.params = GscParams(2.0, 3.0)
         self.p_dense = p_dense

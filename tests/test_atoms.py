@@ -184,3 +184,53 @@ def test_smoothed_hinge_shape():
     ts = np.linspace(-3.0, 4.0, 701)
     vals = [atoms.atom_eval(sh, float(t), 0) for t in ts]
     assert abs(ts[int(np.argmin(vals))] - 1.0) < 0.2
+
+
+# The power and ln-cosh atoms share one implementation each; these pin every
+# derivative to the closed form written out per atom, bit for bit.
+
+def _log_cosh(u):
+    a = np.abs(u)
+    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+
+
+_POSITIVE_GRID = np.logspace(-3.0, 3.0, 601)
+_REAL_GRID = np.linspace(-40.0, 40.0, 801)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_neg_power_closed_form(q):
+    t = _POSITIVE_GRID
+    want = (t ** (-q), -q * t ** (-q - 1.0), q * (q + 1.0) * t ** (-q - 2.0),
+            -q * (q + 1.0) * (q + 2.0) * t ** (-q - 3.0))
+    for k in range(4):
+        assert np.array_equal(atoms.neg_power(q)(t, k), want[k])
+
+
+@pytest.mark.parametrize("q", [1.1, 1.5, 1.9])
+def test_positive_power_closed_form(q):
+    t = _POSITIVE_GRID
+    want = (t**q, q * t ** (q - 1.0), q * (q - 1.0) * t ** (q - 2.0),
+            q * (q - 1.0) * (q - 2.0) * t ** (q - 3.0))
+    for k in range(4):
+        assert np.array_equal(atoms.positive_power(q)(t, k), want[k])
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.2, 1.9])
+def test_smoothed_l1_logsumexp_closed_form(gamma):
+    t = _REAL_GRID
+    th = np.tanh(t / gamma)
+    want = (gamma * _log_cosh(t / gamma), th, (1.0 - th**2) / gamma,
+            -2.0 * th * (1.0 - th**2) / gamma**2)
+    for k in range(4):
+        assert np.array_equal(atoms.smoothed_l1(gamma, "logsumexp")(t, k), want[k])
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.2, 1.9])
+def test_smoothed_hinge_closed_form(gamma):
+    t = _REAL_GRID
+    th = np.tanh((1.0 - t) / gamma)
+    want = (gamma * _log_cosh((1.0 - t) / gamma) + (1.0 - t) / 2.0, -th - 0.5,
+            (1.0 - th**2) / gamma, 2.0 * th * (1.0 - th**2) / gamma**2)
+    for k in range(4):
+        assert np.array_equal(atoms.smoothed_hinge(gamma)(t, k), want[k])

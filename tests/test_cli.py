@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,12 +56,13 @@ def test_inner_failure_prints_the_error_and_exits_2(tmp_path, capsys, monkeypatc
 
 
 def test_fit_logistic_deterministic_traces(tmp_path):
-    args = ["fit-logistic", "--synthetic", "n=200,p=15", "--nu", "2", "--seed", "3",
-            "--deterministic"]
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(p1)]) == 0
-    assert main(args + ["--out", str(p2)]) == 0
-    assert p1.read_bytes() == p2.read_bytes()
+    for solver in ("newton", "bfgs"):
+        args = ["fit-logistic", "--synthetic", "n=200,p=15", "--nu", "2", "--seed", "3",
+                "--solver", solver, "--deterministic"]
+        p1, p2 = tmp_path / f"{solver}-a.csv", tmp_path / f"{solver}-b.csv"
+        assert main(args + ["--out", str(p1)]) == 0
+        assert main(args + ["--out", str(p2)]) == 0
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_fit_logistic_from_file(tmp_path):
@@ -82,6 +84,16 @@ def test_portfolio_prox_newton(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "sum=1.000000000000" in out
+
+
+@pytest.mark.parametrize("text", ["1.01,0.99,1.02\n", "1.01\n0.99\n1.02\n"],
+                         ids=["one-row", "one-column"])
+def test_portfolio_reads_a_one_row_or_one_column_csv(tmp_path, capsys, text):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    assert main(["portfolio", "--data", str(path), "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    assert "status=converged" in out and "sum=1.000000000000" in out
 
 
 def test_portfolio_prox_newton_200x20(capsys):
@@ -179,7 +191,8 @@ def test_malformed_specs_are_usage_errors(capsys, args, message):
     (["fit-logistic", "--synthetic", "n=0,p=5"], "gen_logistic needs n, p >= 1"),
     (["fit-logistic", "--synthetic", "n=50,p=5", "--gamma", "inf"], "q_diag must be finite"),
     (["fit-dwd", "--synthetic", "n=50,p=5", "--slack-cost", "nan"], "c must be finite"),
-], ids=["negative-seed", "no-rows", "inf-gamma", "nan-slack-cost"])
+    (["kernels", "--nu", "nan", "--tau", "0.3"], "require nu >= 2, got nan"),
+], ids=["negative-seed", "no-rows", "inf-gamma", "nan-slack-cost", "nan-nu"])
 @pytest.mark.filterwarnings("error")
 def test_refused_inputs_print_one_error_line(capsys, args, message):
     # refused when the data or the model is built, before any solve: one error line,
@@ -191,13 +204,18 @@ def test_refused_inputs_print_one_error_line(capsys, args, message):
 
 
 def test_empty_data_file_is_a_data_error(tmp_path, capsys):
+    # one error line and no warning: an empty LIBSVM file or returns CSV
     path = tmp_path / "empty.txt"
     path.write_text("")
-    for command in ("fit-logistic", "fit-dwd"):
-        with pytest.warns(UserWarning, match="no data rows"):
+    for command, data in [("fit-logistic", "GLM design"), ("fit-dwd", "GLM design"),
+                          ("portfolio", "portfolio returns matrix")]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main([command, "--data", str(path)]) == 1
+        assert caught == []
         err = capsys.readouterr().err
-        assert err.startswith("error: GLM design needs a row and a column, got shape (0, ")
+        assert err.startswith(f"error: {data} needs a row and a column, got shape (0, ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gscopt import atoms, bench_io, linops, models
+from gscopt import atoms, bench_io, kernel, linops, models
 from gscopt.acceptance import bound_suite_violations
 from gscopt.errors import DomainError, ParameterError
 from gscopt.newton import SolveOptions, minimize
@@ -75,6 +75,18 @@ def test_glm_rejects_an_empty_design(shape, kind):
         return
     with pytest.raises(ParameterError, match=rf"got shape \({a.shape[0]}, {a.shape[1]}\)$"):
         models.GlmModel(a, atoms.logistic())
+
+
+@pytest.mark.parametrize("w, message", [
+    (np.ones((0, 3)), r"got shape \(0, 3\)$"),
+    (np.ones((3, 0)), r"got shape \(3, 0\)$"),
+    (np.array([[1.0, math.nan], [1.0, 1.0]]), "must be finite"),
+    (np.array([[1.0, math.inf], [1.0, 1.0]]), "must be finite"),
+], ids=["no-rows", "no-columns", "nan", "inf"])
+def test_portfolio_rejects_an_empty_or_nonfinite_matrix(w, message):
+    # NaN <= 0 is False, so the positivity check alone lets a NaN through
+    with pytest.raises(ParameterError, match=message):
+        models.PortfolioModel(w)
 
 
 @pytest.mark.parametrize("field,value", [("q", math.nan), ("q", math.inf), ("q", 0.0),
@@ -183,6 +195,19 @@ def test_glm_gsc_params_native_and_forced():
     for target in (None, "2", "3"):
         with pytest.raises(ParameterError):
             models.glm_gsc_params(gm, target)
+
+
+def test_force_2_reparametrizes_a_bounded_curvature_atom():
+    # smoothed_l1 "sqrt" has nu = 8/3 and phi'' <= 1/gamma: forcing nu = 2 goes through
+    # the Lipschitz-gradient reparametrization with the model's own L
+    a, labels = bench_io.gen_logistic(80, 6, seed=4)
+    glm = models.GlmModel(a, atoms.smoothed_l1(0.5, "sqrt"), b=-labels, q_diag=1e-3)
+    native = models.glm_gsc_params(glm, "native")
+    assert native.nu == 8.0 / 3.0
+    _, lips = glm.smoothness_bounds()
+    assert models.glm_gsc_params(glm, 2) == kernel.reparam(native, "lipschitz_gradient", lips)
+    res = minimize(glm, np.zeros(glm.dim), SolveOptions(nu_choice="force_2", record_time=False))
+    assert res.status == "converged" and res.trace[-1].lam <= 1e-8
 
 
 @pytest.mark.parametrize("sparse", [False, True])
