@@ -76,6 +76,13 @@ def portfolio_toy(n=50, p=10, seed=7):
     return models.PortfolioModel(bench_io.gen_portfolio(n, p, seed=seed))
 
 
+def _portfolio_solve(port):
+    """Proximal Newton on the simplex from its centre, to eps 1e-9."""
+    x0 = np.full(port.dim, 1.0 / port.dim)
+    return minimize_composite(CompositeProblem(port, ProxSpec("simplex"), x0),
+                              SolveOptions(eps=1e-9, record_time=False))
+
+
 def _mp_funcs():
     """50-digit closed forms of the kernel profile functions."""
     from mpmath import mp, mpf, exp, log
@@ -143,36 +150,27 @@ def _grid(include_negative=True):
 @_criterion(1, "kernel exactness", 5.0)
 def criterion_1():
     """Kernel functions match 50-digit references to 1e-12 (1e-10 near the series switch)."""
-    om, ob, obb, kl, rn = _mp_funcs()
-    worst = 0.0
-    worst_at = ""
+    try:
+        om, ob, obb, kl, rn = _mp_funcs()
+    except ModuleNotFoundError:
+        return False, "needs mpmath for its 50-digit references (the [test] extra)"
+    taus, ts = _grid(), _grid(include_negative=False)
+    # (name, kernel function, reference, grid); r_nu, the last, is defined for nu <= 3
+    checks = (("omega", kernel.omega, om, taus),
+              ("omega_bar", kernel.omega_bar, ob, taus),
+              ("omega_bar_bar", kernel.omega_bar_bar, obb, taus),
+              ("kappa_lower", lambda nu, t: kernel.kappa_bounds(nu, t)[0], kl, ts),
+              ("kappa_upper", lambda nu, t: kernel.kappa_bounds(nu, t)[1], ob, ts),
+              ("r_nu", kernel.r_nu, rn, ts))
+    worst, worst_at = 0.0, ""
     for nu in (2.0, 2.5, 3.0, 4.0):
-        taus = _grid()
-        for fn, ref in ((kernel.omega, om), (kernel.omega_bar, ob), (kernel.omega_bar_bar, obb)):
-            for tau in taus:
-                got = fn(nu, float(tau))
-                want = float(ref(nu, float(tau)))
-                tol = 1e-10 if abs(tau) <= 2e-4 else 1e-12
+        for name, fn, ref, pts in checks if nu <= 3.0 else checks[:-1]:
+            for t in pts:
+                got, want = fn(nu, float(t)), float(ref(nu, float(t)))
+                tol = 1e-10 if abs(t) <= 2e-4 else 1e-12
                 rel = abs(got - want) / max(abs(want), 1e-300)
                 if rel > tol and rel > worst:
-                    worst, worst_at = rel, f"{fn.__name__}(nu={nu}, tau={tau:.3g})"
-        ts = _grid(include_negative=False)
-        ts = ts[ts >= 0.0]
-        for t in ts:
-            lo, up = kernel.kappa_bounds(nu, float(t))
-            for got, want in ((lo, float(kl(nu, float(t)))), (up, float(ob(nu, float(t))))):
-                tol = 1e-10 if abs(t) <= 2e-4 else 1e-12
-                rel = abs(got - want) / max(abs(want), 1e-300)
-                if rel > tol:
-                    worst, worst_at = max(worst, rel), f"kappa(nu={nu}, t={t:.3g})"
-        if nu <= 3.0:
-            for t in ts:
-                got = kernel.r_nu(nu, float(t))
-                want = float(rn(nu, float(t)))
-                tol = 1e-10 if abs(t) <= 2e-4 else 1e-12
-                rel = abs(got - want) / max(abs(want), 1e-300)
-                if rel > tol:
-                    worst, worst_at = max(worst, rel), f"r_nu(nu={nu}, t={t:.3g})"
+                    worst, worst_at = rel, f"{name}(nu={nu}, t={t:.3g})"
     return worst == 0.0, ("all points within tolerance" if worst == 0.0
                           else f"worst rel err {worst:.2e} at {worst_at}")
 
@@ -232,18 +230,14 @@ def bound_suite_violations(model, n_pairs=200, seed=123, d_max=0.9, slack=1e-8,
         if not (kernel.omega_bar_bar(nu, -d) ** 0.5 * nxl <= ny * (1 + slack)
                 and ny <= kernel.omega_bar_bar(nu, d) ** 0.5 * nxl * (1 + slack)):
             violations += 1
-        # (ii) Hessian eigenvalue sandwich
+        # (ii) Hessian eigenvalue sandwich [1/omega_bar_bar(d), omega_bar_bar(d)];
         # h and so its factor are finite (linops.cholesky checks h)
         lfac = linops.cholesky(h)
         half = solve_triangular(lfac, hy, lower=True, check_finite=False)
         mid = solve_triangular(lfac, half.T, lower=True, check_finite=False).T
         ev = np.linalg.eigvalsh(0.5 * (mid + mid.T))
-        if nu == 2.0:
-            lo_b, hi_b = math.exp(-d), math.exp(d)
-        else:
-            lo_b = (1.0 - d) ** (2.0 / (nu - 2.0))
-            hi_b = (1.0 - d) ** (-2.0 / (nu - 2.0))
-        if not (ev.min() >= lo_b / (1 + slack) and ev.max() <= hi_b * (1 + slack)):
+        hi_b = kernel.omega_bar_bar(nu, d)
+        if not (ev.min() >= 1.0 / hi_b / (1 + slack) and ev.max() <= hi_b * (1 + slack)):
             violations += 1
         # (iii) gradient pairing
         gdiff = float((model.grad(y) - model.grad(x)) @ dx)
@@ -359,10 +353,7 @@ def criterion_6():
         ok, info = _quadratic_tail_ok(lams)
         if not ok:
             problems.append(f"newton phase2={phase2}: {info} tail={lams[-3:]}")
-    port = portfolio_toy()
-    prob = CompositeProblem(port, ProxSpec("simplex"), np.full(port.dim, 1.0 / port.dim))
-    resp = minimize_composite(prob, SolveOptions(eps=1e-9, record_time=False))
-    lams = [r.lam for r in resp.trace]
+    lams = [r.lam for r in _portfolio_solve(portfolio_toy()).trace]
     ok, info = _quadratic_tail_ok(lams)
     if not ok:
         problems.append(f"prox-newton: {info} tail={lams[-3:]}")
@@ -387,10 +378,8 @@ def _projected_gradient_reference(model, x0, tol=1e-10, max_iter=500000):
 def criterion_7():
     """Prox-Newton portfolio solution matches a projected-gradient reference."""
     port = portfolio_toy()
-    x0 = np.full(port.dim, 1.0 / port.dim)
-    res = minimize_composite(CompositeProblem(port, ProxSpec("simplex"), x0),
-                             SolveOptions(eps=1e-9, record_time=False))
-    xref = _projected_gradient_reference(port, x0, tol=1e-10)
+    res = _portfolio_solve(port)
+    xref = _projected_gradient_reference(port, np.full(port.dim, 1.0 / port.dim), tol=1e-10)
     f_pn, f_ref = port.value(res.x), port.value(xref)
     rel = abs(f_pn - f_ref) / max(1.0, abs(f_ref))
     feasible = abs(res.x.sum() - 1.0) <= 1e-12 and res.x.min() >= 0.0
@@ -582,11 +571,7 @@ def criterion_12():
         return bench_io.trace_to_csv(res.trace)
 
     def portfolio_trace():
-        port = portfolio_toy()
-        res = minimize_composite(
-            CompositeProblem(port, ProxSpec("simplex"), np.full(port.dim, 1.0 / port.dim)),
-            SolveOptions(eps=1e-9, record_time=False))
-        return bench_io.trace_to_csv(res.trace)
+        return bench_io.trace_to_csv(_portfolio_solve(portfolio_toy()).trace)
 
     if logistic_trace() != logistic_trace():
         problems.append("logistic trace not reproducible")

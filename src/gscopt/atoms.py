@@ -171,7 +171,12 @@ def positive_power(q: float) -> LossAtom:
     if not (1.0 < q < 2.0):
         raise ParameterError(f"positive_power requires q in (1, 2), got {q}")
     nu = 2.0 * (3.0 - q) / (2.0 - q)
-    m = (2.0 - q) / (q * (q - 1.0)) ** (1.0 / (2.0 - q))
+    try:
+        m = (2.0 - q) / (q * (q - 1.0)) ** (1.0 / (2.0 - q))
+    except OverflowError:  # near q = 2 the power leaves the float range
+        m = 0.0
+    if not 0.0 < m < math.inf:
+        raise ParameterError(f"positive_power(q={q}): M is below the float range")
     return LossAtom(f"positive_power(q={q})", GscParams(m, nu), (0.0, math.inf), _power(q))
 
 

@@ -262,11 +262,14 @@ def step_size(nu: float, m: float, lam: float, beta: float) -> StepSize:
     r d_k tends to beta, and 1 - (1 + r d_k)^(-1/r) cancels to nothing.
     A nonpositive lam means the iterate is stationary; the full step is
     returned as a harmless convention (callers test convergence first).
+    A NaN m, lam or beta leaves the step undefined: tau and d_k are NaN.
     """
     if not (2.0 <= nu <= 3.0):
         raise ParameterError(f"step_size requires nu in [2, 3], got {nu}")
     if m < 0.0 or beta < 0.0:
         raise ParameterError("step_size requires m >= 0 and beta >= 0")
+    if math.isnan(m) or math.isnan(lam) or math.isnan(beta):
+        return StepSize(math.nan, math.nan)
     if lam <= 0.0:
         return StepSize(1.0, 0.0)
     if nu == 2.0:

@@ -216,6 +216,13 @@ def test_positive_power_closed_form(q):
         assert np.array_equal(atoms.positive_power(q)(t, k), want[k])
 
 
+def test_positive_power_refuses_a_q_whose_m_leaves_the_float_range():
+    # M = (2-q)/(q(q-1))^(1/(2-q)) is 4.2e-304 at q = 1.999 and below any float at 1.9999
+    assert atoms.positive_power(1.999).params.m > 0.0
+    with pytest.raises(ParameterError, match=r"q=1\.9999"):
+        atoms.positive_power(1.9999)
+
+
 @pytest.mark.parametrize("gamma", [0.05, 0.2, 1.9])
 def test_smoothed_l1_logsumexp_closed_form(gamma):
     t = _REAL_GRID
