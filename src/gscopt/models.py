@@ -333,6 +333,28 @@ class GlmModel(_MarginModel):
         out = self.a.T @ (d * av)
         return np.asarray(out).ravel() + self.q_diag * v
 
+    def step_beta(self, params: GscParams, n) -> float:
+        """The beta of kernel.step_size for a step along n, with m^(nu-2) beta^(3-nu) = K_n.
+
+        K_n = M_phi max_i w_i^(1-nu/2) |a_i' n|^(3-nu) bounds the third
+        derivative along n alone: |D^3 f(y)[n, n, n]| <= K_n (n' H(y) n)^(nu/2)
+        at every y, since sum_i t_i^(nu/2) <= (sum_i t_i)^(nu/2) for nu >= 2 and
+        Q only adds to H.  As |a_i' n| <= ||a_i|| ||n||_2, K_n <= M ||n||_2^(3-nu),
+        so the step is never shorter than with beta = m ||n||_2.  nu = 2 gives
+        beta = M_phi ||A n||_inf.  params other than the native certificate (a
+        reclassified force_2 or force_3), m = 0 and nu = 3 keep m ||n||_2.
+        One product A n.
+        """
+        m, nu = params.m, params.nu
+        if params != self.params or m == 0.0 or nu == 3.0:
+            return m * math.sqrt(float(n @ n))
+        s = np.abs(self.a @ n)
+        m_phi = self.atom.params.m
+        if nu == 2.0:
+            return m_phi * float(s.max())
+        k_n = m_phi * float(np.max(self.w ** (1.0 - nu / 2.0) * s ** (3.0 - nu)))
+        return m * (k_n / m) ** (1.0 / (3.0 - nu))
+
     # -- structure helpers ---------------------------------------------------
     def lambda_min_q(self):
         """Exact smallest eigenvalue of the diagonal regularizer."""
@@ -360,7 +382,10 @@ def glm_gsc_params(model: GlmModel, target_nu="native") -> GscParams:
     native: sum rule over the affine-composed atoms,
             M = max_i w_i^(1-nu/2) M_phi ||a_i||^(3-nu) (the 1/n-weighted
             case gives n^(nu/2-1) max_i M_phi ||a_i||^(3-nu)), one array
-            expression over model.row_norms: O(n) vectorized work.
+            expression over model.row_norms: O(n) vectorized work.  M is
+            the worst case over all directions; the damped steps of
+            minimize and minimize_composite use the constant along the step
+            itself, GlmModel.step_beta's K_n, which never exceeds it.
     2:      Lipschitz-gradient reclassification; needs a bounded phi''.
     3:      strongly convex quadratic route,
             M = lam_min(Q)^((nu-3)/2) max_i (n w_i)^(1-nu/2) M_phi ||a_i||^(3-nu).

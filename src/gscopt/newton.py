@@ -1,7 +1,9 @@
 """Damped-step / two-phase Newton method for generalized self-concordant objectives.
 
 The damped phase uses the closed-form step size from the (M, nu) certificate,
-which guarantees a computable decrease without any line search.  Phase 2
+which guarantees a computable decrease without any line search; for a GLM
+its constant is the third-derivative bound along the step itself
+(GlmModel.step_beta), and every such step checks its decrease.  Phase 2
 switches to full steps, either heuristically (analytic step at least
 PHASE2_TAU_THRESHOLD) or inside the theorem's entry radius, computed once
 per solve from the model's certified sigma_min bound.  A floor-augmented
@@ -35,6 +37,9 @@ MAX_HALVINGS = 60
 ARMIJO_C1 = 1e-6
 #: the heuristic phase-2 entry: full steps once the analytic step reaches this
 PHASE2_TAU_THRESHOLD = 0.9
+#: a certified step's decrease may fall this far, relative to max(1, |f|), below its
+#: estimate: the rounding of f(x) - f(x+), each an n-term float64 sum
+CERTIFICATE_RTOL = 1e-12
 
 
 @dataclass
@@ -68,13 +73,14 @@ class IterRecord:
     tau: float
     phase: str          # "damped" | "full"
     cum_time: float
+    dec_est: float = math.nan   # certified decrease of an analytic damped step, else NaN
 
 
 #: The trace file schema: (file column, IterRecord field) pairs in column order.
 #: bench_io writes and reads CSV rows and JSON objects from this table alone.
 TRACE_SCHEMA = (("iter", "k"), ("phase", "phase"), ("f", "f"), ("grad_norm", "grad_norm"),
                 ("lambda", "lam"), ("beta", "beta"), ("d_k", "d_k"), ("tau", "tau"),
-                ("cum_time_s", "cum_time"))
+                ("dec_est", "dec_est"), ("cum_time_s", "cum_time"))
 
 
 @dataclass
@@ -161,7 +167,17 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
     phase step(x, n, grad, f, tau_analytic) -> (tau, f(x + tau n) or None,
     value calls); the domain guard halves a step whose value it did not
     evaluate.  objective is what the trace records (f, or f + g); solver picks
-    the phase-2 constants ("newton" | "prox_newton").  The strict-theorem
+    the phase-2 constants ("newton" | "prox_newton"), and "quasi_newton"
+    marks lam as a surrogate decrement.  The step constant beta is the
+    model's step_beta(params, n), reached by attribute lookup, where it has
+    one and lam is a true decrement, else m ||n||_2.  Each step taken at the
+    analytic tau (damped phase, analytic step rule, no halving, true
+    decrement) is checked against its certificate: its record's dec_est is
+    kernel.descent_estimate (NaN on every other record), and
+    extra["certificate"] holds the steps checked, the violations (a decrease
+    below dec_est by more than CERTIFICATE_RTOL max(1, |f|)) and the
+    smallest margin (decrease - dec_est) / max(1, |f|), inf with none
+    checked.  A violation does not end the solve.  The strict-theorem
     radius is taken once, at the model's certified sigma_min bound
     (_sigma_min_bound): for nu < 3 and M > 0 a bound of 0 is a radius of 0,
     never entered.  A non-finite x raises DomainError.  A ConvergenceError
@@ -175,6 +191,9 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
     if not np.isfinite(x).all():
         raise DomainError("the start point has non-finite entries")
     nu, m = params.nu, params.m
+    surrogate = solver == "quasi_newton"
+    step_beta = None if surrogate else getattr(model, "step_beta", None)
+    certify = not surrogate and opts.step_rule == "analytic"
     radius = 0.0
     if opts.phase2 == "strict_theorem":
         radius = kernel.phase2_threshold(nu, solver).entry_lambda_max(m, _sigma_min_bound(model))
@@ -185,6 +204,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
     extra = {}
     in_full_phase = False
     status = "max_iter"
+    cert = {"checked": 0, "violations": 0, "min_margin": math.inf}
     f_x = objective(x)
 
     for k in range(opts.max_iter + 1):
@@ -200,7 +220,7 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
             extra["error"] = f"{type(exc).__name__}: {exc}"
             break
 
-        beta = m * math.sqrt(float(n @ n))
+        beta = m * math.sqrt(float(n @ n)) if step_beta is None else step_beta(params, n)
         tau_an, d_k = kernel.step_size(nu, m, lam, beta)
         cum = (time.perf_counter() - t0) if opts.record_time else 0.0
         head = (k, f_x, gnorm, lam, beta, d_k)
@@ -235,11 +255,20 @@ def _damped_newton(model, x, opts: SolveOptions, params: GscParams, direction, s
                 status = "domain_error"
                 break
 
-        trace.append(IterRecord(*head, min(tau, 1.0), "full" if tau >= 1.0 else "damped", cum))
+        certified = certify and not in_full_phase and tau == tau_an
+        dec_est = kernel.descent_estimate(nu, lam, d_k, tau) if certified else math.nan
+        trace.append(IterRecord(*head, min(tau, 1.0), "full" if tau >= 1.0 else "damped", cum,
+                                dec_est))
         x = x_new
-        f_x = objective(x) if f_new is None else f_new
+        f_prev, f_x = f_x, objective(x) if f_new is None else f_new
         nfval += f_new is None
+        if certified:
+            margin = (f_prev - f_x - dec_est) / max(1.0, abs(f_prev))
+            cert["checked"] += 1
+            cert["violations"] += margin < -CERTIFICATE_RTOL
+            cert["min_margin"] = min(cert["min_margin"], margin)
 
+    extra["certificate"] = cert
     return SolveResult(x=x, trace=trace, status=status, params=params, nfval=nfval, extra=extra)
 
 

@@ -16,8 +16,9 @@ optional callback(k, x, state).
 
 minimize_qn runs on newton._damped_newton with phase2 "off", a gradient-norm
 stop test and the direction -B grad of surrogate decrement lambda_hat =
-sqrt(g' B g).  Oracle order: value at the start; per step grad and the line
-search's values; grad on the last iterate.
+sqrt(g' B g), as solver "quasi_newton": the step constant stays M ||d||_2
+and no step is checked against a certificate.  Oracle order: value at the
+start; per step grad and the line search's values; grad on the last iterate.
 The step rule is repo policy rather than a claim from the analysis: the
 analytic GSC step computed with lambda_hat serves as a floor under an
 Armijo backtracking that starts at min(1, 2 tau_floor).
@@ -175,7 +176,7 @@ def minimize_qn(model, x0, opts: SolveOptions | None = None, h0=None,
 
     step = _exact_quadratic_step if opts.step_rule == "exact" else _floored_armijo
     result = _damped_newton(model, x, replace(opts, phase2="off"), params, direction, stop,
-                            partial(step, model), model.value, "newton")
+                            partial(step, model), model.value, "quasi_newton")
     if result.status == "converged":
         result.trace[-1].phase = "full"
     result.grad_criterion_met = result.status == "converged"

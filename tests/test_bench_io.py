@@ -1,5 +1,6 @@
 """Data ingestion, generators, baselines, and trace persistence."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -251,7 +252,15 @@ def test_pg_bb_matches_prox_newton():
 
 def _demo_trace():
     model = _logistic_model(n=60, p=5, seed=9)
-    return minimize(model, np.zeros(5), SolveOptions(record_time=False)).trace
+    trace = minimize(model, np.zeros(5), SolveOptions(record_time=False)).trace
+    # damped steps record their certified decrease, full steps and the last record NaN
+    assert {math.isnan(r.dec_est) for r in trace} == {False, True}
+    return trace
+
+
+def _fields(trace):
+    """Each record's fields as text: floats bit-exact (repr), and NaN the same as NaN."""
+    return [repr(dataclasses.astuple(r)) for r in trace]
 
 
 def test_csv_schema_and_roundtrip(tmp_path):
@@ -259,9 +268,9 @@ def test_csv_schema_and_roundtrip(tmp_path):
     path = str(tmp_path / "t.csv")
     write_trace(trace, path, "csv")
     text = Path(path).read_text()
-    assert text.splitlines()[0] == "iter,phase,f,grad_norm,lambda,beta,d_k,tau,cum_time_s"
+    assert text.splitlines()[0] == "iter,phase,f,grad_norm,lambda,beta,d_k,tau,dec_est,cum_time_s"
     back = read_trace(path, "csv")
-    assert back == trace  # every IterRecord field; floats bit-exact
+    assert _fields(back) == _fields(trace)  # every IterRecord field; floats bit-exact
     # byte-identical rewrite
     path2 = str(tmp_path / "t2.csv")
     write_trace(back, path2, "csv")
@@ -269,7 +278,7 @@ def test_csv_schema_and_roundtrip(tmp_path):
     # a file without its header row reads the same
     path3 = tmp_path / "t3.csv"
     path3.write_text(text.split("\n", 1)[1])
-    assert read_trace(str(path3), "csv") == trace
+    assert _fields(read_trace(str(path3), "csv")) == _fields(trace)
 
 
 def test_json_roundtrip_bit_exact(tmp_path):
@@ -278,13 +287,15 @@ def test_json_roundtrip_bit_exact(tmp_path):
     write_trace(trace, path, "json")
     with open(path) as fh:
         assert all(list(row) == TRACE_COLUMNS for row in json.load(fh))
-    assert read_trace(path, "json") == trace  # every IterRecord field; floats bit-exact
+    # every IterRecord field; floats bit-exact
+    assert _fields(read_trace(path, "json")) == _fields(trace)
 
 
 def test_empty_trace(tmp_path):
     path = str(tmp_path / "empty.csv")
     write_trace([], path, "csv")
-    assert Path(path).read_text() == "iter,phase,f,grad_norm,lambda,beta,d_k,tau,cum_time_s\n"
+    assert Path(path).read_text() == \
+        "iter,phase,f,grad_norm,lambda,beta,d_k,tau,dec_est,cum_time_s\n"
     assert read_trace(path, "csv") == []
 
 

@@ -200,8 +200,7 @@ def test_glm_gsc_params_native_and_forced():
 def test_force_2_reparametrizes_a_bounded_curvature_atom():
     # smoothed_l1 "sqrt" has nu = 8/3 and phi'' <= 1/gamma: forcing nu = 2 goes through
     # the Lipschitz-gradient reparametrization with the model's own L
-    a, labels = bench_io.gen_logistic(80, 6, seed=4)
-    glm = models.GlmModel(a, atoms.smoothed_l1(0.5, "sqrt"), b=-labels, q_diag=1e-3)
+    glm = _smoothed_l1_sqrt()
     native = models.glm_gsc_params(glm, "native")
     assert native.nu == 8.0 / 3.0
     _, lips = glm.smoothness_bounds()
@@ -522,7 +521,8 @@ def test_cg_hvp_makes_one_product_each_way():
     assert res.status == "converged" and not model.has_dense_hessian
     hvps = [c for c in log.calls if c[0] == "hvp"]
     assert hvps and all(c[2:] == (1, 1) for c in hvps)
-    assert model.a.forward == len(log.points()) + len(hvps)
+    # and step_beta's one A n per iterate
+    assert model.a.forward == len(log.points()) + len(hvps) + len(res.trace)
 
 
 def test_dwd_newton_forms_each_margin_once():
@@ -533,12 +533,13 @@ def test_dwd_newton_forms_each_margin_once():
     log = PointLog(model)
     res = minimize(log, np.concatenate([np.zeros(6), np.ones(40)]), SolveOptions(record_time=False))
     assert res.status == "converged" and res.iterations > 5
-    # check_domain, value, grad, hessian and feasible all read one margin evaluation
-    assert model.a.forward == len(log.points())
+    # check_domain, value, grad, hessian and feasible all read one margin evaluation,
+    # and step_beta makes one product A n per iterate
+    assert model.a.forward == len(log.points()) + len(res.trace)
     assert model.a.transposed == log.count("grad")
     # the domain guard took no halving: one point per iterate
     assert log.count("feasible") == res.iterations
-    assert model.a.forward == res.iterations + 1
+    assert model.a.forward == 2 * (res.iterations + 1)
 
 
 def _point_models():
@@ -625,9 +626,9 @@ OPTS = SolveOptions(eps=1e-8, record_time=False)
     (lambda: models.PortfolioModel(bench_io.gen_portfolio(1000, 5, seed=0)),
      lambda m: minimize_composite(CompositeProblem(m, ProxSpec("simplex"), np.full(5, 0.2)),
                                   OPTS), 6),
-    (_l1_logistic, lambda m: minimize_composite(CompositeProblem(m, L1, np.zeros(50)), OPTS), 16),
+    (_l1_logistic, lambda m: minimize_composite(CompositeProblem(m, L1, np.zeros(50)), OPTS), 11),
     (_l1_logistic, lambda m: bench_io.pg_bb(m, L1, np.zeros(50), eps=1e-8), 36),
-    (_dwd_500x50, lambda m: minimize(m, np.concatenate([np.zeros(51), np.ones(500)]), OPTS), 121),
+    (_dwd_500x50, lambda m: minimize(m, np.concatenate([np.zeros(51), np.ones(500)]), OPTS), 48),
 ], ids=["portfolio-prox-newton", "l1-prox-newton", "l1-pg-bb", "dwd-newton"])
 def test_margin_evaluations_per_solve(make, solve, count):
     # check_domain and feasible read the record the next value call reuses:
@@ -638,3 +639,116 @@ def test_margin_evaluations_per_solve(make, solve, count):
     model._z = lambda x: calls.append(x) or margins(x)
     solve(model)
     assert len(calls) == count
+
+
+# -- the step constant along the step itself (GlmModel.step_beta) ------------------
+
+class StepLog:
+    """Logs each point a model's grad sees and each step_beta call's (params, beta, n),
+    through its instance's attributes: the model keeps its class, so force_3 still
+    resolves.  A model without step_beta logs none."""
+
+    def __init__(self, model):
+        self.points, self.betas = [], []
+        grad = model.grad
+        model.grad = lambda x: self.points.append(np.array(x)) or grad(x)
+        step_beta = getattr(model, "step_beta", None)
+        if step_beta is not None:
+            def logged(params, n):
+                beta = step_beta(params, n)
+                self.betas.append((params, beta, n.copy()))
+                return beta
+            model.step_beta = logged
+
+
+def _k_n(model, n):
+    """K_n = M_phi max_i w_i^(1-nu/2) |a_i' n|^(3-nu), from its definition."""
+    nu = model.params.nu
+    s = np.abs(model.a @ n)
+    return model.atom.params.m * float(np.max(model.w ** (1.0 - nu / 2.0) * s ** (3.0 - nu)))
+
+
+@pytest.mark.parametrize("make,x0", [
+    (lambda: _dwd_500x50(), np.concatenate([np.zeros(51), np.ones(500)])),
+    (lambda: unit_row_logistic(n=200, p=10, seed=4), np.zeros(10)),
+], ids=["dwd", "logistic"])
+def test_third_derivative_along_the_step_is_within_k_n(make, x0):
+    # |D^3 f(y)[n, n, n]| <= K_n (n' H(y) n)^(nu/2) at 5 points of the first damped step
+    model = make()
+    m, nu = model.params.m, model.params.nu
+    d = linops.newton_direction(linops.NewtonSystem(model.hessian(x0), model.grad(x0)))
+    beta = model.step_beta(model.params, d.n)
+    k_n = _k_n(model, d.n)
+    assert m ** (nu - 2.0) * beta ** (3.0 - nu) == pytest.approx(k_n, rel=1e-12)
+    tau, _ = kernel.step_size(nu, m, d.lam, beta)
+    assert tau < 1.0
+    for t in np.linspace(0.0, tau, 5):
+        y = x0 + t * d.n
+        third = models.third_directional(model, y, d.n, d.n)
+        psi = float(d.n @ model.hvp(y, d.n))
+        assert abs(third) <= k_n * psi ** (nu / 2.0) * (1.0 + 1e-4) + 1e-9
+
+
+def _l1_logistic_composite(model):
+    return minimize_composite(CompositeProblem(model, L1, np.zeros(model.dim)), OPTS)
+
+
+@pytest.mark.parametrize("make,solve", [
+    (_dwd_500x50, lambda m: minimize(m, np.concatenate([np.zeros(51), np.ones(500)]), OPTS)),
+    (lambda: unit_row_logistic(n=200, p=10, seed=4), lambda m: minimize(m, np.zeros(10), OPTS)),
+    (_l1_logistic, _l1_logistic_composite),
+], ids=["dwd-newton", "logistic-newton", "l1-prox-newton"])
+def test_step_beta_never_exceeds_m_norm_n(make, solve):
+    model = make()
+    log = StepLog(model)
+    res = solve(model)
+    assert res.status == "converged"
+    # one step_beta per iterate, and the trace records what it returned
+    assert [b for _, b, _ in log.betas] == [r.beta for r in res.trace]
+    m_phi = model.atom.params.m
+    for params, beta, n in log.betas:
+        assert params == model.params
+        assert beta <= params.m * math.sqrt(float(n @ n))
+        if params.nu == 2.0:
+            assert beta == m_phi * float(np.max(np.abs(model.a @ n)))
+    assert res.extra["certificate"]["violations"] == 0
+
+
+def _forced(nu_choice):
+    return lambda model: minimize(model, np.zeros(model.dim),
+                                  SolveOptions(nu_choice=nu_choice, eps=1e-8, record_time=False))
+
+
+def _smoothed_l1_sqrt():
+    a, labels = bench_io.gen_logistic(80, 6, seed=4)
+    return models.GlmModel(a, atoms.smoothed_l1(0.5, "sqrt"), b=-labels, q_diag=1e-3)
+
+
+def _portfolio_simplex(model):
+    return minimize_composite(CompositeProblem(model, ProxSpec("simplex"), np.full(5, 0.2)), OPTS)
+
+
+@pytest.mark.parametrize("make,solve", [
+    (lambda: unit_row_logistic(n=200, p=10, seed=4, gamma=1e-3), _forced("force_3")),
+    (_smoothed_l1_sqrt, _forced("force_2")),
+    (lambda: unit_row_logistic(n=200, p=10, seed=4), lambda m: minimize_qn(m, np.zeros(10), OPTS)),
+    (lambda: models.PortfolioModel(bench_io.gen_portfolio(1000, 5, seed=0)), _portfolio_simplex),
+], ids=["force_3", "force_2", "bfgs", "portfolio"])
+def test_other_steps_keep_m_norm_n(make, solve):
+    # beta = m ||n||_2, read back from the iterates: n = (x_k+1 - x_k) / tau_k
+    model = make()
+    log = StepLog(model)
+    res = solve(model)
+    assert res.status == "converged"
+    m = res.params.m
+    checked = 0
+    for k, rec in enumerate(res.trace[:-1]):
+        step = np.linalg.norm(log.points[k + 1] - log.points[k])
+        if step >= 1e-6 * (1.0 + np.linalg.norm(log.points[k])):
+            assert rec.beta == pytest.approx(m * step / rec.tau, rel=1e-8)
+            checked += 1
+    assert checked >= 2
+    # a reclassified certificate asks the model, which answers m ||n||_2; BFGS never asks
+    for params, beta, n in log.betas:
+        assert params != model.params and beta == params.m * math.sqrt(float(n @ n))
+    assert len(log.betas) == (len(res.trace) if res.params != model.params else 0)

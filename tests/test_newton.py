@@ -329,11 +329,11 @@ def ridgeless_wide_logistic(n, p, seed, **kw):
     return models.GlmModel(a * labels[:, None], atoms.logistic(), **kw)
 
 
-RIDGELESS = [((20, 40, 0), 114), ((30, 60, 1), 121), ((10, 50, 2), 85)]
+RIDGELESS = [((20, 40, 0), 53), ((30, 60, 1), 53), ((10, 50, 2), 53)]
 
 
 @pytest.mark.parametrize("phase2", ["heuristic_tau", "strict_theorem"])
-@pytest.mark.parametrize("shape,iterations", RIDGELESS, ids=lambda v: str(v))
+@pytest.mark.parametrize("shape,iterations", RIDGELESS, ids=[str(s) for s, _ in RIDGELESS])
 def test_singular_hessian_solves_alike_on_every_path(shape, iterations, phase2):
     # the dense Cholesky refused this H at iteration 0 while CG (p_dense = 0) and the
     # free-block solve (g = zero) converged: p_dense picks only the system's form
@@ -381,7 +381,7 @@ def test_dense_step_along_the_null_space_is_the_gradient_over_the_shift():
     assert res.status == "max_iter" and res.iterations == 50
     assert np.isfinite(res.x).all()
     assert all(b < a for a, b in zip(fs, fs[1:]))
-    assert fs[-1] == pytest.approx(-170.7, rel=1e-2)
+    assert fs[-1] == pytest.approx(-7.068e15, rel=1e-2)
 
 
 def test_cg_refuses_the_unbounded_ridgeless_model_at_the_start():
@@ -549,3 +549,115 @@ def test_existence_logistic():
     assert chk.lhs < chk.rhs
     # the radius is taken at the certified bound min(q_diag), so satisfied is a proof
     assert chk.sigma_min == model.q_diag.min() <= np.linalg.eigvalsh(model.hessian(res.x))[0]
+
+
+def dwd_500x50():
+    a, labels = bench_io.gen_logistic(500, 50, seed=0)
+    model = models.dwd_as_glm(models.DwdModel(a=a, y=labels, c=np.zeros(500), q=1.0,
+                                              gammas=(1e-5, 1e-5, 1e-7)))
+    return model, np.concatenate([np.zeros(51), np.ones(500)])
+
+
+class _Delegate:
+    """The minimal delegating model proxy: every attribute is the wrapped model's."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+
+class _ValueJumpFrom(_Delegate):
+    """A value oracle that adds jump from its (calls + 1)-th call on."""
+
+    def __init__(self, model, calls, jump):
+        super().__init__(model)
+        self._left, self._jump = calls, jump
+
+    def value(self, x):
+        self._left -= 1
+        return self._model.value(x) + (self._jump if self._left < 0 else 0.0)
+
+
+def test_a_delegating_proxy_gets_the_same_trace():
+    # the driver reaches step_beta by attribute lookup, which a proxy delegates
+    model, x0 = dwd_500x50()
+    opts = SolveOptions(record_time=False)
+    direct = minimize(model, x0, opts)
+    proxied = minimize(_Delegate(model), x0, opts)
+    assert bench_io.trace_to_csv(proxied.trace) == bench_io.trace_to_csv(direct.trace)
+    assert proxied.extra["certificate"] == direct.extra["certificate"]
+
+
+def test_damped_steps_check_their_certificate():
+    model, x0 = dwd_500x50()
+    res = minimize(model, x0, SolveOptions(record_time=False))
+    cert = res.extra["certificate"]
+    damped = [r for r in res.trace[:-1] if r.phase == "damped"]
+    assert cert["checked"] == len(damped) > 0 and cert["violations"] == 0
+    assert cert["min_margin"] > 0.0
+    for rec, nxt in zip(res.trace[:-1], res.trace[1:]):
+        if rec.phase == "damped":
+            assert rec.dec_est == kernel.descent_estimate(res.params.nu, rec.lam, rec.d_k,
+                                                          rec.tau)
+            assert rec.f - nxt.f >= rec.dec_est
+        else:
+            assert math.isnan(rec.dec_est)
+    assert math.isnan(res.trace[-1].dec_est)
+
+
+class _InfeasibleOnce(_Delegate):
+    """A feasible oracle that answers False at its (calls + 1)-th call only."""
+
+    def __init__(self, model, calls):
+        super().__init__(model)
+        self._left = calls
+
+    def feasible(self, x):
+        self._left -= 1
+        return self._left != -1 and self._model.feasible(x)
+
+
+def test_a_halved_step_is_not_checked():
+    # the domain guard halves the step from iterate 2: no longer the analytic step,
+    # it certifies nothing and records NaN
+    model, x0 = dwd_500x50()
+    opts = SolveOptions(record_time=False)
+    clean = minimize(model, x0, opts)
+    res = minimize(_InfeasibleOnce(model, 2), x0, opts)
+    halved = res.trace[2]
+    assert halved.tau == 0.5 * clean.trace[2].tau and math.isnan(halved.dec_est)
+    assert not any(math.isnan(r.dec_est) for r in res.trace[:2])
+    cert = res.extra["certificate"]
+    damped = sum(r.phase == "damped" for r in res.trace[:-1])
+    assert res.status == "converged" and cert["checked"] == damped - 1
+    assert cert["violations"] == 0
+
+
+def test_a_planted_value_jump_is_a_certificate_violation():
+    # f jumps by 1 from iterate 3 on: the step from iterate 2 decreases f by less
+    # than certified, and the solve goes on to the same end
+    model, x0 = dwd_500x50()
+    opts = SolveOptions(record_time=False)
+    clean = minimize(model, x0, opts)
+    res = minimize(_ValueJumpFrom(model, 3, 1.0), x0, opts)
+    cert, step = res.extra["certificate"], res.trace[2]
+    assert step.phase == "damped" and cert["checked"] == clean.extra["certificate"]["checked"]
+    assert cert["violations"] == 1
+    assert cert["min_margin"] == (step.f - res.trace[3].f - step.dec_est) / max(1.0, abs(step.f))
+    assert res.status == "converged" and np.array_equal(res.x, clean.x)
+
+
+@pytest.mark.parametrize("solve", ["linesearch", "full", "bfgs"])
+def test_steps_without_a_certificate_record_nan(solve):
+    model = reg_logistic(n=400, p=30)
+    x0 = np.zeros(model.dim)
+    if solve == "bfgs":
+        res = minimize_qn(model, x0, SolveOptions(record_time=False))
+    else:
+        rule = {"linesearch": "linesearch_floor", "full": "full"}[solve]
+        res = minimize(model, x0, SolveOptions(step_rule=rule, record_time=False))
+    assert res.status == "converged"
+    assert all(math.isnan(r.dec_est) for r in res.trace)
+    assert res.extra["certificate"] == {"checked": 0, "violations": 0, "min_margin": math.inf}
