@@ -1,24 +1,37 @@
 """Multivariate objective oracles: GLM finite sums, the log-utility portfolio
 objective, and the DWD objective, each carrying certified (M, nu) parameters.
 
-All models expose the same oracle surface:
+The drivers (newton.minimize, prox_newton.minimize_composite,
+quasi_newton.minimize_qn, newton.existence_check) require of a model
 
-    value(x), grad(x), hessian(x), hvp(x, v), dim, params,
+    value(x), grad(x), hessian(x), hvp(x, v), has_dense_hessian, params,
     check_domain(x)  (raises DomainError with the violating row),
     feasible(x) -> bool
 
-which the solvers call directly.  The Hessian is formed only when the
+and every model here also has dim.  The Hessian is formed only when the
 matrix a Newton solve factors has at most p_dense (default 2000) rows: all
 of it for a dense or sparse design, B's columns for a SlackDesign [B, I_n],
 whose Hessian is a SlackHessian over it, with its own solver.  Larger
 problems are served through hvp (conjugate-gradient path).
 
-Oracles at one point share one margin evaluation: GLM and portfolio models
-share one base (_MarginModel) and one record of the last x (_PointRecord),
-with its margins z = A x + b (or W x) and what is derived from z, which
-every oracle at a bitwise-equal x reads.  resolve_params maps a model's
-certificate through a solver's nu_choice, and _sigma_min_bound gives the
-certified sigma_min bound the strict full-step entry reads.
+Certificate facts beyond params are optional capabilities, each owned by
+the model and found by attribute lookup, never by its class, so a
+delegating proxy (a __getattr__ wrapper) takes the wrapped model's path:
+
+    step_beta(params, n)  the step constant along n, read by
+                          newton._damped_newton (else m ||n||_2);
+    lambda_min_q()        a lower bound on sigma_min of every Hessian, read
+                          by _sigma_min_bound for the strict full-step
+                          radius and existence_check (else 0);
+    row_norms, with atom, w, n, lambda_min_q() and smoothness_bounds()
+                          the GLM certificate inputs, read by
+                          glm_gsc_params when resolve_params reclassifies
+                          a force_2 / force_3 request (else ParameterError).
+
+GlmModel offers all three.  Oracles at one point share one margin
+evaluation: GLM and portfolio models share one base (_MarginModel) and one
+record of the last x (_PointRecord), with its margins z = A x + b (or W x)
+and what is derived from z, which every oracle at a bitwise-equal x reads.
 """
 
 from __future__ import annotations
@@ -427,7 +440,8 @@ def resolve_params(model, nu_choice: str) -> GscParams:
     """Map a model's native certificate through the requested nu classification.
 
     A model whose native nu already is the forced nu keeps its params; any
-    other model must be a GlmModel, reclassified by glm_gsc_params.
+    other must offer the GLM certificate inputs (row_norms and the rest, see
+    the module docstring), which glm_gsc_params reclassifies.
     """
     if nu_choice == "native":
         model.params.require_solver_range()
@@ -437,15 +451,16 @@ def resolve_params(model, nu_choice: str) -> GscParams:
         raise ParameterError(f"unknown nu_choice {nu_choice!r}")
     if model.params.nu == nu:
         return model.params
-    if not isinstance(model, GlmModel):
+    if not hasattr(model, "row_norms"):
         raise ParameterError(f"{nu_choice} needs a GLM model or a nu={nu} model")
     return glm_gsc_params(model, nu)
 
 
 def _sigma_min_bound(model) -> float:
-    """A certified lower bound on sigma_min of the model's Hessian at every x: min(q_diag)
-    for a GlmModel, whose H = A' D A + diag(q_diag) with D >= 0, and 0 for any other."""
-    return model.lambda_min_q() if isinstance(model, GlmModel) else 0.0
+    """A certified lower bound on sigma_min of the model's Hessian at every x: the model's
+    own lambda_min_q() where it has one (min(q_diag) for a GlmModel, whose
+    H = A' D A + diag(q_diag) with D >= 0), and 0 for any other."""
+    return model.lambda_min_q() if hasattr(model, "lambda_min_q") else 0.0
 
 
 class QuadraticModel:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from gscopt import atoms, bench_io, linops, models, prox_newton
+from gscopt.acceptance import _projected_gradient_reference
 from gscopt.errors import DomainError, ParameterError
 from gscopt.newton import SolveOptions, minimize
-from gscopt.prox import ProxSpec, project_simplex, prox_apply, prox_residual
+from gscopt.prox import ProxSpec, prox_apply, prox_residual
 from gscopt.prox_newton import CompositeProblem, minimize_composite
 
 
@@ -35,18 +36,6 @@ def test_zero_g_reduces_to_newton():
             assert b_rec.tau == pytest.approx(a_rec.tau, rel=1e-10)
 
 
-def _projected_gradient(model, x0, tol=1e-10, max_iter=300000):
-    lmax = linops.largest_eigenvalue(model.hessian(x0), dim=x0.size)
-    s = 1.0 / (4.0 * lmax)
-    x = x0.copy()
-    for _ in range(max_iter):
-        x_new = project_simplex(x - s * model.grad(x))
-        if np.linalg.norm(x - x_new) / s <= tol:
-            return x_new
-        x = x_new
-    return x
-
-
 def test_portfolio_matches_projected_gradient_reference():
     port = portfolio_toy()
     x0 = np.full(port.dim, 1.0 / port.dim)
@@ -55,7 +44,7 @@ def test_portfolio_matches_projected_gradient_reference():
     assert res.status == "converged"
     assert res.x.sum() == pytest.approx(1.0, abs=1e-12)
     assert res.x.min() >= 0.0
-    xref = _projected_gradient(port, x0)
+    xref = _projected_gradient_reference(port, x0)
     assert port.value(res.x) <= port.value(xref) + 1e-6 * (1.0 + abs(port.value(xref)))
 
 
